@@ -144,36 +144,12 @@ def cmd_cone(args) -> int:
     ctype = CartanType.parse(args.type)
     rs = build_root_system(ctype)
     if args.e is not None:
+        if args.word is not None:
+            raise UsageError("--word and --e cannot be combined")
         E = _parse_indices(args.e, len(rs.positive_roots))
-        regions = shi.regions_in_dominant(rs, E)
-        poset = shi.flats_in_dominant(rs, E)
-        poly = root_poset(rs).restrict(E).antichain_polynomial()
-        payload = {
-            "e_indices": E,
-            "e_roots": [list(rs.positive_roots[i]) for i in E],
-            "regions": [
-                {
-                    "ideal": [list(rs.positive_roots[i]) for i in sorted(r.ideal)],
-                    "ceiling": [list(rs.positive_roots[i]) for i in sorted(r.ceiling)],
-                    "witness": [str(x) for x in r.witness],
-                }
-                for r in regions
-            ],
-            "flats": [
-                {
-                    "generators": [
-                        list(rs.positive_roots[i]) for i in sorted(f.generators)
-                    ],
-                    "codim": f.geometry.codim,
-                    "mobius": f.mobius,
-                }
-                for f in poset.flats
-            ],
-            "poincare": list(poly),
-        }
+        payload = shi.deletion_report(rs, E)
     else:
-        word = parse_word(args.word or "", rs.rank)
-        w = element_from_word(rs, word)
+        w = element_from_word(rs, parse_word(args.word or "", rs.rank))
         payload = shi.cone_report(rs, w)
     emit(OutputRecord("cone", str(ctype), payload, args.format), args.out)
     return 0
@@ -262,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cone", help="regions and flats of one cone")
     p.add_argument("--type", required=True)
-    p.add_argument("--word", default="", help="generator word, e.g. st or 121")
+    p.add_argument("--word", default=None, help="generator word, e.g. st or 121")
     p.add_argument(
         "--e",
         default=None,

@@ -1,10 +1,22 @@
 """Exact rational linear geometry: feasibility and affine flats.
 
-All arithmetic is over ``fractions.Fraction``; there is no floating
-point anywhere and no tolerances.  Feasibility of mixed strict and
-non-strict systems is decided by Fourier-Motzkin elimination with exact
-witness extraction; the kernel lives in ``_fmcore_c`` (compiled) with a
-pure-Python twin ``_fmcore_py`` selected as fallback at import time.
+Everything is exact; there is no floating point anywhere and no
+tolerances.  Points and flats are stored in integers, in the formats
+this module defines:
+
+* an exact point is a pair ``(nums, den)`` of an integer numerator
+  vector and a positive common denominator, the form the feasibility
+  kernel returns;
+* an :class:`AffineFlat` holds primitive integer reduced rows, an exact
+  basepoint and primitive integer direction vectors, produced by
+  fraction-free Gauss-Jordan elimination.
+
+Feasibility of mixed strict and non-strict systems is decided by
+Fourier-Motzkin elimination with exact witness extraction; the kernel
+lives in ``_fmcore_c`` (compiled) with a pure-Python twin ``_fmcore_py``
+selected as fallback at import time.  The :class:`LinearConstraint`
+front end takes rational data and returns witnesses as ``Fraction``
+tuples.
 
 Ambient dimension is capped at 4: open cones of the rank <= 4 Weyl
 groups are the only customers, and the cap keeps elimination blow-up
@@ -16,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 try:  # pragma: no cover - exercised indirectly via either backend
@@ -95,7 +107,8 @@ def _to_kernel_row(c: LinearConstraint):
 
 
 def feasible(constraints: Iterable[LinearConstraint]) -> Optional[tuple]:
-    """An exact interior witness of the system, or None if infeasible.
+    """An exact interior witness of the system as a tuple of Fractions,
+    or None if infeasible.
 
     The witness is re-substituted into every constraint before being
     returned; exact arithmetic means the check is equality-sharp.
@@ -114,9 +127,10 @@ def feasible(constraints: Iterable[LinearConstraint]) -> Optional[tuple]:
             return None
         if truth is None:
             rows.append(_to_kernel_row(c))
-    witness = feasible_rows(dim, rows)
-    if witness is None:
+    point = feasible_rows(dim, rows)
+    if point is None:
         return None
+    witness = as_fractions(point)
     for c in constraints:
         if not c.holds_at(witness):
             raise AssertionError("witness failed re-substitution")
@@ -124,11 +138,17 @@ def feasible(constraints: Iterable[LinearConstraint]) -> Optional[tuple]:
 
 
 def feasible_rows(dim: int, rows) -> Optional[tuple]:
-    """Kernel-format fast path: integer rows ``(coeffs, rhs, kind)``."""
-    result = _fmcore.solve(dim, rows)
-    if result is None:
-        return None
-    nums, den = result
+    """Kernel-format fast path: integer rows ``(coeffs, rhs, kind)``.
+
+    Returns an exact interior point ``(nums, den)``, meaning
+    ``x_i = nums[i] / den`` with ``den > 0``, or None if infeasible.
+    """
+    return _fmcore.solve(dim, rows)
+
+
+def as_fractions(point: tuple) -> tuple:
+    """The coordinates of an exact point ``(nums, den)`` as Fractions."""
+    nums, den = point
     return tuple(Fraction(n, den) for n in nums)
 
 
@@ -137,12 +157,16 @@ def feasible_rows(dim: int, rows) -> Optional[tuple]:
 
 @dataclass(frozen=True)
 class AffineFlat:
-    """Solution set of a linear system, in canonical reduced form.
+    """Solution set of a linear system, in canonical integer form.
 
-    ``rref`` is the reduced row-echelon form of the augmented system and
-    is a canonical key for the flat: two hyperplane collections cut out
-    the same flat exactly when their reduced systems agree.  The empty
-    flat is encoded by a single contradictory row.
+    ``rref`` is the reduced row-echelon form of the augmented system with
+    every row scaled to a primitive integer vector (gcd 1) whose pivot is
+    positive.  It is a canonical key for the flat: two hyperplane
+    collections cut out the same flat exactly when their reduced systems
+    agree.  ``basepoint`` is an exact point ``(nums, den)`` of the flat
+    and ``directions`` are primitive integer vectors spanning its
+    direction space.  The empty flat has no basepoint and is encoded by a
+    single contradictory row.
     """
 
     dim: int
@@ -166,8 +190,41 @@ class AffineFlat:
         return f"AffineFlat(dim={self.dim}, codim={self.codim})"
 
 
+def _primitive(row: list) -> list:
+    """The row divided by the gcd of its entries (unchanged if all zero)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _row_reduce(work: list, ncols: int) -> list:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Reduces columns ``0 .. ncols-1``; rows stay primitive after every
+    step, so coefficients stay small.  Returns the pivot columns; the
+    pivot rows come first, in that order, with every other row zero in
+    each pivot column.
+    """
+    pivot_cols = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        prow = work[r]
+        p = prow[col]
+        for i in range(len(work)):
+            f = work[i][col]
+            if i != r and f:
+                work[i] = _primitive([p * a - f * b for a, b in zip(work[i], prow)])
+        pivot_cols.append(col)
+        r += 1
+    return pivot_cols
+
+
 def intersect_hyperplanes(dim: int, rows: Iterable[tuple]) -> AffineFlat:
-    """Exact intersection of hyperplanes ``normal . x = rhs``.
+    """Exact intersection of hyperplanes ``normal . x = rhs`` with integer
+    ``normal`` and ``rhs``.
 
     No rows yields the ambient space; an inconsistent system yields the
     empty flat.
@@ -178,93 +235,67 @@ def intersect_hyperplanes(dim: int, rows: Iterable[tuple]) -> AffineFlat:
     for normal, rhs in rows:
         if len(normal) != dim:
             raise ValueError("hyperplane dimension mismatch")
-        work.append([Fraction(c) for c in normal] + [Fraction(rhs)])
+        work.append(_primitive([*normal, rhs]))
+    pivot_cols = _row_reduce(work, dim)
+    r = len(pivot_cols)
+    if any(row[dim] for row in work[r:]):
+        return empty_flat(dim)
 
-    pivot_cols = []
-    r = 0
-    for col in range(dim):
-        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        p = work[r][col]
-        work[r] = [x / p for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivot_cols.append(col)
-        r += 1
-    for i in range(r, len(work)):
-        if work[i][dim]:
-            return empty_flat(dim)
-
-    rref = tuple(tuple(row) for row in work[:r])
-    basepoint = [Fraction(0)] * dim
+    rref = tuple(
+        tuple(row if row[col] > 0 else [-x for x in row])
+        for row, col in zip(work, pivot_cols)
+    )
+    den = lcm(*(row[col] for row, col in zip(rref, pivot_cols)))
+    nums = [0] * dim
     for row, col in zip(rref, pivot_cols):
-        basepoint[col] = row[dim]
-    free_cols = [c for c in range(dim) if c not in pivot_cols]
+        nums[col] = row[dim] * (den // row[col])
+    g = gcd(den, *nums)
+    basepoint = (tuple(x // g for x in nums), den // g)
     directions = []
-    for f in free_cols:
-        v = [Fraction(0)] * dim
-        v[f] = Fraction(1)
+    for f in range(dim):
+        if f in pivot_cols:
+            continue
+        v = [0] * dim
+        v[f] = den
         for row, col in zip(rref, pivot_cols):
-            v[col] = -row[f]
-        directions.append(tuple(v))
-    return AffineFlat(dim, tuple(basepoint), tuple(directions), rref)
+            v[col] = -row[f] * (den // row[col])
+        directions.append(tuple(_primitive(v)))
+    return AffineFlat(dim, basepoint, tuple(directions), rref)
 
 
 def empty_flat(dim: int) -> AffineFlat:
-    marker = tuple([Fraction(0)] * dim + [Fraction(1)])
-    return AffineFlat(dim, None, (), (marker,))
+    return AffineFlat(dim, None, (), ((0,) * dim + (1,),))
 
 
 def full_space(dim: int) -> AffineFlat:
     return intersect_hyperplanes(dim, [])
 
 
-def flat_contains(flat: AffineFlat, normal: Sequence, rhs) -> bool:
-    """Whether every point of a nonempty flat lies on the hyperplane."""
+def _on_hyperplane(flat: AffineFlat, normal: Sequence[int], rhs: int) -> bool:
+    nums, den = flat.basepoint
+    if sum(c * x for c, x in zip(normal, nums)) != rhs * den:
+        return False
+    return all(sum(c * x for c, x in zip(normal, d)) == 0 for d in flat.directions)
+
+
+def flat_contains(flat: AffineFlat, normal: Sequence[int], rhs: int) -> bool:
+    """Whether every point of a nonempty flat lies on the hyperplane
+    ``normal . x = rhs`` (integer data)."""
     if flat.is_empty:
         raise ValueError("empty flat")
-    rhs = Fraction(rhs)
-    if sum(c * x for c, x in zip(normal, flat.basepoint)) != rhs:
-        return False
-    return all(
-        sum(c * x for c, x in zip(normal, d)) == 0 for d in flat.directions
-    )
+    return _on_hyperplane(flat, normal, rhs)
 
 
 def contains_flat(outer: AffineFlat, inner: AffineFlat) -> bool:
     """Whether ``outer`` contains ``inner``, both nonempty."""
     if outer.is_empty or inner.is_empty:
         raise ValueError("empty flat")
-    for row in outer.rref:
-        normal, rhs = row[:-1], row[-1]
-        if sum(c * x for c, x in zip(normal, inner.basepoint)) != rhs:
-            return False
-        for d in inner.directions:
-            if sum(c * x for c, x in zip(normal, d)) != 0:
-                return False
-    return True
+    return all(_on_hyperplane(inner, row[:-1], row[-1]) for row in outer.rref)
 
 
-def matrix_rank(rows: Iterable[Sequence]) -> int:
-    """Rank over the rationals of a collection of vectors."""
-    work = [[Fraction(x) for x in row] for row in rows]
+def matrix_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank over the rationals of a collection of integer vectors."""
+    work = [list(row) for row in rows]
     if not work:
         return 0
-    dim = len(work[0])
-    rank = 0
-    for col in range(dim):
-        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        p = work[rank][col]
-        for i in range(len(work)):
-            if i != rank and work[i][col]:
-                f = work[i][col] / p
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-    return rank
+    return len(_row_reduce(work, len(work[0])))

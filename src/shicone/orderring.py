@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 from .poly import IntPolynomial
 from .posets import FinitePoset
 from .rootsys import RootSystem
-from .shi import ShiRegion, pairing
+from .shi import ShiRegion
 
 #: Elements beyond this make the dense function representation silly.
 MAX_RING_ELEMENTS = 24
@@ -135,7 +135,9 @@ def vg_heaviside(rs: RootSystem, E: Iterable[int], region: ShiRegion, b: int) ->
     """
     if b not in set(E):
         raise ValueError("root index outside the deletion set")
-    return 1 if pairing(region.witness, rs.positive_roots[b]) < 1 else 0
+    nums, den = region.witness
+    value = sum(c * x for c, x in zip(rs.positive_roots[b], nums))
+    return 1 if value < den else 0
 
 
 # -- order polytope and presentation ------------------------------------------

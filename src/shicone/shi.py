@@ -19,13 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .exactgeom import (
     EQ,
     GT,
     AffineFlat,
+    as_fractions,
     contains_flat,
     feasible_rows,
     flat_contains,
@@ -48,9 +48,11 @@ MAX_ORACLE_RANK = 3
 MAX_FUSS_LEVEL = 3
 
 
-def pairing(x: Sequence, coords: Sequence[int]) -> Fraction:
-    """Bilinear pairing of an evaluation point with a root."""
-    return sum((c * xi for c, xi in zip(coords, x)), Fraction(0))
+def pairing(point: tuple, coords: Sequence[int]) -> Fraction:
+    """Bilinear pairing of an exact evaluation point ``(nums, den)`` with
+    a root."""
+    nums, den = point
+    return Fraction(sum(c * x for c, x in zip(coords, nums)), den)
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,9 @@ class ShiRegion:
     ``ideal`` holds the root indices whose level-1 hyperplane lies above
     the region (pairing < 1 there); it is an order ideal of the deletion
     poset.  ``ceiling`` is its set of maximal elements, the facet-defining
-    level-1 hyperplanes.  ``witness`` is an exact interior point.
+    level-1 hyperplanes.  ``witness`` is an exact interior point
+    ``(nums, den)`` in evaluation coordinates, as the feasibility kernel
+    returns it.
     """
 
     ideal: frozenset
@@ -121,7 +125,13 @@ class ShiRegion:
 
 @dataclass(frozen=True)
 class Flat:
-    """An intersection of level-1 hyperplanes meeting a fixed cone."""
+    """An intersection of arrangement hyperplanes with its Mobius value.
+
+    ``generators`` are the hyperplanes containing the flat: root indices
+    of level-1 hyperplanes inside a cone, ``(root_index, level)`` pairs
+    for whole-arrangement and extended-level flats.  ``geometry`` is the
+    canonical integer form of :class:`shicone.exactgeom.AffineFlat`.
+    """
 
     generators: frozenset
     geometry: AffineFlat
@@ -140,13 +150,14 @@ class IntersectionPoset:
         entries = sorted(flats, key=lambda f: (f[1].codim, sorted(f[0])))
         n = len(entries)
         assert n >= 1 and entries[0][1].codim == 0, "ambient space missing"
-        ints = [_int_flat_data(geo) for _, geo in entries]
+        geos = [geo for _, geo in entries]
+        codims = [geo.codim for geo in geos]
         leq = [0] * n  # leq[j] = bitmask of i with X_i >= X_j (reverse incl.)
         for j in range(n):
-            cj = entries[j][1].codim
+            cj = codims[j]
             m = 0
             for i in range(n):
-                if entries[i][1].codim <= cj and _int_contains(ints[i], ints[j]):
+                if codims[i] <= cj and contains_flat(geos[i], geos[j]):
                     m |= 1 << i
             leq[j] = m
         mobius = [0] * n
@@ -214,47 +225,6 @@ def _positivity_rows(rank: int) -> list:
     ]
 
 
-def _int_eq_rows(rref: Sequence[tuple]) -> list:
-    """Integer equality rows for the kernel from rational reduced rows."""
-    rows = []
-    for row in rref:
-        scale = lcm(*(f.denominator for f in row))
-        rows.append((tuple(int(f * scale) for f in row[:-1]), int(row[-1] * scale), EQ))
-    return rows
-
-
-def _int_vector(vec: Sequence[Fraction]) -> tuple:
-    """A rational vector as (integer numerators, common denominator > 0)."""
-    scale = lcm(*(f.denominator for f in vec)) if vec else 1
-    return tuple(int(f * scale) for f in vec), scale
-
-
-def _int_flat_data(geometry: AffineFlat) -> tuple:
-    """Integer-scaled geometry for fast containment tests."""
-    int_rows = []
-    for row in geometry.rref:
-        scale = lcm(*(f.denominator for f in row))
-        int_rows.append(
-            (tuple(int(f * scale) for f in row[:-1]), int(row[-1] * scale))
-        )
-    bp_nums, bp_den = _int_vector(geometry.basepoint)
-    dirs = tuple(_int_vector(d)[0] for d in geometry.directions)
-    return int_rows, bp_nums, bp_den, dirs
-
-
-def _int_contains(outer: tuple, inner: tuple) -> bool:
-    """Containment of flats via their integer-scaled data."""
-    rows, _, _, _ = outer
-    _, bp_nums, bp_den, dirs = inner
-    for normal, rhs in rows:
-        if sum(a * x for a, x in zip(normal, bp_nums)) != rhs * bp_den:
-            return False
-        for d in dirs:
-            if sum(a * x for a, x in zip(normal, d)) != 0:
-                return False
-    return True
-
-
 def region_rows(rs: RootSystem, E: Iterable[int], ideal: Iterable[int]) -> list:
     """Kernel rows cutting out a dominant region of the deletion to E."""
     ideal = set(ideal)
@@ -279,12 +249,15 @@ def cone_rows(rs: RootSystem, w: WeylElement) -> list:
     return rows
 
 
-def act_point(rs: RootSystem, w: WeylElement, x: Sequence) -> tuple:
-    """Image of an evaluation point under w (contragredient action)."""
+def act_point(rs: RootSystem, w: WeylElement, point: tuple) -> tuple:
+    """Image of an exact evaluation point ``(nums, den)`` under w
+    (contragredient action); the denominator is unchanged."""
+    nums, den = point
     minv = inverse_element(rs, w).matrix
     n = rs.rank
-    return tuple(
-        sum((minv[j][i] * x[j] for j in range(n)), Fraction(0)) for i in range(n)
+    return (
+        tuple(sum(minv[j][i] * nums[j] for j in range(n)) for i in range(n)),
+        den,
     )
 
 
@@ -500,17 +473,19 @@ def poincare(rs: RootSystem, w: WeylElement) -> IntPolynomial:
 # -- whole-arrangement and extended-level computations -----------------------
 
 
-def _closure_flats(
+def _closure_poset(
     rs: RootSystem,
     hyperplanes: Sequence[tuple],
     inside_rows: Optional[list] = None,
-) -> list:
-    """All intersections of the hyperplanes, by incremental closure.
+) -> IntersectionPoset:
+    """Intersection poset of all intersections of the hyperplanes, found
+    by incremental closure.
 
-    ``hyperplanes`` are (root_index, level) pairs.  With ``inside_rows``
-    given, only flats meeting that open region are kept; every flat
-    meeting it arises through intermediate intersections that also meet
-    it, so the filtered closure is still complete.
+    ``hyperplanes`` are (root_index, level) pairs, and each flat is
+    generated by those that contain it.  With ``inside_rows`` given, only
+    flats meeting that open region are kept; every flat meeting it arises
+    through intermediate intersections that also meet it, so the filtered
+    closure is still complete.
     """
     ambient = intersect_hyperplanes(rs.rank, [])
     flats = {ambient.rref: ambient}
@@ -527,33 +502,19 @@ def _closure_flats(
                 if y.is_empty or y.rref in flats:
                     continue
                 if inside_rows is not None:
-                    eqs = _int_eq_rows(y.rref)
+                    eqs = [(r[:-1], r[-1], EQ) for r in y.rref]
                     if feasible_rows(rs.rank, eqs + inside_rows) is None:
                         continue
                 flats[y.rref] = y
                 nxt.append(y)
         frontier = nxt
-    return list(flats.values())
-
-
-def _mobius_poincare(flats: list) -> tuple:
-    """Mobius recursion over arbitrary flats; returns (polynomial, values)."""
-    order = sorted(flats, key=lambda f: (f.codim, f.rref))
-    n = len(order)
-    mob = [0] * n
-    for j in range(n):
-        acc = 0
-        for i in range(j):
-            if order[i].codim < order[j].codim and contains_flat(
-                order[i], order[j]
-            ):
-                acc += mob[i]
-        mob[j] = 1 if j == 0 else -acc
-    deg = max(f.codim for f in order)
-    cs = [0] * (deg + 1)
-    for f, m in zip(order, mob):
-        cs[f.codim] += abs(m)
-    return IntPolynomial(cs), mob
+    entries = []
+    for y in flats.values():
+        gens = frozenset(
+            (i, k) for i, k in hyperplanes if flat_contains(y, rs.positive_roots[i], k)
+        )
+        entries.append((gens, y))
+    return IntersectionPoset(entries)
 
 
 def full_arrangement_poincare(rs: RootSystem) -> IntPolynomial:
@@ -567,10 +528,8 @@ def full_arrangement_poincare(rs: RootSystem) -> IntPolynomial:
         raise ValueError(
             f"full-arrangement recursion is limited to rank <= {MAX_ORACLE_RANK}"
         )
-    arr = ShiArrangement.full(rs)
-    flats = _closure_flats(rs, arr.hyperplanes())
-    poly, _ = _mobius_poincare(flats)
-    return poly
+    poset = _closure_poset(rs, ShiArrangement.full(rs).hyperplanes())
+    return poset.poincare_polynomial()
 
 
 @dataclass(frozen=True)
@@ -601,8 +560,7 @@ def fuss_dominant(rs: RootSystem, m: int) -> FussDominant:
     hyperplanes = [
         (i, k) for i in range(len(rs.positive_roots)) for k in range(1, m + 1)
     ]
-    flats = _closure_flats(rs, hyperplanes, inside_rows=positive)
-    poly, mob = _mobius_poincare(flats)
+    poset = _closure_poset(rs, hyperplanes, inside_rows=positive)
 
     # Region count: for each root, its pairing lies in one of the open
     # intervals (0,1), ..., (m-1,m), (m,oo); depth-first over roots with
@@ -627,44 +585,71 @@ def fuss_dominant(rs: RootSystem, m: int) -> FussDominant:
 
     extend(0, list(positive))
     dist: dict = {}
-    for x in mob:
-        dist[abs(x)] = dist.get(abs(x), 0) + 1
+    for f in poset.flats:
+        dist[abs(f.mobius)] = dist.get(abs(f.mobius), 0) + 1
     return FussDominant(
-        poly, len(flats), count, max(dist), tuple(sorted(dist.items()))
+        poset.poincare_polynomial(),
+        len(poset),
+        count,
+        max(dist),
+        tuple(sorted(dist.items())),
     )
 
 
 # -- reports ------------------------------------------------------------------
 
 
-def cone_report(rs: RootSystem, w: WeylElement) -> dict:
-    """JSON-ready summary of one cone: regions, flats, Poincare data."""
-    poset = flats_in_cone(rs, w)
-    regions = regions_in_cone(rs, w)
-    inv = inversion_set(rs, w)
-    poly = poincare(rs, w)
+def _root_list(rs: RootSystem, idxs: Iterable[int]) -> list:
+    return [list(rs.positive_roots[i]) for i in sorted(idxs)]
+
+
+def _report_body(rs: RootSystem, regions: list, poset, poly) -> dict:
+    """The regions, flats and Poincare polynomial shared by the reports;
+    witness coordinates are printed as exact fractions."""
     assert len(poset) == len(regions) == poly(1)
     return {
-        "word": "".join(str(i + 1) for i in w.word),
-        "length": len(w.word),
-        "inversions": [list(rs.positive_roots[i]) for i in sorted(inv)],
         "regions": [
             {
-                "ideal": [list(rs.positive_roots[i]) for i in sorted(r.ideal)],
-                "ceiling": [list(rs.positive_roots[i]) for i in sorted(r.ceiling)],
-                "witness": [str(x) for x in r.witness],
+                "ideal": _root_list(rs, r.ideal),
+                "ceiling": _root_list(rs, r.ceiling),
+                "witness": [str(x) for x in as_fractions(r.witness)],
             }
             for r in regions
         ],
         "flats": [
             {
-                "generators": [
-                    list(rs.positive_roots[i]) for i in sorted(f.generators)
-                ],
+                "generators": _root_list(rs, f.generators),
                 "codim": f.geometry.codim,
                 "mobius": f.mobius,
             }
             for f in poset.flats
         ],
         "poincare": list(poly),
+    }
+
+
+def cone_report(rs: RootSystem, w: WeylElement) -> dict:
+    """JSON-ready summary of one cone: regions, flats, Poincare data."""
+    return {
+        "word": "".join(str(i + 1) for i in w.word),
+        "length": len(w.word),
+        "inversions": _root_list(rs, inversion_set(rs, w)),
+        **_report_body(
+            rs, regions_in_cone(rs, w), flats_in_cone(rs, w), poincare(rs, w)
+        ),
+    }
+
+
+def deletion_report(rs: RootSystem, E: Iterable[int]) -> dict:
+    """JSON-ready summary of the deletion to E inside the dominant cone."""
+    E = sorted(set(E))
+    return {
+        "e_indices": E,
+        "e_roots": _root_list(rs, E),
+        **_report_body(
+            rs,
+            regions_in_dominant(rs, E),
+            flats_in_dominant(rs, E),
+            root_poset(rs).restrict(E).antichain_polynomial(),
+        ),
     }

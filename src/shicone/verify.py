@@ -16,7 +16,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
 
 from . import orderring, shi
 from .exactgeom import EQ, feasible_rows, intersect_hyperplanes, matrix_rank
@@ -111,18 +110,10 @@ class TypeContext:
         return self._flats[key]
 
 
-def _int_witness(region) -> tuple:
-    """Witness as integer numerators with a positive common denominator."""
-    den = 1
-    for x in region.witness:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return tuple(int(x * den) for x in region.witness), den
-
-
 def _region_predicates_hold(rs, E, region) -> bool:
     """Exact witness check of the full region description."""
     eset = set(E)
-    nums, den = _int_witness(region)
+    nums, den = region.witness
     for i, coords in enumerate(rs.positive_roots):
         v = sum(c * x for c, x in zip(coords, nums))
         if v <= 0:
@@ -137,7 +128,7 @@ def _region_predicates_hold(rs, E, region) -> bool:
 
 def _cone_region_predicates_hold(rs, w, region) -> bool:
     inv = inversion_set(rs, w)
-    nums, den = _int_witness(region)
+    nums, den = region.witness
     for i, coords in enumerate(rs.positive_roots):
         v = sum(c * x for c, x in zip(coords, nums))
         if i in inv:
@@ -189,12 +180,12 @@ def check_region_ceiling_bijection(ctx: TypeContext) -> str:
         n_regions += len(regions)
 
         cone_regions = ctx.cone_regions(w)
+        winv = inverse_element(rs, w)
         for creg, dreg in zip(cone_regions, regions):
             _need(
                 _cone_region_predicates_hold(rs, w, creg),
                 "transported witness leaves its cone cell",
             )
-            winv = inverse_element(rs, w)
             back = frozenset(
                 idx[act(rs, winv, rs.positive_roots[i])] for i in creg.ceiling
             )
@@ -470,6 +461,8 @@ def run_suite(rs: RootSystem, theorem: str = "all", m: int = 1) -> list:
     extended-level summary replaces the base-theory checks (and is
     bounded to rank <= 3; bound violations raise instead of skipping).
     """
+    if m < 1:
+        raise ValueError(f"level extension requires m >= 1, got {m}")
     results: list[CheckResult] = []
 
     def run(name, fn, *args):

@@ -1,6 +1,11 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from shicone.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +109,28 @@ def test_cone_deletion_bad_index(capsys):
     assert code == 2
 
 
+def test_cone_word_and_deletion_rejected(capsys):
+    code, out, err = run_cli(capsys, "cone", "--type", "B2", "--word", "12", "--e", "0,3")
+    assert code == 2
+    assert out == ""
+    assert "--word" in err
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("cone_B2_12.json", ["--type", "B2", "--word", "12"]),
+        ("cone_B3_123.json", ["--type", "B3", "--word", "123"]),
+        ("cone_A3_e012345.json", ["--type", "A3", "--e", "0,1,2,3,4,5"]),
+        ("cone_C3_e025.json", ["--type", "C3", "--e", "0,2,5"]),
+    ],
+)
+def test_cone_golden_bytes(capsys, golden, argv):
+    code, out, _ = run_cli(capsys, "cone", *argv)
+    assert code == 0
+    assert out == (DATA / golden).read_text()
+
+
 # -- verify ----------------------------------------------------------------------
 
 
@@ -131,6 +158,14 @@ def test_verify_a2_level_two(capsys):
     details = data["payload"]["checks"][0]["details"]
     assert "11 flats vs 12 regions" in details
     assert "max|mu|=2" in details
+
+
+@pytest.mark.parametrize("m", ["0", "-3"])
+def test_verify_level_below_one_rejected(capsys, m):
+    code, out, err = run_cli(capsys, "verify", "--type", "A2", "--m", m)
+    assert code == 2
+    assert out == ""
+    assert "m >= 1" in err
 
 
 def test_verify_bound_violation_reported(capsys):

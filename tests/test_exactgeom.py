@@ -191,7 +191,7 @@ def test_full_space():
 def test_b2_point_flat():
     flat = intersect_hyperplanes(2, [((1, 0), 1), ((0, 1), 1)])
     assert flat.codim == 2
-    assert flat.basepoint == (Fraction(1), Fraction(1))
+    assert flat.basepoint == ((1, 1), 1)
     assert flat.directions == ()
 
 
@@ -205,6 +205,29 @@ def test_scaled_rows_same_flat():
     a = intersect_hyperplanes(2, [((1, 1), 1)])
     b = intersect_hyperplanes(2, [((2, 2), 2)])
     assert a == b
+    # the reduced rows are a canonical key: permuting, duplicating and
+    # rescaling (by either sign) the rows must not change the flat
+    rng = random.Random(5)
+    for _ in range(200):
+        dim = rng.randint(1, 4)
+        rows = [
+            (tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(-2, 2))
+            for _ in range(rng.randint(1, 4))
+        ]
+        flat = intersect_hyperplanes(dim, rows)
+        for _ in range(5):
+            variant = rows + rng.sample(rows, rng.randint(1, len(rows)))
+            rng.shuffle(variant)
+            scaled = []
+            for normal, rhs in variant:
+                k = rng.choice([-3, -2, -1, 1, 2, 5])
+                scaled.append((tuple(k * c for c in normal), k * rhs))
+            assert intersect_hyperplanes(dim, scaled) == flat
+        if not flat.is_empty:
+            nums, den = flat.basepoint
+            assert den > 0
+            for normal, rhs in rows:
+                assert sum(c * x for c, x in zip(normal, nums)) == rhs * den
 
 
 def test_empty_intersection():

@@ -72,7 +72,8 @@ def test_empty_deletion_single_region(rs_b2):
     regions = regions_in_dominant(rs_b2, [])
     assert len(regions) == 1
     assert regions[0].ceiling == frozenset()
-    assert all(x > 0 for x in regions[0].witness)
+    nums, den = regions[0].witness
+    assert den > 0 and all(x > 0 for x in nums)
 
 
 def test_a3_dominant_region_count_with_oracle(rs_a3):
