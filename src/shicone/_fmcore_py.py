@@ -1,23 +1,19 @@
-"""Exact rational feasibility kernel (pure Python reference).
+"""Exact rational feasibility kernel.
 
 Decides systems of linear equalities and strict/non-strict inequalities
 over the rationals by Fourier-Motzkin elimination, and extracts an exact
-witness by back-substitution.  Everything runs on Python integers; only
-the final witness uses Fractions internally, and it is returned as an
-integer numerator vector with a common positive denominator.
+witness by back-substitution.  Everything runs on Python integers:
+elimination on integer rows, back-substitution on reduced
+numerator/denominator pairs, and the witness is returned as an integer
+numerator vector with a common positive denominator.
 
 Row format: ``(coeffs, rhs, kind)`` with integer ``coeffs``/``rhs`` and
 ``kind`` one of EQ, GE, GT, meaning ``coeffs . x (= | >= | >) rhs``.
-
-A compiled twin of this module (``_fmcore_c``) is preferred at import
-time by :mod:`shicone.exactgeom`; both implement exactly this API and
-must stay behaviourally identical.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 EQ, GE, GT = 0, 1, 2
 
@@ -131,38 +127,27 @@ def solve(dim, rows):
                 if _reduce_add(active, coeffs, rhs, pstrict or nstrict) is False:
                     return None
 
-    # Stage 3: back-substitution, FM stages in reverse then equality pivots.
-    values = [None] * dim
+    # Stage 3: back-substitution, FM stages in reverse then equality
+    # pivots.  Each value is a reduced pair num[k]/den[k] with den[k] > 0;
+    # a variable no row constrains keeps 0/1.
+    num = [0] * dim
+    den = [1] * dim
     for k, bounds in reversed(stages):
-        lo = hi = None  # (value, strict)
+        lo = hi = None  # (num, den > 0, strict)
         for coeffs, rhs, strict in bounds:
-            c = coeffs[k]
-            rest = Fraction(rhs)
-            for j, a in enumerate(coeffs):
-                if a and j != k:
-                    rest -= a * values[j]
-            bound = rest / c
-            if c > 0:
-                if lo is None or (bound, strict) > lo:
-                    lo = (bound, strict)
-            else:
-                if hi is None or (bound, -strict) < hi:
-                    hi = (bound, -strict)
-        values[k] = _pick(lo, hi)
+            bn, bd = _solve_for(coeffs, rhs, k, num, den)
+            if coeffs[k] > 0:
+                if lo is None or _beats(bn, bd, strict, lo, 1):
+                    lo = (bn, bd, strict)
+            elif hi is None or _beats(bn, bd, strict, hi, -1):
+                hi = (bn, bd, strict)
+        num[k], den[k] = _pick(lo, hi)
     for k, ec, erhs in reversed(pivots):
-        rest = Fraction(erhs)
-        for j, a in enumerate(ec):
-            if a and j != k:
-                rest -= a * values[j]
-        values[k] = rest / ec[k]
-    for k in range(dim):
-        if values[k] is None:
-            values[k] = Fraction(0)
+        num[k], den[k] = _reduced(*_solve_for(ec, erhs, k, num, den))
 
-    den = 1
-    for v in values:
-        den = den * v.denominator // gcd(den, v.denominator)
-    nums = tuple(int(v * den) for v in values)
+    common = lcm(*den)
+    nums = tuple(n * (common // d) for n, d in zip(num, den))
+    den = common
 
     # Exact integer re-check of the witness against the original rows.
     for coeffs, rhs, kind in rows:
@@ -235,18 +220,52 @@ def _reduce_add(active, coeffs, rhs, strict):
     return True
 
 
+def _solve_for(coeffs, rhs, k, num, den):
+    """The ``x_k`` with ``coeffs . x = rhs`` when every other ``x_j`` is
+    ``num[j]/den[j]``, as a pair ``(n, d)`` with ``d > 0``."""
+    d = 1
+    for j, a in enumerate(coeffs):
+        if a and j != k:
+            d = lcm(d, den[j])
+    n = rhs * d
+    for j, a in enumerate(coeffs):
+        if a and j != k:
+            n -= a * num[j] * (d // den[j])
+    c = coeffs[k]
+    return (n, d * c) if c > 0 else (-n, -d * c)
+
+
+def _beats(bn, bd, strict, old, sign):
+    """Whether bound ``bn/bd`` is tighter than ``old`` on the side ``sign``.
+
+    ``sign`` is 1 for lower bounds (larger is tighter) and -1 for upper
+    bounds; at equal values a strict bound beats a non-strict one.
+    """
+    on, od, ostrict = old
+    t = (bn * od - on * bd) * sign
+    return t > 0 or (t == 0 and strict > ostrict)
+
+
+def _reduced(n, d):
+    """``n/d`` in lowest terms, for ``d > 0``."""
+    g = gcd(n, d)
+    return n // g, d // g
+
+
 def _pick(lo, hi):
-    """A value in the interval described by optional (bound, strictness)."""
+    """A value in the interval bounded by optional ``(num, den, strict)``
+    pairs, as a reduced ``(num, den)`` pair."""
     if lo is None and hi is None:
-        return Fraction(0)
+        return 0, 1
     if hi is None:
-        return lo[0] + 1
+        return _reduced(lo[0] + lo[1], lo[1])
     if lo is None:
-        return hi[0] - 1
-    lo_v, lo_s = lo
-    hi_v, hi_s = hi  # hi_s <= 0; -1 means strict
-    if lo_v < hi_v:
-        return (lo_v + hi_v) / 2
-    if lo_v == hi_v and lo_s == 0 and hi_s == 0:
-        return lo_v
+        return _reduced(hi[0] - hi[1], hi[1])
+    ln, ld, ls = lo
+    hn, hd, hs = hi
+    t = ln * hd - hn * ld
+    if t < 0:
+        return _reduced(ln * hd + hn * ld, 2 * ld * hd)
+    if t == 0 and not ls and not hs:
+        return _reduced(ln, ld)
     raise AssertionError("empty interval after elimination")

@@ -12,11 +12,9 @@ this module defines:
   fraction-free Gauss-Jordan elimination.
 
 Feasibility of mixed strict and non-strict systems is decided by
-Fourier-Motzkin elimination with exact witness extraction; the kernel
-lives in ``_fmcore_c`` (compiled) with a pure-Python twin ``_fmcore_py``
-selected as fallback at import time.  The :class:`LinearConstraint`
-front end takes rational data and returns witnesses as ``Fraction``
-tuples.
+Fourier-Motzkin elimination with exact witness extraction, in the
+integer kernel ``_fmcore_py``.  The :class:`LinearConstraint` front end
+takes rational data and returns witnesses as ``Fraction`` tuples.
 
 Ambient dimension is capped at 4: open cones of the rank <= 4 Weyl
 groups are the only customers, and the cap keeps elimination blow-up
@@ -31,14 +29,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-try:  # pragma: no cover - exercised indirectly via either backend
-    from . import _fmcore_c as _fmcore
+from . import _fmcore_py as _fmcore
 
-    KERNEL_BACKEND = "compiled"
-except ImportError:  # pragma: no cover
-    from . import _fmcore_py as _fmcore
-
-    KERNEL_BACKEND = "pure-python"
+# Kept as a constant so benchmark records still name the kernel they timed.
+KERNEL_BACKEND = "pure-python"
 
 EQ, GE, GT = _fmcore.EQ, _fmcore.GE, _fmcore.GT
 

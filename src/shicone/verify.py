@@ -126,8 +126,7 @@ def _region_predicates_hold(rs, E, region) -> bool:
     return True
 
 
-def _cone_region_predicates_hold(rs, w, region) -> bool:
-    inv = inversion_set(rs, w)
+def _cone_region_predicates_hold(rs, inv, region) -> bool:
     nums, den = region.witness
     for i, coords in enumerate(rs.positive_roots):
         v = sum(c * x for c, x in zip(coords, nums))
@@ -181,9 +180,10 @@ def check_region_ceiling_bijection(ctx: TypeContext) -> str:
 
         cone_regions = ctx.cone_regions(w)
         winv = inverse_element(rs, w)
+        inv_w = inversion_set(rs, w)
         for creg, dreg in zip(cone_regions, regions):
             _need(
-                _cone_region_predicates_hold(rs, w, creg),
+                _cone_region_predicates_hold(rs, inv_w, creg),
                 "transported witness leaves its cone cell",
             )
             back = frozenset(

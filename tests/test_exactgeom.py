@@ -1,19 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import get_rs
-from shicone import _fmcore_py
-
-try:
-    from shicone import _fmcore_c
-except ImportError:
-    _fmcore_c = None
-
-needs_compiled = pytest.mark.skipif(
-    _fmcore_c is None, reason="compiled kernel not built"
-)
+from shicone import exactgeom
 from shicone.exactgeom import (
     LinearConstraint,
     Relation,
@@ -153,10 +145,16 @@ def test_sampler_agreement():
     assert agreements > 40
 
 
-@needs_compiled
-def test_kernels_agree_on_random_systems():
+# sha256 of repr() of the kernel's answers to the systems below: any
+# change to an answer or to a witness changes it.
+KERNEL_DIGEST = "f97c8cb99a721a62c6a31d24ecdde2551acd49dda590622157b315dce893f7c9"
+
+
+def test_kernel_answers_pinned():
+    solve = exactgeom._fmcore.solve
     rng = random.Random(37)
     kinds = [0, 1, 2]
+    outputs = []
     for _ in range(500):
         dim = rng.randint(1, 4)
         rows = [
@@ -167,16 +165,17 @@ def test_kernels_agree_on_random_systems():
             )
             for _ in range(rng.randint(1, 9))
         ]
-        assert _fmcore_py.solve(dim, rows) == _fmcore_c.solve(dim, rows)
-
-
-@needs_compiled
-def test_kernel_overflow_fallback_agrees():
+        outputs.append(solve(dim, rows))
     big = 1 << 45
     rows = [((big, -big + 3), 1, 2), ((-big, big), 0, 1), ((0, 1), -5, 2)]
-    assert _fmcore_py.solve(2, rows) == _fmcore_c.solve(2, rows)
+    outputs.append(solve(2, rows))
     rows = [((1 << 62, 1), 0, 2), ((-(1 << 62), 1), 1, 1)]
-    assert _fmcore_py.solve(2, rows) == _fmcore_c.solve(2, rows)
+    outputs.append(solve(2, rows))
+    assert sum(out is None for out in outputs) == 269
+    assert hashlib.sha256(repr(outputs).encode()).hexdigest() == KERNEL_DIGEST
+    # A closed degenerate interval: 3x >= 1 and -3x >= -1 pin x to 1/3.
+    rows = [((3,), 1, exactgeom.GE), ((-3,), -1, exactgeom.GE)]
+    assert solve(1, rows) == ((1,), 3)
 
 
 # -- affine flats ------------------------------------------------------------------
