@@ -190,12 +190,6 @@ class FinitePoset:
             self.elements[i] for i in _bits(m) if self._up[i] & m == 1 << i
         )
 
-    def min_elements(self, S: Iterable[ElementId]) -> frozenset:
-        m = self._mask(S)
-        return frozenset(
-            self.elements[i] for i in _bits(m) if self._down[i] & m == 1 << i
-        )
-
     # -- antichain enumeration -------------------------------------------
 
     def natural_labeling(self) -> tuple:

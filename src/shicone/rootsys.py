@@ -15,12 +15,20 @@ Simple-root numbering: chains are numbered consecutively.  For B_n the
 first simple root is the short one and for C_n the first is the long
 one, so that in B2 the positive roots read a, b, a+b, 2a+b with a short.
 Supported families: A (n>=1), B, C (n>=2), D (n>=3), G2, F4.
+
+A Weyl group element is stored as the permutation it induces on
+:func:`signed_roots` (the positive roots, then their negatives in the
+same order).  :func:`weyl_group` computes every permutation once, by
+composing the simple reflections' permutations along its breadth-first
+search; inverses, inversion sets and the action on roots are read off
+the permutation, and the coordinate matrix off the images of the simple
+roots.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -144,20 +152,20 @@ class RootSystem:
 
 @dataclass(frozen=True)
 class WeylElement:
-    """Group element as its action matrix on simple-root coordinates.
+    """Group element as a permutation of the signed roots.
 
-    ``matrix[i][j]`` is the coefficient of a_i in the image of a_j, so the
-    image of a coordinate vector v is the matrix-vector product.  ``word``
-    is a product expression in simple reflections, left factor first; for
-    elements produced by :func:`weyl_group` it is a reduced word.
+    ``perm[j]`` is the index in :func:`signed_roots` of the image of
+    signed root j; with N positive roots, ``perm[j] < N`` says the image
+    is positive.  ``matrix[i][j]`` is the coefficient of a_i in the image
+    of a_j, read off ``perm``.  ``word`` is a product expression in simple
+    reflections, left factor first; for elements produced by
+    :func:`weyl_group` it is a reduced word.  Equality and hashing use
+    ``matrix`` and ``word`` only.
     """
 
     matrix: Matrix
     word: tuple
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
+    perm: tuple = field(compare=False, repr=False)
 
     def __repr__(self) -> str:
         return f"WeylElement(word={''.join(str(i + 1) for i in self.word) or 'e'})"
@@ -165,10 +173,6 @@ class WeylElement:
 
 def is_positive_vec(coords: Sequence[int]) -> bool:
     return all(c >= 0 for c in coords) and any(c > 0 for c in coords)
-
-
-def is_negative_vec(coords: Sequence[int]) -> bool:
-    return all(c <= 0 for c in coords) and any(c < 0 for c in coords)
 
 
 def height(coords: Sequence[int]) -> int:
@@ -225,7 +229,8 @@ def build_root_system(ctype: CartanType) -> RootSystem:
     degrees = _DEGREES[ctype.family](n)
     assert h == _coxeter_table(ctype), "closure disagrees with Coxeter number table"
     assert len(positive) == n * h // 2
-    assert set(positive[:n]) == set(simples), "simple roots must come first"
+    # height 1 sorts by coordinates, so simple root a_j sits at index n-1-j
+    assert positive[:n] == tuple(reversed(simples)), "simple roots must come first"
 
     rs = RootSystem(ctype, cartan, form, positive, h, degrees)
     assert _catalan(rs) > 0
@@ -264,24 +269,32 @@ def inner_product(rs: RootSystem, beta: Sequence, gamma: Sequence) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def simple_reflections(rs: RootSystem) -> tuple:
-    """Matrices of the simple reflections acting on coordinates."""
-    n = rs.rank
-    mats = []
-    for i in range(n):
-        m = [[1 if k == j else 0 for j in range(n)] for k in range(n)]
-        for j in range(n):
-            m[i][j] -= rs.cartan[j][i]
-        mats.append(tuple(tuple(row) for row in m))
-    return tuple(mats)
+def signed_roots(rs: RootSystem) -> tuple:
+    """The positive roots, then their negatives in the same order."""
+    return rs.positive_roots + tuple(tuple(-c for c in r) for r in rs.positive_roots)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
+@lru_cache(maxsize=None)
+def _signed_index(rs: RootSystem) -> dict:
+    return {r: k for k, r in enumerate(signed_roots(rs))}
+
+
+@lru_cache(maxsize=None)
+def _simple_perms(rs: RootSystem) -> tuple:
+    """Permutations of the signed roots induced by the simple reflections."""
+    index = _signed_index(rs)
     return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
+        tuple(index[_reflect_simple(rs.cartan, r, i)] for r in signed_roots(rs))
+        for i in range(rs.rank)
     )
+
+
+def _element(rs: RootSystem, perm: tuple, word: tuple) -> WeylElement:
+    """Weyl element from its permutation; matrix column j is the image of
+    the simple root a_j, which has index n-1-j."""
+    roots, n = signed_roots(rs), rs.rank
+    columns = [roots[perm[n - 1 - j]] for j in range(n)]
+    return WeylElement(tuple(zip(*columns)), word, perm)
 
 
 def mat_vec(m: Matrix, v: Sequence) -> tuple:
@@ -289,22 +302,16 @@ def mat_vec(m: Matrix, v: Sequence) -> tuple:
     return tuple(sum(m[i][j] * v[j] for j in range(n)) for i in range(n))
 
 
-def identity_element(rs: RootSystem) -> WeylElement:
-    n = rs.rank
-    eye = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    return WeylElement(eye, ())
-
-
 def element_from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     """Weyl element for an arbitrary (not necessarily reduced) word."""
-    gens = simple_reflections(rs)
+    gens = _simple_perms(rs)
     word = tuple(word)
-    m = identity_element(rs).matrix
+    perm = tuple(range(2 * len(rs.positive_roots)))
     for i in word:
         if not 0 <= i < rs.rank:
             raise ValueError(f"generator index {i} out of range")
-        m = mat_mul(m, gens[i])
-    return WeylElement(m, word)
+        perm = tuple([perm[j] for j in gens[i]])
+    return _element(rs, perm, word)
 
 
 @lru_cache(maxsize=None)
@@ -319,48 +326,45 @@ def weyl_group(rs: RootSystem) -> tuple:
         raise ValueError(
             f"Weyl group enumeration is limited to rank <= {MAX_WEYL_RANK}"
         )
-    gens = simple_reflections(rs)
-    e = identity_element(rs)
-    seen = {e.matrix: e}
-    order = [e]
-    frontier = [e]
+    gens = _simple_perms(rs)
+    e = tuple(range(2 * len(rs.positive_roots)))
+    seen = {e}
+    order = [(e, ())]
+    frontier = order[:]
     while frontier:
         nxt = []
-        for w in frontier:
+        for perm, word in frontier:
             for i, g in enumerate(gens):
-                m = mat_mul(w.matrix, g)
-                if m not in seen:
-                    elt = WeylElement(m, w.word + (i,))
-                    seen[m] = elt
-                    order.append(elt)
-                    nxt.append(elt)
+                p = tuple([perm[j] for j in g])
+                if p not in seen:
+                    seen.add(p)
+                    nxt.append((p, word + (i,)))
+        order += nxt
         frontier = nxt
-    return tuple(order)
+    return tuple(_element(rs, perm, word) for perm, word in order)
 
 
 def inverse_element(rs: RootSystem, w: WeylElement) -> WeylElement:
     """Inverse; the reversed word is a valid (reduced if w's was) word."""
-    return element_from_word(rs, tuple(reversed(w.word)))
+    inv = [0] * len(w.perm)
+    for j, k in enumerate(w.perm):
+        inv[k] = j
+    return _element(rs, tuple(inv), w.word[::-1])
 
 
 def act(rs: RootSystem, w: WeylElement, coords: Sequence[int]) -> RootVector:
     """Image of a root under w; the result is again a root."""
-    idx = root_index(rs)
-    if tuple(coords) not in idx and tuple(-c for c in coords) not in idx:
+    k = _signed_index(rs).get(tuple(coords))
+    if k is None:
         raise ValueError(f"{tuple(coords)} is not a root")
-    out = mat_vec(w.matrix, coords)
-    assert out in idx or tuple(-c for c in out) in idx
-    return out
+    return signed_roots(rs)[w.perm[k]]
 
 
 def inversion_set(rs: RootSystem, w: WeylElement) -> frozenset:
-    """Indices of positive roots sent to negative roots by w^{-1}."""
-    minv = inverse_element(rs, w).matrix
-    return frozenset(
-        i
-        for i, r in enumerate(rs.positive_roots)
-        if is_negative_vec(mat_vec(minv, r))
-    )
+    """Indices of positive roots sent to negative roots by w^{-1}, that is
+    the positive images of negative roots under w."""
+    n = len(rs.positive_roots)
+    return frozenset(k for k in w.perm[n:] if k < n)
 
 
 @lru_cache(maxsize=None)

@@ -35,10 +35,8 @@ from .poly import IntPolynomial
 from .rootsys import (
     RootSystem,
     WeylElement,
-    act,
     inverse_element,
     inversion_set,
-    root_index,
     root_poset,
 )
 
@@ -265,9 +263,17 @@ def act_point(rs: RootSystem, w: WeylElement, point: tuple) -> tuple:
 
 
 def complement_of_inversions(rs: RootSystem, w: WeylElement) -> tuple:
-    """Sorted root indices of the subposet attached to the cone wC."""
-    inv = inversion_set(rs, inverse_element(rs, w))
-    return tuple(i for i in range(len(rs.positive_roots)) if i not in inv)
+    """Sorted root indices of the subposet attached to the cone wC: the
+    complement of Inv(w^{-1}), the roots that w keeps positive."""
+    n = len(rs.positive_roots)
+    return tuple(i for i in range(n) if w.perm[i] < n)
+
+
+def _positive_image(rs: RootSystem, w: WeylElement, i: int) -> int:
+    """Index of w(root i) for a root of the cone's subposet."""
+    if w.perm[i] >= len(rs.positive_roots):
+        raise RuntimeError("subposet root sent negative; arrangement invariant violated")
+    return w.perm[i]
 
 
 def regions_in_dominant(rs: RootSystem, E: Iterable[int]) -> list:
@@ -296,15 +302,12 @@ def transport_regions(
     rs: RootSystem, w: WeylElement, regions: Iterable[ShiRegion]
 ) -> list:
     """Map dominant regions of the deletion attached to w into wC."""
-    idx = root_index(rs)
     out = []
     for region in regions:
-        send = {
-            i: idx[act(rs, w, rs.positive_roots[i])] for i in region.ideal
-        }
+        send = {i: _positive_image(rs, w, i) for i in region.ideal}
         out.append(
             ShiRegion(
-                frozenset(send[i] for i in region.ideal),
+                frozenset(send.values()),
                 frozenset(send[i] for i in region.ceiling),
                 act_point(rs, w, region.witness),
             )
@@ -415,8 +418,7 @@ def flats_in_cone(rs: RootSystem, w: WeylElement) -> IntersectionPoset:
     """
     E = complement_of_inversions(rs, w)
     sub = root_poset(rs).restrict(E)
-    idx = root_index(rs)
-    send = lambda i: idx[act(rs, w, rs.positive_roots[i])]
+    send = lambda i: _positive_image(rs, w, i)
     return _antichain_flat_poset(rs, sub.antichains(), send, cone_rows(rs, w))
 
 
@@ -630,10 +632,11 @@ def _report_body(rs: RootSystem, regions: list, poset, poly) -> dict:
 
 def cone_report(rs: RootSystem, w: WeylElement) -> dict:
     """JSON-ready summary of one cone: regions, flats, Poincare data."""
+    inv = inversion_set(rs, w)
     return {
         "word": "".join(str(i + 1) for i in w.word),
-        "length": len(w.word),
-        "inversions": _root_list(rs, inversion_set(rs, w)),
+        "length": len(inv),
+        "inversions": _root_list(rs, inv),
         **_report_body(
             rs, regions_in_cone(rs, w), flats_in_cone(rs, w), poincare(rs, w)
         ),

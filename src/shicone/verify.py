@@ -24,7 +24,7 @@ from .posets import FinitePoset
 from .rootsys import (
     RootSystem,
     act,
-    inverse_element,
+    element_from_word,
     inversion_set,
     numerology,
     root_index,
@@ -75,39 +75,34 @@ class TypeContext:
         self.rs = rs
         self.W = weyl_group(rs)
         self.rp = root_poset(rs)
-        self._sub: dict = {}
-        self._regions: dict = {}
-        self._cone_regions: dict = {}
-        self._flats: dict = {}
+        self._memo: dict = {}
+
+    def _cached(self, kind: str, w, build):
+        key = (kind, w.word)
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def E(self, w) -> tuple:
         return complement_of_inversions(self.rs, w)
 
     def sub(self, w) -> FinitePoset:
-        key = w.word
-        if key not in self._sub:
-            self._sub[key] = self.rp.restrict(self.E(w))
-        return self._sub[key]
+        return self._cached("sub", w, lambda: self.rp.restrict(self.E(w)))
 
     def regions(self, w) -> list:
-        key = w.word
-        if key not in self._regions:
-            self._regions[key] = regions_in_dominant(self.rs, self.E(w))
-        return self._regions[key]
+        return self._cached(
+            "regions", w, lambda: regions_in_dominant(self.rs, self.E(w))
+        )
 
     def cone_regions(self, w) -> list:
-        key = w.word
-        if key not in self._cone_regions:
-            self._cone_regions[key] = transport_regions(
-                self.rs, w, self.regions(w)
-            )
-        return self._cone_regions[key]
+        return self._cached(
+            "cone_regions",
+            w,
+            lambda: transport_regions(self.rs, w, self.regions(w)),
+        )
 
     def flats(self, w):
-        key = w.word
-        if key not in self._flats:
-            self._flats[key] = flats_in_cone(self.rs, w)
-        return self._flats[key]
+        return self._cached("flats", w, lambda: flats_in_cone(self.rs, w))
 
 
 def _region_predicates_hold(rs, E, region) -> bool:
@@ -179,7 +174,9 @@ def check_region_ceiling_bijection(ctx: TypeContext) -> str:
         n_regions += len(regions)
 
         cone_regions = ctx.cone_regions(w)
-        winv = inverse_element(rs, w)
+        # w^{-1} from the reversed word, independent of the permutation
+        # inverse the construction uses
+        winv = element_from_word(rs, reversed(w.word))
         inv_w = inversion_set(rs, w)
         for creg, dreg in zip(cone_regions, regions):
             _need(
@@ -211,7 +208,7 @@ def check_flat_bijection(ctx: TypeContext) -> str:
         poset = ctx.flats(w)
         antichains = set(sub.antichains())
         _need(len(poset) == len(antichains), "flat/antichain count mismatch")
-        winv = inverse_element(rs, w)
+        winv = element_from_word(rs, reversed(w.word))
         inv_w = inversion_set(rs, w)
         pulled = set()
         geoms = set()
@@ -463,6 +460,8 @@ def run_suite(rs: RootSystem, theorem: str = "all", m: int = 1) -> list:
     """
     if m < 1:
         raise ValueError(f"level extension requires m >= 1, got {m}")
+    if theorem not in ("1", "2", "3", "all"):
+        raise ValueError(f"unknown theorem selector {theorem!r}")
     results: list[CheckResult] = []
 
     def run(name, fn, *args):
@@ -482,8 +481,6 @@ def run_suite(rs: RootSystem, theorem: str = "all", m: int = 1) -> list:
         run("extended_level_summary", check_fuss, ctx, m)
         return results
 
-    if theorem not in ("1", "2", "3", "all"):
-        raise ValueError(f"unknown theorem selector {theorem!r}")
     selected = ["1", "2", "3"] if theorem == "all" else [theorem]
     for key in selected:
         for name, fn in _THEOREM_CHECKS[key]:

@@ -79,6 +79,19 @@ def test_cone_a3_digit_word(capsys):
     assert sum(payload["poincare"]) == len(payload["regions"])
 
 
+def test_cone_non_reduced_word_length(capsys):
+    # s1 s1 is the identity and s1 s2 s1 s2 s1 = s2 s1 s2 in B2, whose
+    # longest element has length 4
+    _, ss = run_json(capsys, "cone", "--type", "B2", "--word", "11")
+    _, e = run_json(capsys, "cone", "--type", "B2", "--word", "")
+    _, long_word = run_json(capsys, "cone", "--type", "B2", "--word", "12121")
+    assert ss["payload"]["length"] == 0
+    assert ss["payload"]["inversions"] == []
+    assert ss["payload"]["regions"] == e["payload"]["regions"]
+    assert long_word["payload"]["length"] == 3
+    assert len(long_word["payload"]["inversions"]) == 3
+
+
 def test_cone_invalid_word(capsys):
     code, out, err = run_cli(capsys, "cone", "--type", "A3", "--word", "1x")
     assert code == 2

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -197,6 +198,43 @@ def test_weyl_rank_bound():
     rs = build_root_system(CartanType.parse("A5"))
     with pytest.raises(ValueError):
         weyl_group(rs)
+
+
+def test_weyl_group_sequence_pinned():
+    # element order, words and matrices of every supported group; the
+    # benchmark's cone sampling relies on this order
+    data = [
+        (name, [(w.word, w.matrix) for w in weyl_group(get_rs(name))])
+        for name in ALL_TYPES
+    ]
+    assert sum(len(ws) for _, ws in data) == 2404
+    assert (
+        hashlib.sha256(repr(data).encode()).hexdigest()
+        == "32e4c92189551974e31974d607f41b286025017184a6141fe330eb37fb05f220"
+    )
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_permutation_table_matches_matrices(name):
+    rs = get_rs(name)
+    n = rs.rank
+    roots = list(rs.positive_roots) + [tuple(-c for c in r) for r in rs.positive_roots]
+    eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for w in weyl_group(rs):
+        for r in roots:
+            assert act(rs, w, r) == mat_vec(w.matrix, r)
+        minv = inverse_element(rs, w).matrix
+        product = tuple(
+            tuple(sum(minv[i][k] * w.matrix[k][j] for k in range(n)) for j in range(n))
+            for i in range(n)
+        )
+        assert product == eye
+        assert inversion_set(rs, w) == {
+            i
+            for i, r in enumerate(rs.positive_roots)
+            if all(c <= 0 for c in mat_vec(minv, r))
+        }
+        assert element_from_word(rs, w.word) == w
 
 
 @pytest.mark.parametrize("name", RANK_LE_3)

@@ -26,6 +26,7 @@ from shicone.shi import (
     poincare,
     regions_in_cone,
     regions_in_dominant,
+    transport_regions,
 )
 
 
@@ -171,6 +172,18 @@ def test_cone_witness_lands_in_cone(rs_b2):
                     assert 0 < v < 1
                 else:
                     assert v > 1
+
+
+def test_transport_rejects_root_sent_negative(rs_b2):
+    # s1 sends a_1 to -a_1, so a dominant region whose ideal holds a_1 is
+    # not one of the regions the cone s1 C is built from
+    s = element_from_word(rs_b2, (0,))
+    a1 = root_index(rs_b2)[(1, 0)]
+    region = next(
+        r for r in regions_in_dominant(rs_b2, range(4)) if a1 in r.ideal
+    )
+    with pytest.raises(RuntimeError, match="invariant violated"):
+        transport_regions(rs_b2, s, [region])
 
 
 # -- flats ------------------------------------------------------------------------------

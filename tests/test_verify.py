@@ -20,6 +20,9 @@ def test_single_theorem_selection():
 def test_bad_selector():
     with pytest.raises(ValueError):
         run_suite(get_rs("A1"), "7")
+    # the selector is checked before the extended-level branch
+    with pytest.raises(ValueError, match="selector"):
+        run_suite(get_rs("A2"), theorem="bogus", m=2)
 
 
 def test_level_two_suite():
