@@ -13,10 +13,14 @@ this module defines:
 
 Feasibility of mixed strict and non-strict systems is decided by
 Fourier-Motzkin elimination with exact witness extraction, in the
-integer kernel ``_fmcore_py``.  The :class:`LinearConstraint` front end
-takes rational data and returns witnesses as ``Fraction`` tuples.
+integer kernel ``_fmcore_py``.  :func:`feasible_rows` is the one entry
+to the kernel: it takes integer rows (a rational system enters with its
+denominators cleared) and returns the kernel's ``(nums, den)`` witness;
+:func:`as_fractions` is the one conversion of a point to ``Fraction``
+coordinates.
 
-Ambient dimension is capped at 4: open cones of the rank <= 4 Weyl
+Ambient dimension is capped at 4, in :func:`feasible_rows` and
+:func:`intersect_hyperplanes` alike: open cones of the rank <= 4 Weyl
 groups are the only customers, and the cap keeps elimination blow-up
 irrelevant.
 """
@@ -24,7 +28,6 @@ irrelevant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
@@ -39,104 +42,17 @@ EQ, GE, GT = _fmcore.EQ, _fmcore.GE, _fmcore.GT
 MAX_DIM = 4
 
 
-class Relation(Enum):
-    EQ = "=="
-    GT = ">"
-    LT = "<"
-    GE = ">="
-    LE = "<="
-
-
-@dataclass(frozen=True)
-class LinearConstraint:
-    """``normal . x  <relation>  rhs`` with exact rational data."""
-
-    normal: tuple
-    rhs: Fraction
-    relation: Relation
-
-    @classmethod
-    def of(cls, normal: Sequence, relation: Relation, rhs) -> "LinearConstraint":
-        return cls(tuple(Fraction(c) for c in normal), Fraction(rhs), relation)
-
-    def constant_truth(self) -> Optional[bool]:
-        """For a zero normal, the constraint's fixed truth value; else None."""
-        if any(self.normal):
-            return None
-        zero = Fraction(0)
-        return {
-            Relation.EQ: zero == self.rhs,
-            Relation.GT: zero > self.rhs,
-            Relation.LT: zero < self.rhs,
-            Relation.GE: zero >= self.rhs,
-            Relation.LE: zero <= self.rhs,
-        }[self.relation]
-
-    def holds_at(self, point: Sequence) -> bool:
-        value = sum(c * x for c, x in zip(self.normal, point))
-        return {
-            Relation.EQ: value == self.rhs,
-            Relation.GT: value > self.rhs,
-            Relation.LT: value < self.rhs,
-            Relation.GE: value >= self.rhs,
-            Relation.LE: value <= self.rhs,
-        }[self.relation]
-
-
-def _to_kernel_row(c: LinearConstraint):
-    scale = 1
-    for f in (*c.normal, c.rhs):
-        scale = lcm(scale, f.denominator)
-    coeffs = [int(f * scale) for f in c.normal]
-    rhs = int(c.rhs * scale)
-    if c.relation is Relation.EQ:
-        return coeffs, rhs, EQ
-    if c.relation is Relation.GE:
-        return coeffs, rhs, GE
-    if c.relation is Relation.GT:
-        return coeffs, rhs, GT
-    if c.relation is Relation.LE:
-        return [-x for x in coeffs], -rhs, GE
-    return [-x for x in coeffs], -rhs, GT
-
-
-def feasible(constraints: Iterable[LinearConstraint]) -> Optional[tuple]:
-    """An exact interior witness of the system as a tuple of Fractions,
-    or None if infeasible.
-
-    The witness is re-substituted into every constraint before being
-    returned; exact arithmetic means the check is equality-sharp.
-    """
-    constraints = list(constraints)
-    dims = {len(c.normal) for c in constraints}
-    if len(dims) > 1:
-        raise ValueError("constraints live in different dimensions")
-    dim = dims.pop() if dims else 0
-    if dim > MAX_DIM:
-        raise ValueError(f"dimension {dim} exceeds the supported bound {MAX_DIM}")
-    rows = []
-    for c in constraints:
-        truth = c.constant_truth()
-        if truth is False:
-            return None
-        if truth is None:
-            rows.append(_to_kernel_row(c))
-    point = feasible_rows(dim, rows)
-    if point is None:
-        return None
-    witness = as_fractions(point)
-    for c in constraints:
-        if not c.holds_at(witness):
-            raise AssertionError("witness failed re-substitution")
-    return witness
-
-
 def feasible_rows(dim: int, rows) -> Optional[tuple]:
-    """Kernel-format fast path: integer rows ``(coeffs, rhs, kind)``.
+    """Feasibility of integer rows ``(coeffs, rhs, kind)`` in ``dim``
+    variables, ``kind`` one of EQ, GE, GT.
 
     Returns an exact interior point ``(nums, den)``, meaning
     ``x_i = nums[i] / den`` with ``den > 0``, or None if infeasible.
+    Raises ``ValueError`` for ``dim > MAX_DIM`` or a row of another
+    dimension.
     """
+    if dim > MAX_DIM:
+        raise ValueError(f"dimension {dim} exceeds the supported bound {MAX_DIM}")
     return _fmcore.solve(dim, rows)
 
 

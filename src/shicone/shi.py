@@ -17,7 +17,6 @@ re-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -44,13 +43,6 @@ from .rootsys import (
 MAX_ORACLE_RANK = 3
 #: Cap on the extended-arrangement level.
 MAX_FUSS_LEVEL = 3
-
-
-def pairing(point: tuple, coords: Sequence[int]) -> Fraction:
-    """Bilinear pairing of an exact evaluation point ``(nums, den)`` with
-    a root."""
-    nums, den = point
-    return Fraction(sum(c * x for c, x in zip(coords, nums)), den)
 
 
 @dataclass(frozen=True)
@@ -109,7 +101,7 @@ class ShiRegion:
     """A region inside the dominant cone of a Shi deletion.
 
     ``ideal`` holds the root indices whose level-1 hyperplane lies above
-    the region (pairing < 1 there); it is an order ideal of the deletion
+    the region (the root is < 1 there); it is an order ideal of the deletion
     poset.  ``ceiling`` is its set of maximal elements, the facet-defining
     level-1 hyperplanes.  ``witness`` is an exact interior point
     ``(nums, den)`` in evaluation coordinates, as the feasibility kernel
@@ -158,21 +150,12 @@ class IntersectionPoset:
                 if codims[i] <= cj and contains_flat(geos[i], geos[j]):
                     m |= 1 << i
             leq[j] = m
-        mobius = [0] * n
-        for j in range(n):
-            acc = 0
-            below = leq[j] & ~(1 << j)
-            mm = below
-            while mm:
-                low = mm & -mm
-                acc += mobius[low.bit_length() - 1]
-                mm ^= low
-            mobius[j] = 1 if j == 0 else -acc
-        self.flats = tuple(
-            Flat(gens, geo, mobius[i]) for i, (gens, geo) in enumerate(entries)
-        )
         self._leq = tuple(leq)
         self._interval_cache: dict = {}
+        self.flats = tuple(
+            Flat(gens, geo, self.interval_mobius(0, j))
+            for j, (gens, geo) in enumerate(entries)
+        )
 
     def __len__(self) -> int:
         return len(self.flats)
@@ -247,12 +230,13 @@ def cone_rows(rs: RootSystem, w: WeylElement) -> list:
     return rows
 
 
-def act_point(rs: RootSystem, w: WeylElement, point: tuple) -> tuple:
-    """Image of an exact evaluation point ``(nums, den)`` under w
-    (contragredient action); the denominator is unchanged."""
+def act_point(winv: WeylElement, point: tuple) -> tuple:
+    """Image of an exact evaluation point ``(nums, den)`` under w, given
+    ``winv`` = w^{-1} (contragredient action); the denominator is
+    unchanged."""
     nums, den = point
-    minv = inverse_element(rs, w).matrix
-    n = rs.rank
+    minv = winv.matrix
+    n = len(nums)
     return (
         tuple(sum(minv[j][i] * nums[j] for j in range(n)) for i in range(n)),
         den,
@@ -302,6 +286,7 @@ def transport_regions(
     rs: RootSystem, w: WeylElement, regions: Iterable[ShiRegion]
 ) -> list:
     """Map dominant regions of the deletion attached to w into wC."""
+    winv = inverse_element(rs, w)
     out = []
     for region in regions:
         send = {i: _positive_image(rs, w, i) for i in region.ideal}
@@ -309,7 +294,7 @@ def transport_regions(
             ShiRegion(
                 frozenset(send.values()),
                 frozenset(send[i] for i in region.ceiling),
-                act_point(rs, w, region.witness),
+                act_point(winv, region.witness),
             )
         )
     return out
@@ -560,11 +545,11 @@ def fuss_dominant(rs: RootSystem, m: int) -> FussDominant:
         raise ValueError(f"level extension must satisfy 1 <= m <= {MAX_FUSS_LEVEL}")
     positive = _positivity_rows(rs.rank)
     hyperplanes = [
-        (i, k) for i in range(len(rs.positive_roots)) for k in range(1, m + 1)
+        (i, k) for i, k in ShiArrangement.fuss(rs, m).hyperplanes() if k >= 1
     ]
     poset = _closure_poset(rs, hyperplanes, inside_rows=positive)
 
-    # Region count: for each root, its pairing lies in one of the open
+    # Region count: for each root, its value lies in one of the open
     # intervals (0,1), ..., (m-1,m), (m,oo); depth-first over roots with
     # feasibility pruning.
     n = rs.rank

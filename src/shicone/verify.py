@@ -105,33 +105,20 @@ class TypeContext:
         return self._cached("flats", w, lambda: flats_in_cone(self.rs, w))
 
 
-def _region_predicates_hold(rs, E, region) -> bool:
-    """Exact witness check of the full region description."""
-    eset = set(E)
-    nums, den = region.witness
-    for i, coords in enumerate(rs.positive_roots):
-        v = sum(c * x for c, x in zip(coords, nums))
-        if v <= 0:
-            return False
-        if i in region.ideal:
-            if not v < den:
-                return False
-        elif i in eset and not v > den:
-            return False
-    return True
-
-
-def _cone_region_predicates_hold(rs, inv, region) -> bool:
+def _witness_in_region(rs, inv, E, region) -> bool:
+    """Exact witness check of a region description: the witness pairs
+    below 0 with the roots of ``inv``, above 0 with every other root,
+    below 1 with the region's ideal and above 1 with the rest of E."""
     nums, den = region.witness
     for i, coords in enumerate(rs.positive_roots):
         v = sum(c * x for c, x in zip(coords, nums))
         if i in inv:
-            if not v < 0:
-                return False
+            ok = v < 0
         elif i in region.ideal:
-            if not 0 < v < den:
-                return False
-        elif not v > den:
+            ok = 0 < v < den
+        else:
+            ok = v > den if i in E else v > 0
+        if not ok:
             return False
     return True
 
@@ -147,6 +134,7 @@ def check_region_ceiling_bijection(ctx: TypeContext) -> str:
     n_probes = 0
     for w in ctx.W:
         E = ctx.E(w)
+        E_set = frozenset(E)
         sub = ctx.sub(w)
         antichains = sub.antichains()
         regions = ctx.regions(w)
@@ -163,7 +151,7 @@ def check_region_ceiling_bijection(ctx: TypeContext) -> str:
                 "ceiling does not regenerate the ideal",
             )
             _need(
-                _region_predicates_hold(rs, E, region),
+                _witness_in_region(rs, frozenset(), E_set, region),
                 "witness violates the region description",
             )
             oracle = ceiling_oracle(rs, E, region)
@@ -178,9 +166,10 @@ def check_region_ceiling_bijection(ctx: TypeContext) -> str:
         # inverse the construction uses
         winv = element_from_word(rs, reversed(w.word))
         inv_w = inversion_set(rs, w)
+        outside = frozenset(range(len(rs.positive_roots))) - inv_w
         for creg, dreg in zip(cone_regions, regions):
             _need(
-                _cone_region_predicates_hold(rs, inv_w, creg),
+                _witness_in_region(rs, inv_w, outside, creg),
                 "transported witness leaves its cone cell",
             )
             back = frozenset(

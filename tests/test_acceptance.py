@@ -9,8 +9,8 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import RANK_4, RANK_LE_3, get_rs
-from shicone.exactgeom import LinearConstraint, Relation, feasible
+from conftest import RANK_4, RANK_LE_3, RELATIONS, get_rs, holds, relation_row
+from shicone.exactgeom import as_fractions, feasible_rows
 from shicone.orderring import (
     generator_value,
     generators,
@@ -193,18 +193,19 @@ def test_criterion_6_exact_geometry_suite():
     witnesses = 0
     for _ in range(200):
         dim = rng.randint(1, 3)
-        cons = [
-            LinearConstraint.of(
+        rows = [
+            relation_row(
                 [rng.randint(-4, 4) for _ in range(dim)],
-                rng.choice(list(Relation)),
+                rng.choice(RELATIONS),
                 rng.randint(-3, 3),
             )
             for _ in range(rng.randint(1, 7))
         ]
-        w = feasible(cons)
+        w = feasible_rows(dim, rows)
         if w is not None:
             witnesses += 1
-            assert all(c.holds_at(w) for c in cons)
+            point = as_fractions(w)
+            assert all(holds(row, point) for row in rows)
         else:
             # infeasibility vs randomized rational sampling: the sampler
             # must never find a point the elimination ruled out
@@ -213,7 +214,7 @@ def test_criterion_6_exact_geometry_suite():
                     Fraction(rng.randint(-18, 18), rng.randint(1, 6))
                     for _ in range(dim)
                 )
-                assert not all(c.holds_at(point) for c in cons)
+                assert not all(holds(row, point) for row in rows)
     assert witnesses > 30
 
     # comparable pairs: the two level-1 hyperplanes never meet inside the

@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import get_rs
+from conftest import RELATIONS, get_rs, holds, relation_row
 from shicone import exactgeom
 from shicone.exactgeom import (
-    LinearConstraint,
-    Relation,
+    EQ,
+    GE,
+    GT,
+    as_fractions,
     contains_flat,
     empty_flat,
-    feasible,
+    feasible_rows,
     flat_contains,
     full_space,
     intersect_hyperplanes,
@@ -19,25 +21,23 @@ from shicone.exactgeom import (
 )
 from shicone.rootsys import root_index
 
-C = LinearConstraint.of
-
 
 # -- feasibility ----------------------------------------------------------------
 
 
 def test_open_interval():
-    w = feasible([C([1], Relation.GT, 0), C([1], Relation.LT, 1)])
-    assert w is not None and 0 < w[0] < 1
+    w = feasible_rows(1, [((1,), 0, GT), ((-1,), -1, GT)])
+    assert w is not None and 0 < as_fractions(w)[0] < 1
 
 
 def test_point_system():
-    w = feasible([C([1, 0], Relation.EQ, 3), C([0, 1], Relation.EQ, -2)])
-    assert w == (Fraction(3), Fraction(-2))
+    w = feasible_rows(2, [((1, 0), 3, EQ), ((0, 1), -2, EQ)])
+    assert w == ((3, -2), 1)
 
 
 def test_infeasible_strict_point():
-    assert feasible([C([1], Relation.GT, 0), C([1], Relation.LT, 0)]) is None
-    assert feasible([C([1], Relation.GE, 0), C([1], Relation.LE, 0)]) == (Fraction(0),)
+    assert feasible_rows(1, [((1,), 0, GT), ((-1,), 0, GT)]) is None
+    assert feasible_rows(1, [((1,), 0, GE), ((-1,), 0, GE)]) == ((0,), 1)
 
 
 def test_comparable_pair_misses_cone():
@@ -46,67 +46,59 @@ def test_comparable_pair_misses_cone():
     rs = get_rs("B2")
     idx = root_index(rs)
     for low, high in [((1, 0), (1, 1)), ((0, 1), (1, 1)), ((1, 1), (2, 1)), ((1, 0), (2, 1))]:
-        cons = [
-            C(low, Relation.EQ, 1),
-            C(high, Relation.EQ, 1),
-            C([1, 0], Relation.GT, 0),
-            C([0, 1], Relation.GT, 0),
+        rows = [
+            (low, 1, EQ),
+            (high, 1, EQ),
+            ((1, 0), 0, GT),
+            ((0, 1), 0, GT),
         ]
-        assert feasible(cons) is None
+        assert feasible_rows(2, rows) is None
     assert idx  # touch fixture
 
 
 def test_triple_point_witness():
     # three level hyperplanes through one point: a=1, b=1, a+b=2
-    w = feasible(
-        [
-            C([1, 0], Relation.EQ, 1),
-            C([0, 1], Relation.EQ, 1),
-            C([1, 1], Relation.EQ, 2),
-        ]
-    )
-    assert w == (Fraction(1), Fraction(1))
+    w = feasible_rows(2, [((1, 0), 1, EQ), ((0, 1), 1, EQ), ((1, 1), 2, EQ)])
+    assert w == ((1, 1), 1)
 
 
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
-        feasible([C([1], Relation.GT, 0), C([1, 2], Relation.GT, 0)])
+        feasible_rows(1, [((1,), 0, GT), ((1, 2), 0, GT)])
 
 
 def test_dimension_cap():
     with pytest.raises(ValueError):
-        feasible([C([1, 0, 0, 0, 0], Relation.GT, 0)])
+        feasible_rows(5, [((1, 0, 0, 0, 0), 0, GT)])
 
 
 def test_zero_normal_constraints():
-    assert feasible([C([0, 0], Relation.GE, 0)]) is not None
-    assert feasible([C([0, 0], Relation.GT, 0)]) is None
-    assert feasible([C([0, 0], Relation.EQ, 1), C([1, 0], Relation.GT, 0)]) is None
+    assert feasible_rows(2, [((0, 0), 0, GE)]) is not None
+    assert feasible_rows(2, [((0, 0), 0, GT)]) is None
+    assert feasible_rows(2, [((0, 0), 1, EQ), ((1, 0), 0, GT)]) is None
 
 
 def test_unbounded_directions():
-    w = feasible([C([1, 0], Relation.GE, 5)])
-    assert w is not None and w[0] >= 5
+    w = feasible_rows(2, [((1, 0), 5, GE)])
+    assert w is not None and as_fractions(w)[0] >= 5
 
 
 def test_rational_coefficients():
-    w = feasible(
-        [
-            C([Fraction(1, 2), Fraction(1, 3)], Relation.EQ, Fraction(5, 6)),
-            C([1, -1], Relation.GT, 0),
-        ]
-    )
+    # x/2 + y/3 = 5/6 with its denominators cleared, and x > y
+    rows = [((3, 2), 5, EQ), ((1, -1), 0, GT)]
+    w = feasible_rows(2, rows)
     assert w is not None
-    assert Fraction(1, 2) * w[0] + Fraction(1, 3) * w[1] == Fraction(5, 6)
-    assert w[0] > w[1]
+    x, y = as_fractions(w)
+    assert Fraction(1, 2) * x + Fraction(1, 3) * y == Fraction(5, 6)
+    assert x > y
 
 
 def _random_system(rng, dim):
     rows = []
     for _ in range(rng.randint(1, 8)):
         normal = [rng.randint(-4, 4) for _ in range(dim)]
-        rel = rng.choice(list(Relation))
-        rows.append(C(normal, rel, rng.randint(-3, 3)))
+        rel = rng.choice(RELATIONS)
+        rows.append(relation_row(normal, rel, rng.randint(-3, 3)))
     return rows
 
 
@@ -115,11 +107,12 @@ def test_witness_resubstitution_random():
     found = 0
     for _ in range(300):
         dim = rng.randint(1, 4)
-        cons = _random_system(rng, dim)
-        w = feasible(cons)
+        rows = _random_system(rng, dim)
+        w = feasible_rows(dim, rows)
         if w is not None:
             found += 1
-            assert all(c.holds_at(w) for c in cons)
+            point = as_fractions(w)
+            assert all(holds(row, point) for row in rows)
     assert found > 50
 
 
@@ -130,17 +123,17 @@ def test_sampler_agreement():
     agreements = 0
     for _ in range(200):
         dim = rng.randint(1, 3)
-        cons = _random_system(rng, dim)
+        rows = _random_system(rng, dim)
         hit = None
         for _ in range(60):
             point = tuple(
                 Fraction(rng.randint(-24, 24), rng.randint(1, 8)) for _ in range(dim)
             )
-            if all(c.holds_at(point) for c in cons):
+            if all(holds(row, point) for row in rows):
                 hit = point
                 break
         if hit is not None:
-            assert feasible(cons) is not None
+            assert feasible_rows(dim, rows) is not None
             agreements += 1
     assert agreements > 40
 

@@ -22,7 +22,6 @@ from shicone.shi import (
     flats_oracle,
     full_arrangement_poincare,
     fuss_dominant,
-    pairing,
     poincare,
     regions_in_cone,
     regions_in_dominant,
@@ -88,13 +87,15 @@ def test_a3_dominant_region_count_with_oracle(rs_a3):
 def test_region_witness_predicates(rs_b2):
     E = [0, 3]
     for region in regions_in_dominant(rs_b2, E):
+        nums, den = region.witness
+        assert den > 0
         for i, coords in enumerate(rs_b2.positive_roots):
-            v = pairing(region.witness, coords)
+            v = sum(c * x for c, x in zip(coords, nums))  # den * pairing
             assert v > 0
             if i in region.ideal:
-                assert v < 1
+                assert v < den
             elif i in E:
-                assert v > 1
+                assert v > den
 
 
 def test_sign_oracle_rank_bound():
@@ -164,14 +165,16 @@ def test_cone_witness_lands_in_cone(rs_b2):
     for w in weyl_group(rs_b2):
         inv = inversion_set(rs_b2, w)
         for region in regions_in_cone(rs_b2, w):
+            nums, den = region.witness
+            assert den > 0
             for i, coords in enumerate(rs_b2.positive_roots):
-                v = pairing(region.witness, coords)
+                v = sum(c * x for c, x in zip(coords, nums))  # den * pairing
                 if i in inv:
                     assert v < 0
                 elif i in region.ideal:
-                    assert 0 < v < 1
+                    assert 0 < v < den
                 else:
-                    assert v > 1
+                    assert v > den
 
 
 def test_transport_rejects_root_sent_negative(rs_b2):

@@ -1,7 +1,15 @@
+from dataclasses import replace
+
 import pytest
 
 from conftest import get_rs
-from shicone.verify import TypeContext, check_fuss, run_suite
+from shicone import verify
+from shicone.verify import (
+    TypeContext,
+    check_fuss,
+    check_region_ceiling_bijection,
+    run_suite,
+)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "D3"])
@@ -42,3 +50,22 @@ def test_fuss_level_one_consistency():
     ctx = TypeContext(get_rs("B2"))
     details = check_fuss(ctx, 1)
     assert "m=1" in details
+
+
+def test_tampered_witness_fails_region_check():
+    # a dominant region carrying another region's witness
+    ctx = TypeContext(get_rs("A2"))
+    regions = ctx.regions(ctx.W[0])
+    regions[0] = replace(regions[0], witness=regions[-1].witness)
+    with pytest.raises(verify._Failure, match="witness violates the region description"):
+        check_region_ceiling_bijection(ctx)
+
+
+def test_untransported_witness_fails_cone_check():
+    # a cone region keeping the dominant witness it was transported from
+    ctx = TypeContext(get_rs("A2"))
+    w = ctx.W[1]
+    cone_regions = ctx.cone_regions(w)
+    cone_regions[0] = replace(cone_regions[0], witness=ctx.regions(w)[0].witness)
+    with pytest.raises(verify._Failure, match="transported witness leaves its cone cell"):
+        check_region_ceiling_bijection(ctx)
