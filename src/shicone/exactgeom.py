@@ -17,7 +17,8 @@ integer kernel ``_fmcore_py``.  :func:`feasible_rows` is the one entry
 to the kernel: it takes integer rows (a rational system enters with its
 denominators cleared) and returns the kernel's ``(nums, den)`` witness;
 :func:`as_fractions` is the one conversion of a point to ``Fraction``
-coordinates.
+coordinates.  :func:`check_farkas` checks a certificate of
+infeasibility, integer multipliers of the rows, without the kernel.
 
 Ambient dimension is capped at 4, in :func:`feasible_rows` and
 :func:`intersect_hyperplanes` alike: open cones of the rank <= 4 Weyl
@@ -54,6 +55,35 @@ def feasible_rows(dim: int, rows) -> Optional[tuple]:
     if dim > MAX_DIM:
         raise ValueError(f"dimension {dim} exceeds the supported bound {MAX_DIM}")
     return _fmcore.solve(dim, rows)
+
+
+def check_farkas(dim: int, rows, lam: Sequence[int]) -> bool:
+    """Whether the integer multipliers ``lam`` prove the rows infeasible.
+
+    This is the transposition theorem of Motzkin: with ``lam >= 0`` on
+    the GE and GT rows (EQ rows take either sign), every solution would
+    satisfy ``sum lam*coeffs . x >= sum lam*rhs``, strictly when some GT
+    row has a positive multiplier.  So ``sum lam*coeffs = 0`` together
+    with ``sum lam*rhs > 0``, or ``= 0`` and a positive multiplier on a
+    GT row, leaves no solution.  Independent of the kernel.
+    """
+    if len(lam) != len(rows):
+        return False
+    normal = [0] * dim
+    total = 0
+    strict = False
+    for (coeffs, rhs, kind), t in zip(rows, lam):
+        if not t:
+            continue
+        if len(coeffs) != dim or kind not in (EQ, GE, GT):
+            raise ValueError(f"not a row in {dim} variables: {(coeffs, rhs, kind)!r}")
+        if kind != EQ and t < 0:
+            return False
+        for i, c in enumerate(coeffs):
+            normal[i] += t * c
+        total += t * rhs
+        strict = strict or kind == GT
+    return not any(normal) and (total > 0 or (total == 0 and strict))
 
 
 def as_fractions(point: tuple) -> tuple:
@@ -175,10 +205,6 @@ def intersect_hyperplanes(dim: int, rows: Iterable[tuple]) -> AffineFlat:
 
 def empty_flat(dim: int) -> AffineFlat:
     return AffineFlat(dim, None, (), ((0,) * dim + (1,),))
-
-
-def full_space(dim: int) -> AffineFlat:
-    return intersect_hyperplanes(dim, [])
 
 
 def _on_hyperplane(flat: AffineFlat, normal: Sequence[int], rhs: int) -> bool:

@@ -25,6 +25,7 @@ from .exactgeom import (
     GT,
     AffineFlat,
     as_fractions,
+    check_farkas,
     contains_flat,
     feasible_rows,
     flat_contains,
@@ -312,26 +313,42 @@ def regions_in_cone(rs: RootSystem, w: WeylElement) -> list:
 
 
 def ceiling_oracle(rs: RootSystem, E: Iterable[int], region: ShiRegion) -> frozenset:
-    """Facet-defining level-1 hyperplanes of a dominant region, by
-    independent feasibility tests (one per candidate root).
+    """Facet-defining level-1 hyperplanes of a dominant region, by one
+    independent probe per root of its ideal.
 
-    A root in the region's ideal is a ceiling exactly when pinning its
-    hyperplane to equality while keeping every other region constraint
-    strict leaves a nonempty set.
+    A root b of the ideal is a ceiling exactly when pinning its
+    hyperplane to equality, ``b . x = 1``, while keeping every other
+    region row strict leaves a nonempty set.  Each probe first looks in
+    its own rows for a proof that the set is empty: a row
+    ``-c . x > -1`` with ``c - b >= 0`` coordinatewise.  With multiplier
+    1 on it and on the pinned row, and ``c - b`` on the positivity rows,
+    the rows sum to ``0 > 0``.  A proof that :func:`check_farkas`
+    accepts settles the probe; otherwise the kernel decides it.
     """
+    n = rs.rank
     E = sorted(set(E))
+    base = region_rows(rs, E, region.ideal)
+    pos = {g: n + i for i, g in enumerate(E)}
+    upper = [
+        (j, coeffs)
+        for j, (coeffs, rhs, kind) in enumerate(base)
+        if kind == GT and rhs == -1
+    ]
     found = []
     for b in sorted(region.ideal):
-        rows = _positivity_rows(rs.rank)
-        for g in E:
-            coords = rs.positive_roots[g]
-            if g == b:
-                rows.append((coords, 1, EQ))
-            elif g in region.ideal:
-                rows.append((tuple(-c for c in coords), -1, GT))
-            else:
-                rows.append((coords, 1, GT))
-        if feasible_rows(rs.rank, rows) is not None:
+        k = pos[b]
+        coords = rs.positive_roots[b]
+        rows = base.copy()
+        rows[k] = (coords, 1, EQ)
+        lam = None
+        for j, coeffs in upper:
+            if j != k and all(x + y <= 0 for x, y in zip(coords, coeffs)):
+                lam = [-(x + y) for x, y in zip(coords, coeffs)] + [0] * len(E)
+                lam[j] = lam[k] = 1
+                break
+        if lam is not None and check_farkas(n, rows, lam):
+            continue
+        if feasible_rows(n, rows) is not None:
             found.append(b)
     return frozenset(found)
 

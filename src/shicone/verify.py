@@ -18,7 +18,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import orderring, shi
-from .exactgeom import EQ, feasible_rows, intersect_hyperplanes, matrix_rank
+from .exactgeom import (
+    EQ,
+    check_farkas,
+    feasible_rows,
+    intersect_hyperplanes,
+    matrix_rank,
+)
 from .poly import IntPolynomial
 from .posets import FinitePoset
 from .rootsys import (
@@ -261,16 +267,25 @@ def check_boolean_intervals(ctx: TypeContext) -> str:
 
 def check_cone_cut(ctx: TypeContext) -> str:
     """A level-1 hyperplane meets wC exactly when its root is not an
-    inversion of w (rank <= 3: checked by feasibility per pair)."""
+    inversion of w (rank <= 3: checked per pair).  A meeting is shown by
+    a kernel witness; a miss by the Farkas certificate ``-d`` on the
+    walls and 1 on the hyperplane, d the simple-root coordinates of
+    w^{-1}b."""
     rs = ctx.rs
     _need(rs.rank <= MAX_ORACLE_RANK, "cut check is oracle-bound to rank <= 3")
     n = 0
     for w in ctx.W:
         inv = inversion_set(rs, w)
         walls = cone_rows(rs, w)
+        winv = element_from_word(rs, reversed(w.word))
         for i, coords in enumerate(rs.positive_roots):
-            meets = feasible_rows(rs.rank, walls + [(coords, 1, EQ)]) is not None
-            _need(meets == (i not in inv), "cut criterion failed")
+            rows = walls + [(coords, 1, EQ)]
+            if i in inv:
+                lam = [-d for d in act(rs, winv, coords)] + [1]
+                ok = check_farkas(rs.rank, rows, lam)
+            else:
+                ok = feasible_rows(rs.rank, rows) is not None
+            _need(ok, "cut criterion failed")
             n += 1
     return f"{n} (cone, hyperplane) pairs"
 
@@ -302,21 +317,17 @@ def check_nonnesting_injectivity(ctx: TypeContext) -> str:
 
 def check_comparable_pair_infeasibility(ctx: TypeContext) -> str:
     """For comparable roots, both level-1 hyperplanes cannot meet the
-    dominant cone simultaneously."""
+    dominant cone simultaneously: certified by multipliers 1 and -1 on
+    the two hyperplanes and ``root_j - root_i`` on the positivity rows."""
     rs = ctx.rs
     rows0 = shi._positivity_rows(rs.rank)
     n = 0
-    for i in range(len(rs.positive_roots)):
-        for j in range(len(rs.positive_roots)):
+    for i, low in enumerate(rs.positive_roots):
+        for j, high in enumerate(rs.positive_roots):
             if i != j and ctx.rp.leq(i, j):
-                rows = rows0 + [
-                    (rs.positive_roots[i], 1, EQ),
-                    (rs.positive_roots[j], 1, EQ),
-                ]
-                _need(
-                    feasible_rows(rs.rank, rows) is None,
-                    "comparable pair meets the cone",
-                )
+                rows = rows0 + [(low, 1, EQ), (high, 1, EQ)]
+                lam = [y - x for x, y in zip(low, high)] + [1, -1]
+                _need(check_farkas(rs.rank, rows, lam), "comparable pair meets the cone")
                 n += 1
     return f"{n} comparable pairs"
 

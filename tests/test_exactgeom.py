@@ -11,15 +11,22 @@ from shicone.exactgeom import (
     GE,
     GT,
     as_fractions,
+    check_farkas,
     contains_flat,
     empty_flat,
     feasible_rows,
     flat_contains,
-    full_space,
     intersect_hyperplanes,
     matrix_rank,
 )
-from shicone.rootsys import root_index
+from shicone.rootsys import (
+    act,
+    element_from_word,
+    inversion_set,
+    root_index,
+    root_poset,
+    weyl_group,
+)
 
 
 # -- feasibility ----------------------------------------------------------------
@@ -171,13 +178,111 @@ def test_kernel_answers_pinned():
     assert solve(1, rows) == ((1,), 3)
 
 
+# -- Farkas certificates ----------------------------------------------------------
+
+
+def _positivity(dim):
+    return [(tuple(int(i == j) for j in range(dim)), 0, GT) for i in range(dim)]
+
+
+def _comparable_pairs(rs):
+    rp = root_poset(rs)
+    roots = rs.positive_roots
+    n = len(roots)
+    return [(roots[i], roots[j]) for i in range(n) for j in range(n) if i != j and rp.leq(i, j)]
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "B4", "F4"])
+def test_farkas_accepts_certificate_families(name):
+    rs = get_rs(name)
+    n = rs.rank
+    pairs = _comparable_pairs(rs)
+    assert pairs
+    for low, high in pairs:
+        diff = [y - x for x, y in zip(low, high)]
+        # a facet negative: low pinned to 1 while high stays below 1
+        rows = _positivity(n) + [(low, 1, EQ), (tuple(-c for c in high), -1, GT)]
+        assert check_farkas(n, rows, diff + [1, 1])
+        # a comparable pair: both hyperplanes pinned to 1
+        rows = _positivity(n) + [(low, 1, EQ), (high, 1, EQ)]
+        assert check_farkas(n, rows, diff + [1, -1])
+    # a cone-cut negative: an inversion b of w misses the open cone wC
+    # (walls w(alpha_i)); the multipliers are minus the coordinates of w^-1 b
+    cuts = 0
+    for w in weyl_group(rs):
+        winv = element_from_word(rs, reversed(w.word))
+        walls = [
+            (tuple(w.matrix[k][i] for k in range(n)), 0, GT) for i in range(n)
+        ]
+        for b in inversion_set(rs, w):
+            coords = rs.positive_roots[b]
+            lam = [-d for d in act(rs, winv, coords)] + [1]
+            assert check_farkas(n, walls + [(coords, 1, EQ)], lam)
+            cuts += 1
+    assert cuts
+
+
+def test_farkas_rejections():
+    rows = [((1, 0), 0, GT), ((0, 1), 0, GT), ((1, 0), 1, EQ), ((-1, -1), -1, GT)]
+    assert check_farkas(2, rows, [0, 1, 1, 1])
+    # a negative multiplier on a GT row, and on a GE row
+    assert not check_farkas(2, rows, [0, -1, -1, -1])
+    ge = [((1, 0), 0, GE), ((-1, 0), 1, GE)]
+    assert check_farkas(2, ge, [1, 1])
+    assert not check_farkas(2, ge, [-1, -1])
+    # normals that do not sum to zero
+    assert not check_farkas(2, rows, [0, 0, 1, 1])
+    assert not check_farkas(2, rows, [1, 1, 1, 1])
+    # a negative rhs sum: x > 0 and -x > -1 are feasible together
+    assert not check_farkas(1, [((1,), 0, GT), ((-1,), -1, GT)], [1, 1])
+    # a zero rhs sum with only EQ and GE rows used
+    assert not check_farkas(1, [((1,), 0, GE), ((-1,), 0, GE)], [1, 1])
+    assert not check_farkas(1, [((1,), 1, EQ), ((1,), 1, EQ)], [1, -1])
+    assert check_farkas(1, [((1,), 0, GT), ((-1,), 0, GE)], [1, 1])
+    # a multiplier vector of the wrong length
+    assert not check_farkas(2, rows, [0, 1, 1])
+    assert not check_farkas(2, rows, [0, 1, 1, 1, 0])
+    with pytest.raises(ValueError):
+        check_farkas(2, [((1,), 0, GT)], [1])
+
+
+def test_farkas_soundness():
+    # an accepted certificate must leave both the kernel and rational
+    # sampling without a point.  Mostly a closing row of multiplier 1
+    # makes the normals sum to zero and the rhs sum to a small number,
+    # so the checker is left to judge the signs and that sum.
+    rng = random.Random(5)
+    accepted = 0
+    for _ in range(400):
+        dim = rng.randint(1, 3)
+        rows = []
+        for _ in range(rng.randint(1, 5)):
+            coeffs = tuple(rng.randint(-3, 3) for _ in range(dim))
+            rows.append((coeffs, rng.randint(-3, 3), rng.choice((EQ, GE, GT))))
+        lam = [rng.randint(-1, 3) for _ in rows]
+        if rng.randint(0, 3):
+            normal = tuple(
+                -sum(t * coeffs[i] for (coeffs, _, _), t in zip(rows, lam)) for i in range(dim)
+            )
+            rhs = rng.randint(-1, 3) - sum(t * r for (_, r, _), t in zip(rows, lam))
+            rows.append((normal, rhs, rng.choice((EQ, GE, GT))))
+            lam.append(1)
+        if not check_farkas(dim, rows, lam):
+            continue
+        accepted += 1
+        assert feasible_rows(dim, rows) is None
+        for _ in range(200):
+            point = tuple(Fraction(rng.randint(-24, 24), rng.randint(1, 8)) for _ in range(dim))
+            assert not all(holds(r, point) for r in rows)
+    assert accepted > 40
+
+
 # -- affine flats ------------------------------------------------------------------
 
 
 def test_full_space():
-    v = full_space(3)
+    v = intersect_hyperplanes(3, [])
     assert v.codim == 0 and len(v.directions) == 3
-    assert v == intersect_hyperplanes(3, [])
 
 
 def test_b2_point_flat():
@@ -234,7 +339,7 @@ def test_flat_contains_basics():
     h = intersect_hyperplanes(2, [((1, 0), 1)])
     assert flat_contains(h, (1, 0), 1)
     assert not flat_contains(h, (0, 1), 1)
-    v = full_space(2)
+    v = intersect_hyperplanes(2, [])
     assert not flat_contains(v, (1, 0), 1)
 
 
@@ -266,7 +371,7 @@ def test_contains_flat():
     line = intersect_hyperplanes(3, [((1, 0, 0), 1), ((0, 1, 0), 0)])
     assert contains_flat(plane, line)
     assert not contains_flat(line, plane)
-    assert contains_flat(full_space(3), plane)
+    assert contains_flat(intersect_hyperplanes(3, []), plane)
 
 
 def test_matrix_rank():

@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import RANK_LE_3, get_rs
+from conftest import RANK_4, RANK_LE_3, get_rs
+from shicone import shi
+from shicone.exactgeom import EQ, GT, feasible_rows
 from shicone.poly import IntPolynomial
 from shicone.rootsys import (
     element_from_word,
@@ -128,13 +131,67 @@ def test_ceiling_oracle_two_simples(rs_b2):
     assert ceiling_oracle(rs_b2, range(4), region) == two
 
 
-@pytest.mark.parametrize("name", ["A2", "B2"])
+def _kernel_ceiling(rs, E, region):
+    """The ceiling by one kernel call per root of the ideal: pin its
+    hyperplane to 1 and keep every other region row strict."""
+    n = rs.rank
+    found = set()
+    for b in region.ideal:
+        rows = [(tuple(int(i == j) for j in range(n)), 0, GT) for i in range(n)]
+        for g in sorted(E):
+            coords = rs.positive_roots[g]
+            if g == b:
+                rows.append((coords, 1, EQ))
+            elif g in region.ideal:
+                rows.append((tuple(-c for c in coords), -1, GT))
+            else:
+                rows.append((coords, 1, GT))
+        if feasible_rows(n, rows) is not None:
+            found.add(b)
+    return found
+
+
+def _cone_sample(name):
+    """Every cone of a rank <= 3 type; the dominant cone and a seeded
+    sample of eight others of a rank-4 type."""
+    W = weyl_group(get_rs(name))
+    if name in RANK_LE_3:
+        return list(W)
+    return [W[0]] + random.Random(name).sample(W[1:], 8)
+
+
+@pytest.mark.parametrize("name", RANK_LE_3 + RANK_4)
 def test_ceiling_oracle_matches_max_elements_everywhere(name):
     rs = get_rs(name)
-    for w in weyl_group(rs):
+    for w in _cone_sample(name):
         E = complement_of_inversions(rs, w)
         for region in regions_in_dominant(rs, E):
-            assert ceiling_oracle(rs, E, region) == region.ceiling
+            oracle = ceiling_oracle(rs, E, region)
+            assert oracle == region.ceiling
+            assert oracle == _kernel_ceiling(rs, E, region)
+
+
+@pytest.mark.parametrize("name", ["B3", "F4"])
+def test_ceiling_oracle_calls_kernel_only_for_ceilings(name, monkeypatch):
+    # every non-facet is settled by a checked certificate, so the kernel
+    # runs once per ceiling root and never on an infeasible probe
+    rs = get_rs(name)
+    calls = []
+
+    def counting(dim, rows):
+        witness = feasible_rows(dim, rows)
+        calls.append(witness is not None)
+        return witness
+
+    for w in _cone_sample(name):
+        E = complement_of_inversions(rs, w)
+        regions = regions_in_dominant(rs, E)
+        with monkeypatch.context() as m:
+            m.setattr(shi, "feasible_rows", counting)
+            for region in regions:
+                calls.clear()
+                ceiling_oracle(rs, E, region)
+                assert len(calls) == len(region.ceiling) and all(calls)
 
 
 # -- cone regions --------------------------------------------------------------------

@@ -4,8 +4,10 @@ import pytest
 
 from conftest import get_rs
 from shicone import verify
+from shicone.rootsys import inversion_set
 from shicone.verify import (
     TypeContext,
+    check_cone_cut,
     check_fuss,
     check_region_ceiling_bijection,
     run_suite,
@@ -69,3 +71,23 @@ def test_untransported_witness_fails_cone_check():
     cone_regions[0] = replace(cone_regions[0], witness=ctx.regions(w)[0].witness)
     with pytest.raises(verify._Failure, match="transported witness leaves its cone cell"):
         check_region_ceiling_bijection(ctx)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2"])
+def test_cone_cut_calls_kernel_only_for_meetings(name, monkeypatch):
+    # cone-cut inversions are proved by checked Farkas certificates, so
+    # the kernel runs only for the hyperplanes meeting a cone
+    ctx = TypeContext(get_rs(name))
+    calls = []
+    kernel = verify.feasible_rows
+
+    def counting(dim, rows):
+        witness = kernel(dim, rows)
+        calls.append(witness is not None)
+        return witness
+
+    monkeypatch.setattr(verify, "feasible_rows", counting)
+    check_cone_cut(ctx)
+    npos = len(ctx.rs.positive_roots)
+    meets = sum(npos - len(inversion_set(ctx.rs, w)) for w in ctx.W)
+    assert len(calls) == meets and all(calls)
