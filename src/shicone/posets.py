@@ -279,8 +279,25 @@ class FinitePoset:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FinitePoset":
+        """Inverse of :meth:`to_json_dict`.  ``elements`` must be a list,
+        and a cover that is not a pair of distinct positions into it
+        raises ``ValueError``."""
         elements = data["elements"]
-        rel = [(elements[i], elements[j]) for i, j in data.get("covers", [])]
+        if not isinstance(elements, list):
+            raise ValueError(f"elements must be a list, not {type(elements).__name__}")
+        n = len(elements)
+        rel = []
+        for cover in data.get("covers", []):
+            if not (
+                isinstance(cover, list)
+                and len(cover) == 2
+                and all(type(k) is int and 0 <= k < n for k in cover)
+                and cover[0] != cover[1]
+            ):
+                raise ValueError(
+                    f"cover {cover!r} is not a pair of distinct positions in 0..{n - 1}"
+                )
+            rel.append((elements[cover[0]], elements[cover[1]]))
         return cls(elements, rel)
 
 

@@ -17,7 +17,6 @@ re-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .exactgeom import (
@@ -40,61 +39,12 @@ from .rootsys import (
     root_poset,
 )
 
-#: Cap on brute-force oracles (sign assignments, subset enumeration).
+#: Rank cap on the cell and closure oracles and on the whole-arrangement
+#: and extended-level computations, which search cells and flats directly
+#: instead of reading the root poset.
 MAX_ORACLE_RANK = 3
 #: Cap on the extended-arrangement level.
 MAX_FUSS_LEVEL = 3
-
-
-@dataclass(frozen=True)
-class ShiArrangement:
-    """Reflection arrangement plus a chosen set of affine levels per root.
-
-    ``levels[i]`` lists the integer levels k whose hyperplane
-    ``{x : root_i . x = k}`` belongs to the arrangement; level 0 is
-    always present (the reflection arrangement itself).
-    """
-
-    rs: RootSystem
-    levels: tuple
-
-    def __post_init__(self):
-        assert len(self.levels) == len(self.rs.positive_roots)
-        assert all(0 in ls for ls in self.levels)
-
-    @classmethod
-    def full(cls, rs: RootSystem) -> "ShiArrangement":
-        return cls.deletion(rs, range(len(rs.positive_roots)))
-
-    @classmethod
-    def deletion(cls, rs: RootSystem, E: Iterable[int]) -> "ShiArrangement":
-        keep = set(E)
-        levels = tuple(
-            frozenset((0, 1)) if i in keep else frozenset((0,))
-            for i in range(len(rs.positive_roots))
-        )
-        return cls(rs, levels)
-
-    @classmethod
-    def fuss(cls, rs: RootSystem, m: int) -> "ShiArrangement":
-        if m < 1:
-            raise ValueError("level extension requires m >= 1")
-        levels = tuple(
-            frozenset(range(-m + 1, m + 1))
-            for _ in range(len(rs.positive_roots))
-        )
-        arr = cls(rs, levels)
-        if m == 1:
-            assert arr == cls.full(rs)
-        return arr
-
-    def hyperplanes(self) -> list:
-        """All (root_index, level) pairs, roots in index order."""
-        return [
-            (i, k)
-            for i, ls in enumerate(self.levels)
-            for k in sorted(ls)
-        ]
 
 
 @dataclass(frozen=True)
@@ -353,32 +303,60 @@ def ceiling_oracle(rs: RootSystem, E: Iterable[int], region: ShiRegion) -> froze
     return frozenset(found)
 
 
-def dominant_sign_oracle(rs: RootSystem, E: Iterable[int]) -> dict:
-    """Brute-force dominant regions of a deletion, rank <= 3 only.
+def _cells(rs: RootSystem, roots: Sequence[int], m: int):
+    """Cells of the dominant cone cut by the level 1..m hyperplanes of
+    ``roots``, depth first over the roots in order.
 
-    Tries every sign assignment to the level-1 hyperplanes of E inside
-    the dominant cone and returns {below-set: witness} for the feasible
-    ones.  Independent of the antichain route.
+    Root i takes interval j: its value lies in (j, j+1) for j < m and in
+    (m, oo) for j = m.  A prefix of choices is extended only when the
+    kernel finds it feasible, so every kernel call after the first (on
+    the bare cone) extends a nonempty cell of a shorter prefix.  Yields
+    ``(choices, witness)`` per cell, the witness being the kernel answer
+    that admitted the last root.
+    """
+    n = rs.rank
+
+    def intervals(coords: tuple) -> list:
+        neg = tuple(-c for c in coords)
+        return [
+            ([(coords, j, GT)] if j else []) + ([(neg, -j - 1, GT)] if j < m else [])
+            for j in range(m + 1)
+        ]
+
+    steps = [intervals(rs.positive_roots[i]) for i in roots]
+
+    def extend(k: int, rows: list, choices: tuple, witness: tuple):
+        if k == len(steps):
+            yield choices, witness
+            return
+        for j, extra in enumerate(steps[k]):
+            nxt = rows + extra
+            found = feasible_rows(n, nxt)
+            if found is not None:
+                yield from extend(k + 1, nxt, choices + (j,), found)
+
+    base = _positivity_rows(n)
+    yield from extend(0, base, (), feasible_rows(n, base))
+
+
+def dominant_sign_oracle(rs: RootSystem, E: Iterable[int]) -> dict:
+    """Dominant regions of a deletion by cell enumeration, rank <= 3 only.
+
+    Walks the level-1 hyperplanes of E inside the dominant cone, keeping
+    each side only while the kernel finds the prefix feasible, and
+    returns {below-set: witness} for the cells.  Independent of the
+    antichain route.
     """
     if rs.rank > MAX_ORACLE_RANK:
         raise ValueError(f"sign oracle is limited to rank <= {MAX_ORACLE_RANK}")
     E = sorted(set(E))
-    out = {}
-    for r in range(len(E) + 1):
-        for S in combinations(E, r):
-            witness = feasible_rows(rs.rank, region_rows(rs, E, S))
-            if witness is not None:
-                out[frozenset(S)] = witness
-    return out
+    return {
+        frozenset(g for g, j in zip(E, choices) if j == 0): witness
+        for choices, witness in _cells(rs, E, 1)
+    }
 
 
 # -- flats -------------------------------------------------------------------
-
-
-def _level_one_flat(rs: RootSystem, gens: Iterable[int]) -> AffineFlat:
-    return intersect_hyperplanes(
-        rs.rank, [(rs.positive_roots[g], 1) for g in sorted(gens)]
-    )
 
 
 def _antichain_flat_poset(
@@ -393,12 +371,13 @@ def _antichain_flat_poset(
     entries = []
     for A in antichains:
         gens = frozenset(send(i) for i in A)
-        geometry = _level_one_flat(rs, gens)
+        planes = [(rs.positive_roots[g], 1) for g in sorted(gens)]
+        geometry = intersect_hyperplanes(rs.rank, planes)
         if geometry.is_empty or geometry.codim != len(gens):
             raise RuntimeError(
                 "antichain hyperplanes are dependent; arrangement invariant violated"
             )
-        eqs = [(rs.positive_roots[g], 1, EQ) for g in sorted(gens)]
+        eqs = [(normal, level, EQ) for normal, level in planes]
         if feasible_rows(rs.rank, eqs + cone) is None:
             raise RuntimeError(
                 "flat does not meet its cone; arrangement invariant violated"
@@ -433,38 +412,23 @@ def flats_in_dominant(rs: RootSystem, E: Iterable[int]) -> IntersectionPoset:
 
 
 def flats_oracle(rs: RootSystem, w: WeylElement) -> IntersectionPoset:
-    """Brute-force flats of the Shi arrangement meeting wC, rank <= 3.
+    """Flats of the Shi arrangement meeting wC by closure, rank <= 3.
 
-    Enumerates all subsets of the level-1 hyperplanes available to the
-    cone, deduplicates intersections geometrically, keeps those meeting
-    the open cone, and recomputes generator sets by containment scans.
-    No antichain structure is assumed anywhere.
+    Closes the level-1 hyperplanes of the roots outside
+    ``inversion_set(rs, w)`` under intersection, keeping the flats that
+    meet the open cone, and labels each flat by the root indices of the
+    hyperplanes containing it.  No antichain structure is assumed
+    anywhere.
     """
     if rs.rank > MAX_ORACLE_RANK:
         raise ValueError(f"flat oracle is limited to rank <= {MAX_ORACLE_RANK}")
-    avail = sorted(
-        set(range(len(rs.positive_roots))) - inversion_set(rs, w)
-    )
-    cone = cone_rows(rs, w)
-    seen = {}
-    for r in range(len(avail) + 1):
-        for S in combinations(avail, r):
-            geometry = _level_one_flat(rs, S)
-            if geometry.is_empty or geometry.rref in seen:
-                continue
-            eqs = [(rs.positive_roots[g], 1, EQ) for g in S]
-            if feasible_rows(rs.rank, eqs + cone) is None:
-                continue
-            seen[geometry.rref] = geometry
-    entries = []
-    for geometry in seen.values():
-        gens = frozenset(
-            g
-            for g in range(len(rs.positive_roots))
-            if flat_contains(geometry, rs.positive_roots[g], 1)
-        )
-        entries.append((gens, geometry))
-    return IntersectionPoset(entries)
+    inv = inversion_set(rs, w)
+    planes = {
+        g: (coords, 1)
+        for g, coords in enumerate(rs.positive_roots)
+        if g not in inv
+    }
+    return _closure_poset(rs, planes, inside_rows=cone_rows(rs, w))
 
 
 def poincare(rs: RootSystem, w: WeylElement) -> IntPolynomial:
@@ -479,27 +443,26 @@ def poincare(rs: RootSystem, w: WeylElement) -> IntPolynomial:
 
 def _closure_poset(
     rs: RootSystem,
-    hyperplanes: Sequence[tuple],
+    planes: dict,
     inside_rows: Optional[list] = None,
 ) -> IntersectionPoset:
     """Intersection poset of all intersections of the hyperplanes, found
     by incremental closure.
 
-    ``hyperplanes`` are (root_index, level) pairs, and each flat is
-    generated by those that contain it.  With ``inside_rows`` given, only
-    flats meeting that open region are kept; every flat meeting it arises
-    through intermediate intersections that also meet it, so the filtered
-    closure is still complete.
+    ``planes`` maps a generator label to a hyperplane ``(normal, level)``,
+    and each flat is generated by the labels of those that contain it.
+    With ``inside_rows`` given, only flats meeting that open region are
+    kept; every flat meeting it arises through intermediate intersections
+    that also meet it, so the filtered closure is still complete.
     """
     ambient = intersect_hyperplanes(rs.rank, [])
     flats = {ambient.rref: ambient}
     frontier = [ambient]
-    planes = [(rs.positive_roots[i], k) for i, k in hyperplanes]
     while frontier:
         nxt = []
         for x in frontier:
             rows = [(r[:-1], r[-1]) for r in x.rref]
-            for normal, level in planes:
+            for normal, level in planes.values():
                 if flat_contains(x, normal, level):
                     continue
                 y = intersect_hyperplanes(rs.rank, rows + [(normal, level)])
@@ -515,7 +478,9 @@ def _closure_poset(
     entries = []
     for y in flats.values():
         gens = frozenset(
-            (i, k) for i, k in hyperplanes if flat_contains(y, rs.positive_roots[i], k)
+            label
+            for label, (normal, level) in planes.items()
+            if flat_contains(y, normal, level)
         )
         entries.append((gens, y))
     return IntersectionPoset(entries)
@@ -532,8 +497,12 @@ def full_arrangement_poincare(rs: RootSystem) -> IntPolynomial:
         raise ValueError(
             f"full-arrangement recursion is limited to rank <= {MAX_ORACLE_RANK}"
         )
-    poset = _closure_poset(rs, ShiArrangement.full(rs).hyperplanes())
-    return poset.poincare_polynomial()
+    planes = {
+        (i, k): (coords, k)
+        for i, coords in enumerate(rs.positive_roots)
+        for k in (0, 1)
+    }
+    return _closure_poset(rs, planes).poincare_polynomial()
 
 
 @dataclass(frozen=True)
@@ -552,7 +521,7 @@ def fuss_dominant(rs: RootSystem, m: int) -> FussDominant:
     levels cannot meet the dominant cone); comparability pruning is
     deliberately absent because distinct levels of comparable roots can
     meet inside the cone, and the Mobius recursion is run in full.
-    Regions are counted by feasibility over level-interval assignments.
+    Regions are the cells of :func:`_cells` over all roots.
     """
     if rs.rank > MAX_ORACLE_RANK:
         raise ValueError(
@@ -560,34 +529,13 @@ def fuss_dominant(rs: RootSystem, m: int) -> FussDominant:
         )
     if not 1 <= m <= MAX_FUSS_LEVEL:
         raise ValueError(f"level extension must satisfy 1 <= m <= {MAX_FUSS_LEVEL}")
-    positive = _positivity_rows(rs.rank)
-    hyperplanes = [
-        (i, k) for i, k in ShiArrangement.fuss(rs, m).hyperplanes() if k >= 1
-    ]
-    poset = _closure_poset(rs, hyperplanes, inside_rows=positive)
-
-    # Region count: for each root, its value lies in one of the open
-    # intervals (0,1), ..., (m-1,m), (m,oo); depth-first over roots with
-    # feasibility pruning.
-    n = rs.rank
-    roots = rs.positive_roots
-    count = 0
-
-    def extend(i: int, rows: list) -> None:
-        nonlocal count
-        if i == len(roots):
-            count += 1
-            return
-        coords = roots[i]
-        neg = tuple(-c for c in coords)
-        for j in range(m + 1):
-            extra = [(coords, j, GT)] if j else []
-            if j < m:
-                extra.append((neg, -(j + 1), GT))
-            if feasible_rows(n, rows + extra) is not None:
-                extend(i + 1, rows + extra)
-
-    extend(0, list(positive))
+    planes = {
+        (i, k): (coords, k)
+        for i, coords in enumerate(rs.positive_roots)
+        for k in range(1, m + 1)
+    }
+    poset = _closure_poset(rs, planes, inside_rows=_positivity_rows(rs.rank))
+    count = sum(1 for _ in _cells(rs, range(len(rs.positive_roots)), m))
     dist: dict = {}
     for f in poset.flats:
         dist[abs(f.mobius)] = dist.get(abs(f.mobius), 0) + 1

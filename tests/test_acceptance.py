@@ -93,7 +93,7 @@ def test_criterion_2_theorem_suite_rank_le_3():
     for name in RANK_LE_3:
         ctx = TypeContext(get_rs(name))
         check_region_ceiling_bijection(ctx)  # bijection + facet and sign oracles
-        check_flat_bijection(ctx)  # bijection + subset oracle
+        check_flat_bijection(ctx)  # bijection + closure oracle
         check_boolean_intervals(ctx)  # 2^codim intervals, mu, #L_w = #R_w
         check_cone_cut(ctx)  # level-1 hyperplane meets wC iff not inverted
     _report("criterion-2 theorem-suite-rank-le-3", start, 30.0)

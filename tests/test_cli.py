@@ -234,9 +234,26 @@ def test_orderring_empty_poset(tmp_path, capsys):
     assert data["payload"]["vertices"] == [[]]
 
 
-def test_orderring_malformed_file(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        '{"elements": [1, 2], "covers": [[0, 5]]}',
+        '{"elements": [1, 2, 3], "covers": [[-1, 0]]}',
+        '{"elements": [1, 2], "covers": [[1, 1]]}',
+        '{"elements": "ab", "covers": [[0, 1]]}',
+    ],
+    ids=[
+        "not-json",
+        "cover-past-end",
+        "cover-negative",
+        "self-cover",
+        "elements-string",
+    ],
+)
+def test_orderring_malformed_file(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
+    path.write_text(text)
     code, _, err = run_cli(capsys, "orderring", "--poset-file", str(path))
     assert code == 2
     assert "malformed poset file" in err

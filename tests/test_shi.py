@@ -15,7 +15,6 @@ from shicone.rootsys import (
     weyl_group,
 )
 from shicone.shi import (
-    ShiArrangement,
     ceiling_oracle,
     complement_of_inversions,
     cone_report,
@@ -34,24 +33,6 @@ from shicone.shi import (
 
 def roots_of(rs, indices):
     return {rs.positive_roots[i] for i in indices}
-
-
-# -- arrangements --------------------------------------------------------------
-
-
-def test_deletion_contains_reflection_arrangement(rs_b2):
-    arr = ShiArrangement.deletion(rs_b2, [0, 2])
-    assert all(0 in ls for ls in arr.levels)
-    assert ShiArrangement.deletion(rs_b2, range(4)) == ShiArrangement.full(rs_b2)
-    assert ShiArrangement.fuss(rs_b2, 1) == ShiArrangement.full(rs_b2)
-
-
-def test_fuss_levels(rs_b2):
-    arr = ShiArrangement.fuss(rs_b2, 2)
-    assert arr.levels[0] == frozenset({-1, 0, 1, 2})
-    assert (0, -1) in arr.hyperplanes() and (0, 2) in arr.hyperplanes()
-    with pytest.raises(ValueError):
-        ShiArrangement.fuss(rs_b2, 0)
 
 
 # -- dominant regions ------------------------------------------------------------
@@ -99,6 +80,25 @@ def test_region_witness_predicates(rs_b2):
                 assert v < den
             elif i in E:
                 assert v > den
+
+
+def test_sign_oracle_extends_only_feasible_prefixes(monkeypatch):
+    # one kernel call for the bare dominant cone, then two per feasible
+    # proper prefix: the oracle never extends an empty prefix
+    rs = get_rs("B3")
+    kernel = shi.feasible_rows
+    answers = []
+
+    def counting(dim, rows):
+        witness = kernel(dim, rows)
+        answers.append(witness is not None)
+        return witness
+
+    monkeypatch.setattr(shi, "feasible_rows", counting)
+    for w in weyl_group(rs):
+        answers.clear()
+        oracle = dominant_sign_oracle(rs, complement_of_inversions(rs, w))
+        assert len(answers) == 1 + 2 * (sum(answers) - len(oracle))
 
 
 def test_sign_oracle_rank_bound():
@@ -411,11 +411,28 @@ def test_level_one_reduces_to_base_theory(name):
     assert data.max_abs_mobius == 1
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("name", RANK_LE_3)
+def test_fuss_catalan_counts(name, m):
+    # the cells of the level-m extension in the dominant cone are counted
+    # by prod(m h + d) / prod(d), and so is the Mobius mass of its flats
+    rs = get_rs(name)
+    data = fuss_dominant(rs, m)
+    num = den = 1
+    for d in rs.degrees:
+        num *= m * rs.coxeter_number + d
+        den *= d
+    assert data.n_regions == num // den
+    assert data.poincare(1) == data.n_regions
+
+
 def test_fuss_bounds():
     with pytest.raises(ValueError):
         fuss_dominant(get_rs("B4"), 2)
     with pytest.raises(ValueError):
         fuss_dominant(get_rs("A2"), 4)
+    with pytest.raises(ValueError):
+        fuss_dominant(get_rs("A2"), 0)
 
 
 # -- reports ---------------------------------------------------------------------------------

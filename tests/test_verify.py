@@ -14,10 +14,22 @@ from shicone.verify import (
 )
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "B2", "D3"])
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "D3", "A4"])
 def test_full_suite_passes(name):
     results = run_suite(get_rs(name), "all")
-    assert results, "suite produced no checks"
+    assert [r.name for r in results] == [
+        "region_ceiling_bijection",
+        "flat_antichain_bijection",
+        "boolean_intervals",
+        "cone_cut_criterion",
+        "antichain_independence",
+        "nonnesting_flat_injectivity",
+        "comparable_pair_infeasibility",
+        "counting_identities",
+        "hilbert_matches_poincare",
+        "region_ring_isomorphism",
+        "antichain_recursion",
+    ]
     for r in results:
         assert r.passed, r.line()
 
@@ -73,7 +85,7 @@ def test_untransported_witness_fails_cone_check():
         check_region_ceiling_bijection(ctx)
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "G2"])
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "D4"])
 def test_cone_cut_calls_kernel_only_for_meetings(name, monkeypatch):
     # cone-cut inversions are proved by checked Farkas certificates, so
     # the kernel runs only for the hyperplanes meeting a cone
