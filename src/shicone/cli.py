@@ -14,6 +14,8 @@ success, 1 when a verification check fails, 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from dataclasses import dataclass
@@ -100,7 +102,9 @@ def render(record: OutputRecord) -> str:
         rows.append(["command", record.command])
         rows.append(["cartan_type", record.cartan_type])
         _flatten("", record.payload, rows)
-        return "\n".join(",".join(cell for cell in row if cell != "") for row in rows) + "\n"
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        return buf.getvalue()
     lines = [f"{record.command} {record.cartan_type}".strip()]
     rows = []
     _flatten("", record.payload, rows)

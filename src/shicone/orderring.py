@@ -116,16 +116,6 @@ class OrderRing:
         return RingElement(self, [1 if p in ideal else 0 for ideal in self.ideals])
 
 
-def heaviside(poset: FinitePoset, p) -> RingElement:
-    """Membership indicator of p as a function on order ideals."""
-    return OrderRing(poset).heaviside(p)
-
-
-def multiply(f: RingElement, g: RingElement) -> RingElement:
-    """Pointwise product; fails on a poset mismatch."""
-    return f * g
-
-
 def vg_heaviside(rs: RootSystem, E: Iterable[int], region: ShiRegion, b: int) -> int:
     """Side indicator of a region against the level-1 hyperplane of b.
 
@@ -189,10 +179,6 @@ def standard_monomials(poset: FinitePoset) -> list:
     support is an antichain; the list comes out grouped by degree.
     """
     return poset.antichains()
-
-
-def is_standard_monomial(poset: FinitePoset, support: Iterable) -> bool:
-    return poset.is_antichain(support)
 
 
 def hilbert_series(poset: FinitePoset) -> IntPolynomial:

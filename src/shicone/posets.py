@@ -112,11 +112,6 @@ class FinitePoset:
             self.elements[i] for i in range(self._n) if self._up[i] == 1 << i
         )
 
-    def minimal_elements(self) -> frozenset:
-        return frozenset(
-            self.elements[i] for i in range(self._n) if self._down[i] == 1 << i
-        )
-
     # -- subposets and closures ------------------------------------------
 
     @classmethod

@@ -25,7 +25,6 @@ from .exactgeom import (
     AffineFlat,
     as_fractions,
     check_farkas,
-    contains_flat,
     feasible_rows,
     flat_contains,
     intersect_hyperplanes,
@@ -82,8 +81,12 @@ class Flat:
 class IntersectionPoset:
     """Flats ordered by reverse inclusion, with Mobius data from V down.
 
-    ``flats[0]`` is the ambient space V, the unique minimum.  The order
-    is computed geometrically from the flats' canonical reduced systems.
+    Each flat comes as ``(generators, geometry)``, and its generators
+    must be every hyperplane of the arrangement that contains it.  Then
+    flat i contains flat j exactly when the generators of i are a subset
+    of those of j, so the order is read off the generator sets and no
+    geometry is consulted.  ``flats[0]`` is the ambient space V, the
+    unique minimum.
     """
 
     def __init__(self, flats: Sequence[tuple]):
@@ -91,17 +94,11 @@ class IntersectionPoset:
         entries = sorted(flats, key=lambda f: (f[1].codim, sorted(f[0])))
         n = len(entries)
         assert n >= 1 and entries[0][1].codim == 0, "ambient space missing"
-        geos = [geo for _, geo in entries]
-        codims = [geo.codim for geo in geos]
-        leq = [0] * n  # leq[j] = bitmask of i with X_i >= X_j (reverse incl.)
-        for j in range(n):
-            cj = codims[j]
-            m = 0
-            for i in range(n):
-                if codims[i] <= cj and contains_flat(geos[i], geos[j]):
-                    m |= 1 << i
-            leq[j] = m
-        self._leq = tuple(leq)
+        gens = [g for g, _ in entries]
+        # leq[j] = bitmask of i with X_i >= X_j (reverse inclusion)
+        self._leq = tuple(
+            sum(1 << i for i in range(n) if gens[i] <= gj) for gj in gens
+        )
         self._interval_cache: dict = {}
         self.flats = tuple(
             Flat(gens, geo, self.interval_mobius(0, j))
@@ -114,9 +111,6 @@ class IntersectionPoset:
     def leq(self, i: int, j: int) -> bool:
         """Order as reverse inclusion: i <= j iff flat i contains flat j."""
         return bool(self._leq[j] & (1 << i))
-
-    def lower_interval_size(self, j: int) -> int:
-        return self._leq[j].bit_count()
 
     def interval_mobius(self, i: int, j: int) -> int:
         """Mobius function of the interval [X_i, X_j]."""
@@ -359,17 +353,20 @@ def dominant_sign_oracle(rs: RootSystem, E: Iterable[int]) -> dict:
 # -- flats -------------------------------------------------------------------
 
 
-def _antichain_flat_poset(
-    rs: RootSystem, antichains: list, send, cone: list
-) -> IntersectionPoset:
-    """Shared construction: one flat per antichain, checked against a cone.
+def _antichain_flat_poset(rs: RootSystem, sub, send, cone: list) -> IntersectionPoset:
+    """Shared construction: one flat per antichain of ``sub``, checked
+    against a cone.
 
     ``send`` maps a poset element to the root index of its hyperplane.
-    The Mobius function is computed by the generic recursion and asserted
-    to alternate with codimension; lower intervals are asserted Boolean.
+    Each flat must meet the cone and lie on no hyperplane of ``sub``
+    outside its own antichain.  So its generators are complete, as
+    :class:`IntersectionPoset` requires, and the lower interval of a
+    flat of codim k is the Boolean lattice of its antichain's 2^k
+    subsets.
     """
+    roots = [send(i) for i in sub.elements]
     entries = []
-    for A in antichains:
+    for A in sub.antichains():
         gens = frozenset(send(i) for i in A)
         planes = [(rs.positive_roots[g], 1) for g in sorted(gens)]
         geometry = intersect_hyperplanes(rs.rank, planes)
@@ -382,13 +379,16 @@ def _antichain_flat_poset(
             raise RuntimeError(
                 "flat does not meet its cone; arrangement invariant violated"
             )
+        if any(
+            g not in gens and flat_contains(geometry, rs.positive_roots[g], 1)
+            for g in roots
+        ):
+            raise RuntimeError(
+                "flat lies on a hyperplane outside its antichain; "
+                "arrangement invariant violated"
+            )
         entries.append((gens, geometry))
-    poset = IntersectionPoset(entries)
-    for j, f in enumerate(poset.flats):
-        k = f.geometry.codim
-        assert f.mobius == (-1) ** k, "Mobius value fails to alternate"
-        assert poset.lower_interval_size(j) == 1 << k, "lower interval not Boolean"
-    return poset
+    return IntersectionPoset(entries)
 
 
 def flats_in_cone(rs: RootSystem, w: WeylElement) -> IntersectionPoset:
@@ -400,15 +400,13 @@ def flats_in_cone(rs: RootSystem, w: WeylElement) -> IntersectionPoset:
     E = complement_of_inversions(rs, w)
     sub = root_poset(rs).restrict(E)
     send = lambda i: _positive_image(rs, w, i)
-    return _antichain_flat_poset(rs, sub.antichains(), send, cone_rows(rs, w))
+    return _antichain_flat_poset(rs, sub, send, cone_rows(rs, w))
 
 
 def flats_in_dominant(rs: RootSystem, E: Iterable[int]) -> IntersectionPoset:
     """Intersection poset of the deletion to E inside the dominant cone."""
     sub = root_poset(rs).restrict(sorted(set(E)))
-    return _antichain_flat_poset(
-        rs, sub.antichains(), lambda i: i, _positivity_rows(rs.rank)
-    )
+    return _antichain_flat_poset(rs, sub, lambda i: i, _positivity_rows(rs.rank))
 
 
 def flats_oracle(rs: RootSystem, w: WeylElement) -> IntersectionPoset:
@@ -449,41 +447,43 @@ def _closure_poset(
     """Intersection poset of all intersections of the hyperplanes, found
     by incremental closure.
 
-    ``planes`` maps a generator label to a hyperplane ``(normal, level)``,
-    and each flat is generated by the labels of those that contain it.
-    With ``inside_rows`` given, only flats meeting that open region are
-    kept; every flat meeting it arises through intermediate intersections
-    that also meet it, so the filtered closure is still complete.
+    ``planes`` maps a generator label to a hyperplane ``(normal, level)``.
+    Each flat's generators, the labels of every hyperplane containing
+    it, are found when the flat is: those of its parent, the new
+    hyperplane and any other that contains it.  With ``inside_rows``
+    given, only flats meeting that open region are kept; every flat
+    meeting it arises through intermediate intersections that also meet
+    it, so the filtered closure is still complete.  Every flat reached
+    is recorded by its rref, as None when it misses the region, so each
+    distinct flat goes to the kernel at most once.
     """
     ambient = intersect_hyperplanes(rs.rank, [])
-    flats = {ambient.rref: ambient}
-    frontier = [ambient]
+    seen = {ambient.rref: (frozenset(), ambient)}
+    frontier = list(seen.values())
     while frontier:
         nxt = []
-        for x in frontier:
+        for xgens, x in frontier:
             rows = [(r[:-1], r[-1]) for r in x.rref]
-            for normal, level in planes.values():
-                if flat_contains(x, normal, level):
+            for label, (normal, level) in planes.items():
+                if label in xgens:
                     continue
                 y = intersect_hyperplanes(rs.rank, rows + [(normal, level)])
-                if y.is_empty or y.rref in flats:
+                if y.is_empty or y.rref in seen:
                     continue
                 if inside_rows is not None:
                     eqs = [(r[:-1], r[-1], EQ) for r in y.rref]
                     if feasible_rows(rs.rank, eqs + inside_rows) is None:
+                        seen[y.rref] = None
                         continue
-                flats[y.rref] = y
-                nxt.append(y)
+                ygens = frozenset(
+                    other
+                    for other, (nrm, lvl) in planes.items()
+                    if other in xgens or other == label or flat_contains(y, nrm, lvl)
+                )
+                seen[y.rref] = (ygens, y)
+                nxt.append((ygens, y))
         frontier = nxt
-    entries = []
-    for y in flats.values():
-        gens = frozenset(
-            label
-            for label, (normal, level) in planes.items()
-            if flat_contains(y, normal, level)
-        )
-        entries.append((gens, y))
-    return IntersectionPoset(entries)
+    return IntersectionPoset([e for e in seen.values() if e is not None])
 
 
 def full_arrangement_poincare(rs: RootSystem) -> IntPolynomial:

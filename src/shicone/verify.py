@@ -22,6 +22,7 @@ from . import orderring, shi
 from .exactgeom import (
     EQ,
     check_farkas,
+    contains_flat,
     feasible_rows,
     intersect_hyperplanes,
     matrix_rank,
@@ -237,18 +238,25 @@ def check_flat_bijection(ctx: TypeContext) -> str:
 
 
 def check_boolean_intervals(ctx: TypeContext) -> str:
-    """Interval structure and Mobius alternation inside every cone."""
+    """Interval structure and Mobius alternation inside every cone.
+
+    The lower interval [V, X] is the lattice of flats cut out by the
+    hyperplanes containing X, so it is Boolean exactly when a flat of
+    codim k lies on k hyperplanes.  These are counted geometrically
+    among the poset's codim-1 flats, the hyperplanes meeting the cone.
+    """
     rs = ctx.rs
     pairs = 0
     for w in ctx.W:
         poset = ctx.flats(w)
         regions = ctx.regions(w)
         _need(len(poset) == len(regions), "flat count differs from region count")
-        for j, f in enumerate(poset.flats):
+        atoms = [f.geometry for f in poset.flats if f.geometry.codim == 1]
+        for f in poset.flats:
             k = f.geometry.codim
             _need(f.mobius == (-1) ** k, "Mobius value fails to alternate")
             _need(
-                poset.lower_interval_size(j) == 1 << k,
+                sum(contains_flat(a, f.geometry) for a in atoms) == k,
                 "lower interval is not Boolean",
             )
         if rs.rank <= MAX_ORACLE_RANK:

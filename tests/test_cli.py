@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -282,6 +283,24 @@ def test_csv_format(capsys):
     lines = out.splitlines()
     assert lines[0] == "command,roots"
     assert "narayana,1,4,1" in lines
+
+
+def test_csv_cells_are_quoted_and_kept(tmp_path, capsys):
+    # a comma inside a cell and an empty cell survive a CSV reader
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps({"elements": ["a,b", "c", ""], "covers": [[0, 1]]}))
+    code, out, _ = run_cli(
+        capsys, "orderring", "--poset-file", str(path), "--format", "csv"
+    )
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert ["elements", "a,b", "c", ""] in rows
+    code, out, _ = run_cli(
+        capsys, "verify", "--type", "A2", "--theorem", "1", "--format", "csv"
+    )
+    assert code == 0
+    details = [r for r in csv.reader(out.splitlines()) if r[0] == "checks[0].details"]
+    assert details == [["checks[0].details", "6 cones, 16 regions, 15 facet probes"]]
 
 
 def test_text_format(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import RANK_4, RANK_LE_3, get_rs
 from shicone import shi
-from shicone.exactgeom import EQ, GT, feasible_rows
+from shicone.exactgeom import EQ, GT, contains_flat, feasible_rows
 from shicone.poly import IntPolynomial
 from shicone.rootsys import (
     element_from_word,
@@ -311,8 +311,66 @@ def test_intersection_poset_structure(rs_b2):
     # reverse inclusion: the ambient space is the unique minimum
     assert all(poset.leq(0, j) for j in range(len(poset)))
     for j, f in enumerate(poset.flats):
-        assert poset.lower_interval_size(j) == 2 ** f.geometry.codim
+        below = sum(poset.leq(i, j) for i in range(len(poset)))
+        assert below == 2 ** f.geometry.codim
         assert poset.interval_mobius(0, j) == f.mobius
+
+
+def _level_planes(rs, levels):
+    return {(i, k): (c, k) for i, c in enumerate(rs.positive_roots) for k in levels}
+
+
+def _closure_posets(rs):
+    """The whole level-0/1 arrangement, the level 1..3 dominant closure
+    and the closure oracle on every cone."""
+    yield shi._closure_poset(rs, _level_planes(rs, (0, 1)))
+    yield shi._closure_poset(
+        rs, _level_planes(rs, (1, 2, 3)), inside_rows=shi._positivity_rows(rs.rank)
+    )
+    for w in weyl_group(rs):
+        yield flats_oracle(rs, w)
+
+
+@pytest.mark.parametrize("name", RANK_LE_3)
+def test_generator_order_is_geometric_inclusion(name):
+    # the order read off the generator sets agrees with containment of
+    # the flats, on the posets whose generators come from a scan
+    for poset in _closure_posets(get_rs(name)):
+        geos = [f.geometry for f in poset.flats]
+        for i, gi in enumerate(geos):
+            for j, gj in enumerate(geos):
+                assert poset.leq(i, j) == contains_flat(gi, gj)
+
+
+def test_closure_asks_kernel_once_per_flat(monkeypatch):
+    rs = get_rs("B3")
+    systems = []
+    kernel = shi.feasible_rows
+
+    def recording(dim, rows):
+        systems.append(tuple(rows))
+        return kernel(dim, rows)
+
+    monkeypatch.setattr(shi, "feasible_rows", recording)
+    runs = [lambda w=w: flats_oracle(rs, w) for w in weyl_group(rs)]
+    runs.append(
+        lambda: shi._closure_poset(
+            rs, _level_planes(rs, (1, 2, 3)), inside_rows=shi._positivity_rows(rs.rank)
+        )
+    )
+    total = 0
+    for run in runs:
+        systems.clear()
+        run()
+        assert len(set(systems)) == len(systems)
+        total += len(systems)
+    assert total > 0
+
+
+def test_flat_on_outside_hyperplane_fails_construction(rs_b2, monkeypatch):
+    monkeypatch.setattr(shi, "flat_contains", lambda flat, normal, level: True)
+    with pytest.raises(RuntimeError, match="outside its antichain"):
+        flats_in_cone(rs_b2, element_from_word(rs_b2, ()))
 
 
 # -- Poincare polynomials ---------------------------------------------------------------

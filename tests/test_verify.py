@@ -7,6 +7,7 @@ from shicone import verify
 from shicone.rootsys import inversion_set
 from shicone.verify import (
     TypeContext,
+    check_boolean_intervals,
     check_cone_cut,
     check_fuss,
     check_region_ceiling_bijection,
@@ -83,6 +84,14 @@ def test_untransported_witness_fails_cone_check():
     cone_regions[0] = replace(cone_regions[0], witness=ctx.regions(w)[0].witness)
     with pytest.raises(verify._Failure, match="transported witness leaves its cone cell"):
         check_region_ceiling_bijection(ctx)
+
+
+def test_extra_hyperplane_fails_boolean_check(monkeypatch):
+    # every flat claimed to lie on every hyperplane of the cone
+    ctx = TypeContext(get_rs("B2"))
+    monkeypatch.setattr(verify, "contains_flat", lambda outer, inner: True)
+    with pytest.raises(verify._Failure, match="lower interval is not Boolean"):
+        check_boolean_intervals(ctx)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "G2", "D4"])
