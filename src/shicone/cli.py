@@ -206,10 +206,7 @@ def cmd_orderring(args) -> int:
     monomials = orderring.standard_monomials(poset)
     pos = {e: i for i, e in enumerate(poset.elements)}
     payload = {
-        "elements": list(poset.elements),
-        "covers": sorted(
-            [pos[a], pos[b]] for a, b in poset.cover_pairs()
-        ),
+        **poset.to_json_dict(),
         "vertices": [list(v) for v in vertices],
         "generators": orderring.generator_strings(poset),
         "standard_monomials": [

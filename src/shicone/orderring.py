@@ -137,27 +137,22 @@ def polytope_vertices(poset: FinitePoset) -> frozenset:
     """Vertices of the order polytope: 0/1 indicator vectors of order
     filters, over the poset's element sequence.  Their number equals the
     number of antichains."""
-    verts = set()
-    for F in poset.order_filters():
-        verts.add(tuple(1 if e in F else 0 for e in poset.elements))
-    assert len(verts) == len(poset.antichains())
-    return frozenset(verts)
+    filters = poset.order_filters()
+    verts = frozenset(tuple(int(e in F) for e in poset.elements) for F in filters)
+    assert len(verts) == len(filters)
+    return verts
 
 
 def generators(poset: FinitePoset) -> tuple:
-    """The quadratic relations z_p (1 - z_q), one per pair p <= q.
+    """The quadratic relations z_p (1 - z_q), one per pair p <= q, in
+    the order of (position of p, position of q).
 
     Pairs with p = q give the idempotency relations z_p - z_p^2.  Every
     generator vanishes on every order-polytope vertex.
     """
-    pairs = [
-        (a, b)
-        for a in poset.elements
-        for b in poset.elements
-        if poset.leq(a, b)
-    ]
-    pos = {e: i for i, e in enumerate(poset.elements)}
-    return tuple(sorted(pairs, key=lambda ab: (pos[ab[0]], pos[ab[1]])))
+    return tuple(
+        (a, b) for a in poset.elements for b in poset.elements if poset.leq(a, b)
+    )
 
 
 def generator_value(poset: FinitePoset, pair: tuple, vertex: Sequence[int]) -> int:
@@ -168,7 +163,7 @@ def generator_value(poset: FinitePoset, pair: tuple, vertex: Sequence[int]) -> i
 
 
 def generator_strings(poset: FinitePoset) -> list:
-    """Canonical text form of the generators, sorted by (p, q)."""
+    """Canonical text form of the generators, in :func:`generators` order."""
     return [f"z_{p}*(1-z_{q})" for p, q in generators(poset)]
 
 

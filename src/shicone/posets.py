@@ -154,25 +154,26 @@ class FinitePoset:
                     return False
         return True
 
+    def _closure(self, masks: list, A: Iterable[ElementId]) -> frozenset:
+        """Union of ``masks`` (down-sets or up-sets) over the elements of A."""
+        m = 0
+        for e in A:
+            m |= masks[self._pos[e]]
+        return self._set(m)
+
     def ideal_generated(self, A: Iterable[ElementId]) -> frozenset:
         """Downward closure of the antichain ``A`` (including ``A``)."""
         items = list(A)
         if not self.is_antichain(items):
             raise ValueError("generators are not an antichain")
-        m = 0
-        for e in items:
-            m |= self._down[self._pos[e]]
-        return self._set(m)
+        return self._closure(self._down, items)
 
     def filter_generated(self, A: Iterable[ElementId]) -> frozenset:
         """Upward closure of the antichain ``A`` (including ``A``)."""
         items = list(A)
         if not self.is_antichain(items):
             raise ValueError("generators are not an antichain")
-        m = 0
-        for e in items:
-            m |= self._up[self._pos[e]]
-        return self._set(m)
+        return self._closure(self._up, items)
 
     def is_ideal(self, S: Iterable[ElementId]) -> bool:
         m = self._mask(S)
@@ -234,10 +235,10 @@ class FinitePoset:
 
     def order_ideals(self) -> list[frozenset]:
         """All order ideals, in bijection with (and ordered like) antichains."""
-        return [self.ideal_generated(A) for A in self.antichains()]
+        return [self._closure(self._down, A) for A in self.antichains()]
 
     def order_filters(self) -> list[frozenset]:
-        return [self.filter_generated(A) for A in self.antichains()]
+        return [self._closure(self._up, A) for A in self.antichains()]
 
     def antichain_polynomial(self) -> IntPolynomial:
         """Generating polynomial of antichains by cardinality."""

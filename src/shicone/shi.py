@@ -297,40 +297,36 @@ def ceiling_oracle(rs: RootSystem, E: Iterable[int], region: ShiRegion) -> froze
     return frozenset(found)
 
 
-def _cells(rs: RootSystem, roots: Sequence[int], m: int):
+def _cells(rs: RootSystem, roots: Sequence[int], m: int) -> list:
     """Cells of the dominant cone cut by the level 1..m hyperplanes of
-    ``roots``, depth first over the roots in order.
+    ``roots``, built one root at a time in order.
 
     Root i takes interval j: its value lies in (j, j+1) for j < m and in
-    (m, oo) for j = m.  A prefix of choices is extended only when the
-    kernel finds it feasible, so every kernel call after the first (on
-    the bare cone) extends a nonempty cell of a shorter prefix.  Yields
-    ``(choices, witness)`` per cell, the witness being the kernel answer
-    that admitted the last root.
+    (m, oo) for j = m.  A cell is extended by each interval the kernel
+    finds feasible, so every kernel call after the first (on the bare
+    cone) extends a nonempty cell of a shorter prefix.  Returns the list
+    of ``(choices, witness)``, the witness being the kernel answer that
+    admitted the last root.
     """
     n = rs.rank
-
-    def intervals(coords: tuple) -> list:
+    base = _positivity_rows(n)
+    cells = [((), base, feasible_rows(n, base))]
+    for i in roots:
+        coords = rs.positive_roots[i]
         neg = tuple(-c for c in coords)
-        return [
+        intervals = [
             ([(coords, j, GT)] if j else []) + ([(neg, -j - 1, GT)] if j < m else [])
             for j in range(m + 1)
         ]
-
-    steps = [intervals(rs.positive_roots[i]) for i in roots]
-
-    def extend(k: int, rows: list, choices: tuple, witness: tuple):
-        if k == len(steps):
-            yield choices, witness
-            return
-        for j, extra in enumerate(steps[k]):
-            nxt = rows + extra
-            found = feasible_rows(n, nxt)
-            if found is not None:
-                yield from extend(k + 1, nxt, choices + (j,), found)
-
-    base = _positivity_rows(n)
-    yield from extend(0, base, (), feasible_rows(n, base))
+        grown = []
+        for choices, rows, _ in cells:
+            for j, extra in enumerate(intervals):
+                nxt = rows + extra
+                witness = feasible_rows(n, nxt)
+                if witness is not None:
+                    grown.append((choices + (j,), nxt, witness))
+        cells = grown
+    return [(choices, witness) for choices, _, witness in cells]
 
 
 def dominant_sign_oracle(rs: RootSystem, E: Iterable[int]) -> dict:
@@ -444,46 +440,45 @@ def _closure_poset(
     planes: dict,
     inside_rows: Optional[list] = None,
 ) -> IntersectionPoset:
-    """Intersection poset of all intersections of the hyperplanes, found
-    by incremental closure.
+    """Intersection poset of all intersections of the hyperplanes, built
+    by inserting them one at a time in ``planes`` order.
 
     ``planes`` maps a generator label to a hyperplane ``(normal, level)``.
-    Each flat's generators, the labels of every hyperplane containing
-    it, are found when the flat is: those of its parent, the new
-    hyperplane and any other that contains it.  With ``inside_rows``
-    given, only flats meeting that open region are kept; every flat
-    meeting it arises through intermediate intersections that also meet
-    it, so the filtered closure is still complete.  Every flat reached
-    is recorded by its rref, as None when it misses the region, so each
-    distinct flat goes to the kernel at most once.
+    Inserting H visits each flat X found so far once: H joins the
+    generators of X when it contains X; otherwise the new flat Y = X & H
+    starts with the generators of X plus H.  With ``inside_rows`` given,
+    only flats meeting that open region are kept (a flat meeting it lies
+    in flats that meet it), and a flat missing it is recorded by its rref
+    as None, so each distinct flat goes to the kernel at most once.
+
+    Completeness: after H_1..H_k, every nonempty intersection of some of
+    them that meets the region is found, with all of H_1..H_k containing
+    it.  A new Y = X & H_k lies on no earlier H outside the generators of
+    X, since X & H would equal Y and would have been found earlier.
     """
     ambient = intersect_hyperplanes(rs.rank, [])
-    seen = {ambient.rref: (frozenset(), ambient)}
-    frontier = list(seen.values())
-    while frontier:
-        nxt = []
-        for xgens, x in frontier:
+    found = {ambient.rref: (set(), ambient)}
+    for label, (normal, level) in planes.items():
+        for entry in list(found.values()):
+            if entry is None:
+                continue
+            xgens, x = entry
+            if flat_contains(x, normal, level):
+                xgens.add(label)
+                continue
             rows = [(r[:-1], r[-1]) for r in x.rref]
-            for label, (normal, level) in planes.items():
-                if label in xgens:
+            y = intersect_hyperplanes(rs.rank, rows + [(normal, level)])
+            if y.is_empty or y.rref in found:
+                continue
+            if inside_rows is not None:
+                eqs = [(r[:-1], r[-1], EQ) for r in y.rref]
+                if feasible_rows(rs.rank, eqs + inside_rows) is None:
+                    found[y.rref] = None
                     continue
-                y = intersect_hyperplanes(rs.rank, rows + [(normal, level)])
-                if y.is_empty or y.rref in seen:
-                    continue
-                if inside_rows is not None:
-                    eqs = [(r[:-1], r[-1], EQ) for r in y.rref]
-                    if feasible_rows(rs.rank, eqs + inside_rows) is None:
-                        seen[y.rref] = None
-                        continue
-                ygens = frozenset(
-                    other
-                    for other, (nrm, lvl) in planes.items()
-                    if other in xgens or other == label or flat_contains(y, nrm, lvl)
-                )
-                seen[y.rref] = (ygens, y)
-                nxt.append((ygens, y))
-        frontier = nxt
-    return IntersectionPoset([e for e in seen.values() if e is not None])
+            found[y.rref] = (xgens | {label}, y)
+    return IntersectionPoset(
+        [(frozenset(e[0]), e[1]) for e in found.values() if e is not None]
+    )
 
 
 def full_arrangement_poincare(rs: RootSystem) -> IntPolynomial:
@@ -535,7 +530,7 @@ def fuss_dominant(rs: RootSystem, m: int) -> FussDominant:
         for k in range(1, m + 1)
     }
     poset = _closure_poset(rs, planes, inside_rows=_positivity_rows(rs.rank))
-    count = sum(1 for _ in _cells(rs, range(len(rs.positive_roots)), m))
+    count = len(_cells(rs, range(len(rs.positive_roots)), m))
     dist: dict = {}
     for f in poset.flats:
         dist[abs(f.mobius)] = dist.get(abs(f.mobius), 0) + 1

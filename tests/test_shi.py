@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,7 +6,14 @@ import pytest
 
 from conftest import RANK_4, RANK_LE_3, get_rs
 from shicone import shi
-from shicone.exactgeom import EQ, GT, contains_flat, feasible_rows
+from shicone.exactgeom import (
+    EQ,
+    GT,
+    contains_flat,
+    feasible_rows,
+    flat_contains,
+    intersect_hyperplanes,
+)
 from shicone.poly import IntPolynomial
 from shicone.rootsys import (
     element_from_word,
@@ -322,24 +330,103 @@ def _level_planes(rs, levels):
 
 def _closure_posets(rs):
     """The whole level-0/1 arrangement, the level 1..3 dominant closure
-    and the closure oracle on every cone."""
-    yield shi._closure_poset(rs, _level_planes(rs, (0, 1)))
-    yield shi._closure_poset(
-        rs, _level_planes(rs, (1, 2, 3)), inside_rows=shi._positivity_rows(rs.rank)
+    and the closure oracle on every cone, each with its hyperplanes."""
+    planes = _level_planes(rs, (0, 1))
+    yield planes, shi._closure_poset(rs, planes)
+    planes = _level_planes(rs, (1, 2, 3))
+    yield planes, shi._closure_poset(
+        rs, planes, inside_rows=shi._positivity_rows(rs.rank)
     )
     for w in weyl_group(rs):
-        yield flats_oracle(rs, w)
+        inv = inversion_set(rs, w)
+        planes = {g: (c, 1) for g, c in enumerate(rs.positive_roots) if g not in inv}
+        yield planes, flats_oracle(rs, w)
 
 
 @pytest.mark.parametrize("name", RANK_LE_3)
 def test_generator_order_is_geometric_inclusion(name):
-    # the order read off the generator sets agrees with containment of
-    # the flats, on the posets whose generators come from a scan
-    for poset in _closure_posets(get_rs(name)):
+    # each flat's generators are exactly the hyperplanes containing it,
+    # and the order read off them agrees with containment of the flats,
+    # on the posets whose generators are collected by hyperplane insertion
+    for planes, poset in _closure_posets(get_rs(name)):
         geos = [f.geometry for f in poset.flats]
+        for f in poset.flats:
+            assert f.generators == {
+                label
+                for label, (normal, level) in planes.items()
+                if flat_contains(f.geometry, normal, level)
+            }
         for i, gi in enumerate(geos):
             for j, gj in enumerate(geos):
                 assert poset.leq(i, j) == contains_flat(gi, gj)
+
+
+def _insertion_step(rank, planes, flat):
+    """Number of hyperplanes inserted when the closure finds ``flat``: the
+    first prefix of ``planes`` whose members among its generators cut it
+    out."""
+    members = []
+    for k, label in enumerate(planes):
+        if intersect_hyperplanes(rank, members).rref == flat.geometry.rref:
+            return k
+        if label in flat.generators:
+            members.append(planes[label])
+    return len(planes)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3"])
+@pytest.mark.parametrize("levels", [(0, 1), (1, 2, 3)])
+def test_closure_intersects_each_flat_once_per_later_hyperplane(
+    name, levels, monkeypatch
+):
+    # one intersection for the ambient space, then one per found flat and
+    # later hyperplane not containing it: no flat is rebuilt per parent
+    rs = get_rs(name)
+    planes = _level_planes(rs, levels)
+    inside = shi._positivity_rows(rs.rank) if levels[0] else None
+    calls = []
+
+    def counting(dim, rows):
+        calls.append(rows)
+        return intersect_hyperplanes(dim, rows)
+
+    monkeypatch.setattr(shi, "intersect_hyperplanes", counting)
+    poset = shi._closure_poset(rs, planes, inside_rows=inside)
+    order = list(planes)
+    expected = 1
+    for f in poset.flats:
+        later = order[_insertion_step(rs.rank, planes, f) :]
+        expected += sum(label not in f.generators for label in later)
+    assert len(calls) == expected
+
+
+# sha256 of repr() of the oracle outputs below: any change to a flat,
+# its generators or Mobius value, a cell or a witness changes it.
+ORACLE_DIGEST = "a87289a9f8b1666c4353cadb2ddf7f190bdbac186d07b8890962b52bcb7cdf4c"
+
+
+def test_oracle_outputs_pinned():
+    def flats(poset):
+        return [
+            (f.geometry.rref, sorted(f.generators), f.geometry.codim, f.mobius)
+            for f in poset.flats
+        ]
+
+    data = []
+    for name in ("G2", "B3"):
+        rs = get_rs(name)
+        data.append(flats(shi._closure_poset(rs, _level_planes(rs, (0, 1)))))
+        for m in (1, 2, 3):
+            planes = _level_planes(rs, range(1, m + 1))
+            inside = shi._positivity_rows(rs.rank)
+            data.append(flats(shi._closure_poset(rs, planes, inside_rows=inside)))
+            data.append(shi._cells(rs, range(len(rs.positive_roots)), m))
+    rs = get_rs("B3")
+    for w in weyl_group(rs):
+        data.append(flats(flats_oracle(rs, w)))
+        oracle = dominant_sign_oracle(rs, complement_of_inversions(rs, w))
+        data.append([(sorted(below), witness) for below, witness in oracle.items()])
+    assert hashlib.sha256(repr(data).encode()).hexdigest() == ORACLE_DIGEST
 
 
 def test_closure_asks_kernel_once_per_flat(monkeypatch):

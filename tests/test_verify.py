@@ -9,7 +9,9 @@ from shicone.verify import (
     TypeContext,
     check_boolean_intervals,
     check_cone_cut,
+    check_counting,
     check_fuss,
+    check_hilbert_matches_poincare,
     check_region_ceiling_bijection,
     run_suite,
 )
@@ -84,6 +86,22 @@ def test_untransported_witness_fails_cone_check():
     cone_regions[0] = replace(cone_regions[0], witness=ctx.regions(w)[0].witness)
     with pytest.raises(verify._Failure, match="transported witness leaves its cone cell"):
         check_region_ceiling_bijection(ctx)
+
+
+def test_swapped_flats_fail_poincare_checks():
+    # the dominant cone carrying the flats of the longest cone, whose
+    # Poincare polynomial is 1: the order-ring side is read off the root
+    # poset, so only the geometric side changes
+    ctx = TypeContext(get_rs("B2"))
+    e, w0 = ctx.W[0], ctx.W[-1]
+    assert ctx.flats(e).poincare_polynomial() != ctx.flats(w0).poincare_polynomial()
+    ctx._memo[("flats", e.word)] = ctx.flats(w0)
+    with pytest.raises(
+        verify._Failure, match="Hilbert series differs from Poincare polynomial"
+    ):
+        check_hilbert_matches_poincare(ctx)
+    with pytest.raises(verify._Failure, match="dominant Whitney numbers not Narayana"):
+        check_counting(ctx)
 
 
 def test_extra_hyperplane_fails_boolean_check(monkeypatch):
