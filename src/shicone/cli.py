@@ -8,7 +8,8 @@ Subcommands:
   orderring  order-polytope vertices, ring presentation, Hilbert series
 
 Output is deterministic for identical invocations.  Exit codes: 0 on
-success, 1 when a verification check fails, 2 on usage or parse errors.
+success, 1 when a verification check fails, 2 on usage or parse errors
+and when the ``--out`` file cannot be written.
 """
 
 from __future__ import annotations
@@ -116,8 +117,11 @@ def render(record: OutputRecord) -> str:
 def emit(record: OutputRecord, out_path) -> None:
     text = render(record)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -7,9 +7,9 @@ this module defines:
 * an exact point is a pair ``(nums, den)`` of an integer numerator
   vector and a positive common denominator, the form the feasibility
   kernel returns;
-* an :class:`AffineFlat` holds primitive integer reduced rows, an exact
-  basepoint and primitive integer direction vectors, produced by
-  fraction-free Gauss-Jordan elimination.
+* an :class:`AffineFlat` holds only the primitive integer reduced rows
+  of its system, produced by fraction-free Gauss-Jordan elimination;
+  containment is decided by eliminating a row against them.
 
 Feasibility of mixed strict and non-strict systems is decided by
 Fourier-Motzkin elimination with exact witness extraction, in the
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from . import _fmcore_py as _fmcore
@@ -103,26 +103,22 @@ class AffineFlat:
     every row scaled to a primitive integer vector (gcd 1) whose pivot is
     positive.  It is a canonical key for the flat: two hyperplane
     collections cut out the same flat exactly when their reduced systems
-    agree.  ``basepoint`` is an exact point ``(nums, den)`` of the flat
-    and ``directions`` are primitive integer vectors spanning its
-    direction space.  The empty flat has no basepoint and is encoded by a
-    single contradictory row.
+    agree, and the codimension is the number of rows.  The empty flat is
+    encoded by a single contradictory row ``0 = 1``.
     """
 
     dim: int
-    basepoint: Optional[tuple]
-    directions: tuple
     rref: tuple
 
     @property
     def is_empty(self) -> bool:
-        return self.basepoint is None
+        return bool(self.rref) and not any(self.rref[0][:-1])
 
     @property
     def codim(self) -> int:
         if self.is_empty:
             raise ValueError("the empty flat has no codimension")
-        return self.dim - len(self.directions)
+        return len(self.rref)
 
     def __repr__(self) -> str:
         if self.is_empty:
@@ -185,33 +181,27 @@ def intersect_hyperplanes(dim: int, rows: Iterable[tuple]) -> AffineFlat:
         tuple(row if row[col] > 0 else [-x for x in row])
         for row, col in zip(work, pivot_cols)
     )
-    den = lcm(*(row[col] for row, col in zip(rref, pivot_cols)))
-    nums = [0] * dim
-    for row, col in zip(rref, pivot_cols):
-        nums[col] = row[dim] * (den // row[col])
-    g = gcd(den, *nums)
-    basepoint = (tuple(x // g for x in nums), den // g)
-    directions = []
-    for f in range(dim):
-        if f in pivot_cols:
-            continue
-        v = [0] * dim
-        v[f] = den
-        for row, col in zip(rref, pivot_cols):
-            v[col] = -row[f] * (den // row[col])
-        directions.append(tuple(_primitive(v)))
-    return AffineFlat(dim, basepoint, tuple(directions), rref)
+    return AffineFlat(dim, rref)
 
 
 def empty_flat(dim: int) -> AffineFlat:
-    return AffineFlat(dim, None, (), ((0,) * dim + (1,),))
+    return AffineFlat(dim, ((0,) * dim + (1,),))
 
 
 def _on_hyperplane(flat: AffineFlat, normal: Sequence[int], rhs: int) -> bool:
-    nums, den = flat.basepoint
-    if sum(c * x for c, x in zip(normal, nums)) != rhs * den:
-        return False
-    return all(sum(c * x for c, x in zip(normal, d)) == 0 for d in flat.directions)
+    """Whether the row ``(normal, rhs)`` lies in the span of the reduced
+    rows: eliminating it against each row's pivot must leave zero, since
+    no nonzero combination of the rows vanishes on every pivot."""
+    row = [*normal, rhs]
+    for prow in flat.rref:
+        for col, p in enumerate(prow):
+            if p:
+                break
+        f = row[col]
+        if f:
+            for j, b in enumerate(prow):
+                row[j] = p * row[j] - f * b
+    return not any(row)
 
 
 def flat_contains(flat: AffineFlat, normal: Sequence[int], rhs: int) -> bool:

@@ -10,7 +10,7 @@ here (root posets have at most 24 elements).
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 from .poly import IntPolynomial
 
@@ -31,34 +31,41 @@ class FinitePoset:
     ``relation`` is any iterable of pairs ``(a, b)`` meaning ``a < b``;
     the order is its reflexive-transitive closure.  Construction fails
     if the closure is not antisymmetric (i.e. the relation has a cycle).
+    A poset is immutable; its antichains are enumerated once.
     """
 
     def __init__(self, elements: Sequence[ElementId], relation: Iterable[tuple] = ()):
-        self.elements: tuple = tuple(elements)
-        self._pos: dict = {e: i for i, e in enumerate(self.elements)}
-        if len(self._pos) != len(self.elements):
+        elements = tuple(elements)
+        pos = {e: i for i, e in enumerate(elements)}
+        if len(pos) != len(elements):
             raise ValueError("duplicate elements")
-        n = len(self.elements)
+        n = len(elements)
         up = [1 << i for i in range(n)]
         for a, b in relation:
-            up[self._pos[a]] |= 1 << self._pos[b]
+            up[pos[a]] |= 1 << pos[b]
         # Bitset Warshall closure.
         for k in range(n):
             kbit = 1 << k
             for i in range(n):
                 if up[i] & kbit:
                     up[i] |= up[k]
-        down = [0] * n
+        self._adopt(elements, up)
         for i in range(n):
-            m = up[i]
-            for j in _bits(m):
-                down[j] |= 1 << i
-        for i in range(n):
-            if up[i] & down[i] != 1 << i:
+            if up[i] & self._down[i] != 1 << i:
                 raise ValueError("relation is not antisymmetric (has a cycle)")
+
+    def _adopt(self, elements: tuple, up: list) -> None:
+        """Set the elements, the up-set masks and what derives from them;
+        the down-set masks are the transpose of the up-set masks."""
+        self.elements: tuple = elements
+        self._pos: dict = {e: i for i, e in enumerate(elements)}
+        self._n = n = len(elements)
         self._up = up
-        self._down = down
-        self._n = n
+        self._down = down = [0] * n
+        for i in range(n):
+            for j in _bits(up[i]):
+                down[j] |= 1 << i
+        self._antichains: Optional[tuple] = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -118,17 +125,7 @@ class FinitePoset:
     def _from_masks(cls, elements: tuple, up: list) -> "FinitePoset":
         """Internal: adopt precomputed (already valid) up-set masks."""
         poset = cls.__new__(cls)
-        poset.elements = elements
-        poset._pos = {e: i for i, e in enumerate(elements)}
-        poset._up = up
-        n = len(elements)
-        down = [0] * n
-        for i in range(n):
-            m = up[i]
-            for j in _bits(m):
-                down[j] |= 1 << i
-        poset._down = down
-        poset._n = n
+        poset._adopt(elements, up)
         return poset
 
     def restrict(self, S: Iterable[ElementId]) -> "FinitePoset":
@@ -206,10 +203,16 @@ class FinitePoset:
     def antichains(self) -> list[frozenset]:
         """All antichains exactly once, grouped by increasing cardinality.
 
-        Enumeration walks elements in natural-label order, extending each
-        antichain only by later, incomparable elements, so every antichain
-        is produced once and each size group comes out already together.
+        Enumerated on the first call; every call returns a new list.
         """
+        if self._antichains is None:
+            self._antichains = self._enumerate_antichains()
+        return list(self._antichains)
+
+    def _enumerate_antichains(self) -> tuple:
+        """Walks elements in natural-label order, extending each antichain
+        only by later, incomparable elements, so every antichain is
+        produced once and each size group comes out already together."""
         order = [self._pos[e] for e in self.natural_labeling()]
         n = self._n
         # incomparable-and-later masks in natural-order indexing
@@ -231,7 +234,7 @@ class FinitePoset:
             for members, _ in nxt:
                 results.append(frozenset(self.elements[order[a]] for a in members))
             level = nxt
-        return results
+        return tuple(results)
 
     def order_ideals(self) -> list[frozenset]:
         """All order ideals, in bijection with (and ordered like) antichains."""
@@ -275,15 +278,17 @@ class FinitePoset:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FinitePoset":
-        """Inverse of :meth:`to_json_dict`.  ``elements`` must be a list,
-        and a cover that is not a pair of distinct positions into it
-        raises ``ValueError``."""
+        """Inverse of :meth:`to_json_dict`.  ``elements`` and ``covers``
+        must be lists, and a cover that is not a pair of distinct
+        positions into ``elements`` raises ``ValueError``."""
         elements = data["elements"]
-        if not isinstance(elements, list):
-            raise ValueError(f"elements must be a list, not {type(elements).__name__}")
+        covers = data.get("covers", [])
+        for key, value in (("elements", elements), ("covers", covers)):
+            if not isinstance(value, list):
+                raise ValueError(f"{key} must be a list, not {type(value).__name__}")
         n = len(elements)
         rel = []
-        for cover in data.get("covers", []):
+        for cover in covers:
             if not (
                 isinstance(cover, list)
                 and len(cover) == 2

@@ -18,17 +18,18 @@ Supported families: A (n>=1), B, C (n>=2), D (n>=3), G2, F4.
 
 A Weyl group element is stored as the permutation it induces on
 :func:`signed_roots` (the positive roots, then their negatives in the
-same order).  :func:`weyl_group` computes every permutation once, by
-composing the simple reflections' permutations along its breadth-first
-search; inverses, inversion sets and the action on roots are read off
-the permutation, and the coordinate matrix off the images of the simple
-roots.
+same order), and by nothing else: the element's action on any vector
+is linear, so it is fixed by the images of the simple roots.
+:func:`weyl_group` computes every permutation once, by composing the
+simple reflections' permutations along its breadth-first search;
+inverses, inversion sets and the action on roots are read off the
+permutation.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -156,16 +157,14 @@ class WeylElement:
 
     ``perm[j]`` is the index in :func:`signed_roots` of the image of
     signed root j; with N positive roots, ``perm[j] < N`` says the image
-    is positive.  ``matrix[i][j]`` is the coefficient of a_i in the image
-    of a_j, read off ``perm``.  ``word`` is a product expression in simple
-    reflections, left factor first; for elements produced by
-    :func:`weyl_group` it is a reduced word.  Equality and hashing use
-    ``matrix`` and ``word`` only.
+    is positive.  The simple root a_j has index n-1-j, so the image of
+    a_j is ``signed_roots(rs)[perm[n-1-j]]``.  ``word`` is a product
+    expression in simple reflections, left factor first; for elements
+    produced by :func:`weyl_group` it is a reduced word.
     """
 
-    matrix: Matrix
+    perm: tuple
     word: tuple
-    perm: tuple = field(compare=False, repr=False)
 
     def __repr__(self) -> str:
         return f"WeylElement(word={''.join(str(i + 1) for i in self.word) or 'e'})"
@@ -289,19 +288,6 @@ def _simple_perms(rs: RootSystem) -> tuple:
     )
 
 
-def _element(rs: RootSystem, perm: tuple, word: tuple) -> WeylElement:
-    """Weyl element from its permutation; matrix column j is the image of
-    the simple root a_j, which has index n-1-j."""
-    roots, n = signed_roots(rs), rs.rank
-    columns = [roots[perm[n - 1 - j]] for j in range(n)]
-    return WeylElement(tuple(zip(*columns)), word, perm)
-
-
-def mat_vec(m: Matrix, v: Sequence) -> tuple:
-    n = len(m)
-    return tuple(sum(m[i][j] * v[j] for j in range(n)) for i in range(n))
-
-
 def element_from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     """Weyl element for an arbitrary (not necessarily reduced) word."""
     gens = _simple_perms(rs)
@@ -311,7 +297,7 @@ def element_from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
         if not 0 <= i < rs.rank:
             raise ValueError(f"generator index {i} out of range")
         perm = tuple([perm[j] for j in gens[i]])
-    return _element(rs, perm, word)
+    return WeylElement(perm, word)
 
 
 @lru_cache(maxsize=None)
@@ -341,7 +327,7 @@ def weyl_group(rs: RootSystem) -> tuple:
                     nxt.append((p, word + (i,)))
         order += nxt
         frontier = nxt
-    return tuple(_element(rs, perm, word) for perm, word in order)
+    return tuple(WeylElement(perm, word) for perm, word in order)
 
 
 def inverse_element(rs: RootSystem, w: WeylElement) -> WeylElement:
@@ -349,7 +335,7 @@ def inverse_element(rs: RootSystem, w: WeylElement) -> WeylElement:
     inv = [0] * len(w.perm)
     for j, k in enumerate(w.perm):
         inv[k] = j
-    return _element(rs, tuple(inv), w.word[::-1])
+    return WeylElement(tuple(inv), w.word[::-1])
 
 
 def act(rs: RootSystem, w: WeylElement, coords: Sequence[int]) -> RootVector:

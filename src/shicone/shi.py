@@ -36,6 +36,7 @@ from .rootsys import (
     inverse_element,
     inversion_set,
     root_poset,
+    signed_roots,
 )
 
 #: Rank cap on the cell and closure oracles and on the whole-arrangement
@@ -165,25 +166,24 @@ def region_rows(rs: RootSystem, E: Iterable[int], ideal: Iterable[int]) -> list:
 
 
 def cone_rows(rs: RootSystem, w: WeylElement) -> list:
-    """Strict rows cutting out the open cone wC (the walls are w of the
-    simple roots, so there are exactly rank of them)."""
-    n = rs.rank
-    rows = []
-    for i in range(n):
-        wall = tuple(w.matrix[k][i] for k in range(n))
-        rows.append((wall, 0, GT))
-    return rows
+    """Strict rows cutting out the open cone wC: wall i is w(a_i), and
+    the simple root a_i has signed-root index n-1-i."""
+    roots, n = signed_roots(rs), rs.rank
+    return [(roots[w.perm[n - 1 - i]], 0, GT) for i in range(n)]
 
 
-def act_point(winv: WeylElement, point: tuple) -> tuple:
+def act_point(rs: RootSystem, winv: WeylElement, point: tuple) -> tuple:
     """Image of an exact evaluation point ``(nums, den)`` under w, given
-    ``winv`` = w^{-1} (contragredient action); the denominator is
+    ``winv`` = w^{-1}: coordinate i is (w v, a_i) = (v, w^{-1}(a_i)), the
+    value of the root w^{-1}(a_i) at the point.  The denominator is
     unchanged."""
     nums, den = point
-    minv = winv.matrix
-    n = len(nums)
+    roots, n = signed_roots(rs), rs.rank
     return (
-        tuple(sum(minv[j][i] * nums[j] for j in range(n)) for i in range(n)),
+        tuple(
+            sum(c * x for c, x in zip(roots[winv.perm[n - 1 - i]], nums))
+            for i in range(n)
+        ),
         den,
     )
 
@@ -239,7 +239,7 @@ def transport_regions(
             ShiRegion(
                 frozenset(send.values()),
                 frozenset(send[i] for i in region.ceiling),
-                act_point(winv, region.witness),
+                act_point(rs, winv, region.witness),
             )
         )
     return out

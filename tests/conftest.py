@@ -24,6 +24,37 @@ def rs_a3():
     return get_rs("A3")
 
 
+def mat_vec(m, v) -> tuple:
+    n = len(m)
+    return tuple(sum(m[i][j] * v[j] for j in range(n)) for i in range(n))
+
+
+def mat_mul(a, b) -> tuple:
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def weyl_matrix(rs, w) -> tuple:
+    """Coordinate matrix of w, ``[i][j]`` the coefficient of a_i in w(a_j).
+
+    The product of simple-reflection matrices along ``w.word``, left
+    factor first, each built from ``rs.cartan`` alone (s_k sends a_j to
+    a_j - cartan[j][k] a_k); nothing of ``w`` but its word is read.
+    """
+    n = rs.rank
+    m = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for k in w.word:
+        s_k = tuple(
+            tuple(int(i == j) - int(i == k) * rs.cartan[j][k] for j in range(n))
+            for i in range(n)
+        )
+        m = mat_mul(m, s_k)
+    return m
+
+
 RANK_LE_3 = ["A1", "A2", "A3", "B2", "B3", "C3", "D3", "G2"]
 RANK_4 = ["A4", "B4", "C4", "D4", "F4"]
 

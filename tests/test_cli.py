@@ -243,6 +243,8 @@ def test_orderring_empty_poset(tmp_path, capsys):
         '{"elements": [1, 2, 3], "covers": [[-1, 0]]}',
         '{"elements": [1, 2], "covers": [[1, 1]]}',
         '{"elements": "ab", "covers": [[0, 1]]}',
+        '{"elements": [1, 2], "covers": {}}',
+        '{"elements": [1, 2], "covers": ""}',
     ],
     ids=[
         "not-json",
@@ -250,6 +252,8 @@ def test_orderring_empty_poset(tmp_path, capsys):
         "cover-negative",
         "self-cover",
         "elements-string",
+        "covers-object",
+        "covers-string",
     ],
 )
 def test_orderring_malformed_file(tmp_path, capsys, text):
@@ -318,3 +322,15 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     data = json.loads(target.read_text())
     assert data["payload"]["parking"] == 25
+
+
+def test_out_file_unwritable(tmp_path, capsys):
+    # a failed write is a usage error (exit 2); exit 1 means a failed check
+    target = tmp_path / "missing" / "result.json"
+    code, out, err = run_cli(
+        capsys, "roots", "--type", "B2", "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}")
+    assert not target.parent.exists()

@@ -1,10 +1,11 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from conftest import RELATIONS, get_rs, holds, relation_row
+from conftest import RELATIONS, get_rs, holds, relation_row, weyl_matrix
 from shicone import exactgeom
 from shicone.exactgeom import (
     EQ,
@@ -27,6 +28,7 @@ from shicone.rootsys import (
     root_poset,
     weyl_group,
 )
+from shicone.shi import flats_in_cone
 
 
 # -- feasibility ----------------------------------------------------------------
@@ -211,9 +213,8 @@ def test_farkas_accepts_certificate_families(name):
     cuts = 0
     for w in weyl_group(rs):
         winv = element_from_word(rs, reversed(w.word))
-        walls = [
-            (tuple(w.matrix[k][i] for k in range(n)), 0, GT) for i in range(n)
-        ]
+        m = weyl_matrix(rs, w)
+        walls = [(tuple(m[k][i] for k in range(n)), 0, GT) for i in range(n)]
         for b in inversion_set(rs, w):
             coords = rs.positive_roots[b]
             lam = [-d for d in act(rs, winv, coords)] + [1]
@@ -282,14 +283,14 @@ def test_farkas_soundness():
 
 def test_full_space():
     v = intersect_hyperplanes(3, [])
-    assert v.codim == 0 and len(v.directions) == 3
+    assert v.codim == 0 and v.rref == ()
 
 
 def test_b2_point_flat():
     flat = intersect_hyperplanes(2, [((1, 0), 1), ((0, 1), 1)])
     assert flat.codim == 2
-    assert flat.basepoint == ((1, 1), 1)
-    assert flat.directions == ()
+    assert flat.rref == ((1, 0, 1), (0, 1, 1))
+    assert flat_contains(flat, (1, 1), 2) and flat_contains(flat, (3, -1), 2)
 
 
 def test_idempotent_intersection():
@@ -321,10 +322,8 @@ def test_scaled_rows_same_flat():
                 scaled.append((tuple(k * c for c in normal), k * rhs))
             assert intersect_hyperplanes(dim, scaled) == flat
         if not flat.is_empty:
-            nums, den = flat.basepoint
-            assert den > 0
             for normal, rhs in rows:
-                assert sum(c * x for c, x in zip(normal, nums)) == rhs * den
+                assert flat_contains(flat, normal, rhs)
 
 
 def test_empty_intersection():
@@ -372,6 +371,87 @@ def test_contains_flat():
     assert contains_flat(plane, line)
     assert not contains_flat(line, plane)
     assert contains_flat(intersect_hyperplanes(3, []), plane)
+
+
+def _reference_geometry(flat):
+    """An exact basepoint ``(nums, den)`` and direction vectors spanning
+    the flat, solved from its reduced rows by back-substitution."""
+    dim = flat.dim
+    pivots = [next(c for c, x in enumerate(row) if x) for row in flat.rref]
+    den = lcm(*(row[c] for row, c in zip(flat.rref, pivots)))
+    nums = [0] * dim
+    for row, c in zip(flat.rref, pivots):
+        nums[c] = row[dim] * (den // row[c])
+    directions = []
+    for f in range(dim):
+        if f in pivots:
+            continue
+        v = [0] * dim
+        v[f] = den
+        for row, c in zip(flat.rref, pivots):
+            v[c] = -row[f] * (den // row[c])
+        directions.append(v)
+    return (nums, den), directions
+
+
+def _reference_contains(flat, normal, rhs):
+    """Containment as a point-and-directions test: the hyperplane holds
+    the basepoint and is parallel to every direction."""
+    (nums, den), directions = _reference_geometry(flat)
+    if sum(c * x for c, x in zip(normal, nums)) != rhs * den:
+        return False
+    return all(sum(c * x for c, x in zip(normal, d)) == 0 for d in directions)
+
+
+def _check_against_reference(flats, hyperplanes):
+    for flat in flats:
+        (nums, den), directions = _reference_geometry(flat)
+        assert den > 0 and len(directions) == flat.dim - flat.codim
+        for normal, rhs in hyperplanes:
+            got = flat_contains(flat, normal, rhs)
+            assert got == _reference_contains(flat, normal, rhs)
+        for outer in flats:
+            ref = all(_reference_contains(flat, r[:-1], r[-1]) for r in outer.rref)
+            assert contains_flat(outer, flat) == ref
+
+
+def test_containment_matches_basepoint_reference_random():
+    rng = random.Random(41)
+    hits = 0
+    for _ in range(150):
+        dim = rng.randint(1, 4)
+        rows = [
+            (tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(-3, 3))
+            for _ in range(rng.randint(0, 4))
+        ]
+        flats = [intersect_hyperplanes(dim, rows[:k]) for k in range(len(rows) + 1)]
+        flats = [f for f in flats if not f.is_empty]
+        planes = [
+            (tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(-3, 3))
+            for _ in range(6)
+        ]
+        # integer combinations of the rows contain the flat of all the rows
+        for _ in range(4):
+            ks = [rng.randint(-2, 2) for _ in rows]
+            normal = tuple(sum(k * n[i] for k, (n, _) in zip(ks, rows)) for i in range(dim))
+            planes.append((normal, sum(k * r for k, (_, r) in zip(ks, rows))))
+        planes += rows
+        _check_against_reference(flats, planes)
+        hits += sum(flat_contains(f, n, r) for f in flats for n, r in planes)
+    assert hits > 500
+
+
+def test_containment_matches_basepoint_reference_rank4_cones():
+    rng = random.Random(43)
+    flats_seen = 0
+    for name in ["A4", "B4", "C4", "D4", "F4"]:
+        rs = get_rs(name)
+        planes = [(r, k) for r in rs.positive_roots for k in (0, 1, 2)]
+        for w in rng.sample(weyl_group(rs), 5):
+            flats = [f.geometry for f in flats_in_cone(rs, w).flats]
+            _check_against_reference(flats, planes)
+            flats_seen += len(flats)
+    assert flats_seen > 200
 
 
 def test_matrix_rank():

@@ -154,6 +154,30 @@ def test_antichains_grouped_by_size():
     assert FORK.antichains()[0] == frozenset()
 
 
+def test_antichains_enumerated_once_per_poset(monkeypatch):
+    # an order-ring request reads the antichains three times (filters,
+    # standard monomials, Hilbert series): one enumeration feeds them all
+    calls = []
+    enumerate_antichains = FinitePoset._enumerate_antichains
+
+    def counting(self):
+        calls.append(self)
+        return enumerate_antichains(self)
+
+    monkeypatch.setattr(FinitePoset, "_enumerate_antichains", counting)
+    poset = FORK.restrict(FORK.elements)
+    first = poset.antichains()
+    first.append("mutated")
+    assert poset.order_filters() and poset.order_ideals()
+    assert poset.antichain_polynomial()(1) == len(poset.antichains()) == 8
+    assert poset.antichains() is not poset.antichains()
+    assert calls == [poset]
+    # a restriction is a new poset with its own antichains
+    sub = poset.restrict([1, 3, 4])
+    assert sub.antichains() == [frozenset(), frozenset({1}), frozenset({3}), frozenset({4})]
+    assert calls == [poset, sub]
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_antichains_match_brute_force(seed):
     rng = random.Random(seed)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import RANK_4, RANK_LE_3, get_rs
+from conftest import RANK_4, RANK_LE_3, get_rs, mat_mul, mat_vec, weyl_matrix
 from shicone.rootsys import (
     CartanType,
     act,
@@ -15,7 +15,6 @@ from shicone.rootsys import (
     inverse_element,
     inversion_set,
     is_positive_vec,
-    mat_vec,
     numerology,
     root_index,
     root_poset,
@@ -168,7 +167,7 @@ def test_weyl_group_order(name):
     W = weyl_group(rs)
     assert len(W) == math.prod(rs.degrees)
     assert W[0].word == ()
-    assert len({w.matrix for w in W}) == len(W)
+    assert len({w.perm for w in W}) == len(W)
 
 
 def test_b2_weyl_words(rs_b2):
@@ -199,12 +198,20 @@ def test_weyl_rank_bound():
         weyl_group(rs)
 
 
+def _matrix_from_images(rs, w):
+    """Column j is the image of the simple root a_j under ``act``."""
+    n = rs.rank
+    simples = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return tuple(zip(*(act(rs, w, a) for a in simples)))
+
+
 def test_weyl_group_sequence_pinned():
     # element order, words and matrices of every supported group; the
     # benchmark's cone sampling relies on this order
     data = [
-        (name, [(w.word, w.matrix) for w in weyl_group(get_rs(name))])
+        (name, [(w.word, _matrix_from_images(rs, w)) for w in weyl_group(rs)])
         for name in ALL_TYPES
+        for rs in [get_rs(name)]
     ]
     assert sum(len(ws) for _, ws in data) == 2404
     assert (
@@ -215,19 +222,18 @@ def test_weyl_group_sequence_pinned():
 
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_permutation_table_matches_matrices(name):
+    # the matrices are products of simple reflections along the words,
+    # so the permutation table is checked against linear algebra alone
     rs = get_rs(name)
     n = rs.rank
     roots = list(rs.positive_roots) + [tuple(-c for c in r) for r in rs.positive_roots]
     eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     for w in weyl_group(rs):
+        m = weyl_matrix(rs, w)
         for r in roots:
-            assert act(rs, w, r) == mat_vec(w.matrix, r)
-        minv = inverse_element(rs, w).matrix
-        product = tuple(
-            tuple(sum(minv[i][k] * w.matrix[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-        assert product == eye
+            assert act(rs, w, r) == mat_vec(m, r)
+        minv = weyl_matrix(rs, inverse_element(rs, w))
+        assert mat_mul(minv, m) == eye
         assert inversion_set(rs, w) == {
             i
             for i, r in enumerate(rs.positive_roots)
@@ -241,7 +247,8 @@ def test_group_elements_permute_roots(name):
     rs = get_rs(name)
     roots = set(rs.positive_roots) | {tuple(-c for c in r) for r in rs.positive_roots}
     for w in weyl_group(rs):
-        image = {mat_vec(w.matrix, r) for r in roots}
+        m = weyl_matrix(rs, w)
+        image = {mat_vec(m, r) for r in roots}
         assert image == roots
 
 
@@ -304,10 +311,11 @@ def test_act_rejects_non_roots(rs_b2):
 
 def test_form_invariant_under_group(rs_b2):
     for w in weyl_group(rs_b2):
+        m = weyl_matrix(rs_b2, w)
         for u in rs_b2.positive_roots:
             for v in rs_b2.positive_roots:
                 assert inner_product(
-                    rs_b2, mat_vec(w.matrix, u), mat_vec(w.matrix, v)
+                    rs_b2, mat_vec(m, u), mat_vec(m, v)
                 ) == inner_product(rs_b2, u, v)
 
 
