@@ -7,7 +7,8 @@ Subcommands:
   verify     run the verification suites, exit 1 on any failure
   orderring  order-polytope vertices, ring presentation, Hilbert series
 
-Output is deterministic for identical invocations.  Exit codes: 0 on
+Output is deterministic for identical invocations, except the
+``elapsed_s`` wall times that ``verify`` reports.  Exit codes: 0 on
 success, 1 when a verification check fails, 2 on usage or parse errors
 and when the ``--out`` file cannot be written.
 """
@@ -189,6 +190,8 @@ def cmd_verify(args) -> int:
 
 
 def _load_poset(args) -> tuple:
+    if args.type and args.poset_file:
+        raise UsageError("--type and --poset-file cannot be combined")
     if args.poset_file:
         try:
             with open(args.poset_file) as fh:

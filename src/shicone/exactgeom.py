@@ -8,8 +8,11 @@ this module defines:
   vector and a positive common denominator, the form the feasibility
   kernel returns;
 * an :class:`AffineFlat` holds only the primitive integer reduced rows
-  of its system, produced by fraction-free Gauss-Jordan elimination;
-  containment is decided by eliminating a row against them.
+  of its system.  One fraction-free elimination does everything: a
+  hyperplane's row is reduced against the rows' pivots, and the
+  residual decides containment (:func:`flat_contains`) or, when it is
+  not zero, becomes a new reduced row (:func:`meet`, which builds every
+  flat).
 
 Feasibility of mixed strict and non-strict systems is decided by
 Fourier-Motzkin elimination with exact witness extraction, in the
@@ -97,32 +100,24 @@ def as_fractions(point: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class AffineFlat:
-    """Solution set of a linear system, in canonical integer form.
+    """Nonempty solution set of a linear system, in canonical integer form.
 
     ``rref`` is the reduced row-echelon form of the augmented system with
     every row scaled to a primitive integer vector (gcd 1) whose pivot is
-    positive.  It is a canonical key for the flat: two hyperplane
-    collections cut out the same flat exactly when their reduced systems
-    agree, and the codimension is the number of rows.  The empty flat is
-    encoded by a single contradictory row ``0 = 1``.
+    positive, rows in pivot-column order.  It is a canonical key for the
+    flat: two hyperplane collections cut out the same flat exactly when
+    their reduced systems agree, and the codimension is the number of
+    rows.  :func:`meet` is the one operation that builds it.
     """
 
     dim: int
     rref: tuple
 
     @property
-    def is_empty(self) -> bool:
-        return bool(self.rref) and not any(self.rref[0][:-1])
-
-    @property
     def codim(self) -> int:
-        if self.is_empty:
-            raise ValueError("the empty flat has no codimension")
         return len(self.rref)
 
     def __repr__(self) -> str:
-        if self.is_empty:
-            return f"AffineFlat(dim={self.dim}, empty)"
         return f"AffineFlat(dim={self.dim}, codim={self.codim})"
 
 
@@ -132,66 +127,11 @@ def _primitive(row: list) -> list:
     return [x // g for x in row] if g > 1 else row
 
 
-def _row_reduce(work: list, ncols: int) -> list:
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
-
-    Reduces columns ``0 .. ncols-1``; rows stay primitive after every
-    step, so coefficients stay small.  Returns the pivot columns; the
-    pivot rows come first, in that order, with every other row zero in
-    each pivot column.
-    """
-    pivot_cols = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        prow = work[r]
-        p = prow[col]
-        for i in range(len(work)):
-            f = work[i][col]
-            if i != r and f:
-                work[i] = _primitive([p * a - f * b for a, b in zip(work[i], prow)])
-        pivot_cols.append(col)
-        r += 1
-    return pivot_cols
-
-
-def intersect_hyperplanes(dim: int, rows: Iterable[tuple]) -> AffineFlat:
-    """Exact intersection of hyperplanes ``normal . x = rhs`` with integer
-    ``normal`` and ``rhs``.
-
-    No rows yields the ambient space; an inconsistent system yields the
-    empty flat.
-    """
-    if dim > MAX_DIM:
-        raise ValueError(f"dimension {dim} exceeds the supported bound {MAX_DIM}")
-    work = []
-    for normal, rhs in rows:
-        if len(normal) != dim:
-            raise ValueError("hyperplane dimension mismatch")
-        work.append(_primitive([*normal, rhs]))
-    pivot_cols = _row_reduce(work, dim)
-    r = len(pivot_cols)
-    if any(row[dim] for row in work[r:]):
-        return empty_flat(dim)
-
-    rref = tuple(
-        tuple(row if row[col] > 0 else [-x for x in row])
-        for row, col in zip(work, pivot_cols)
-    )
-    return AffineFlat(dim, rref)
-
-
-def empty_flat(dim: int) -> AffineFlat:
-    return AffineFlat(dim, ((0,) * dim + (1,),))
-
-
-def _on_hyperplane(flat: AffineFlat, normal: Sequence[int], rhs: int) -> bool:
-    """Whether the row ``(normal, rhs)`` lies in the span of the reduced
-    rows: eliminating it against each row's pivot must leave zero, since
-    no nonzero combination of the rows vanishes on every pivot."""
+def _residual(flat: AffineFlat, normal: Sequence[int], rhs: int) -> list:
+    """The row ``(normal, rhs)`` eliminated against each reduced row's
+    pivot, fraction-free.  It is zero in every pivot column, and zero
+    throughout exactly when the row lies in the span of the reduced
+    rows, since no nonzero combination of them vanishes on every pivot."""
     row = [*normal, rhs]
     for prow in flat.rref:
         for col, p in enumerate(prow):
@@ -201,27 +141,75 @@ def _on_hyperplane(flat: AffineFlat, normal: Sequence[int], rhs: int) -> bool:
         if f:
             for j, b in enumerate(prow):
                 row[j] = p * row[j] - f * b
-    return not any(row)
+    return row
+
+
+def meet(flat: AffineFlat, normal: Sequence[int], rhs: int) -> Optional[AffineFlat]:
+    """The intersection of ``flat`` with the hyperplane ``normal . x = rhs``
+    (integer data): ``flat`` itself when it lies on the hyperplane, None
+    when the two are disjoint.
+
+    Otherwise the residual of the row becomes a new reduced row: made
+    primitive with a positive pivot, its pivot column cleared from the
+    other rows, and inserted in pivot-column order.
+    """
+    row = _residual(flat, normal, rhs)
+    col = next((c for c, x in enumerate(row) if x), None)
+    if col is None:
+        return flat
+    if col == flat.dim:
+        return None
+    row = _primitive(row if row[col] > 0 else [-x for x in row])
+    p = row[col]
+    rref = []
+    for prow in flat.rref:
+        f = prow[col]
+        if f:
+            # prow is zero in the new pivot column afterwards, and row is
+            # zero in prow's pivot column, so that pivot stays positive
+            prow = tuple(_primitive([p * a - f * b for a, b in zip(prow, row)]))
+        rref.append(prow)
+    # the rows with a pivot left of col are those nonzero before col
+    at = sum(1 for prow in flat.rref if any(prow[:col]))
+    rref.insert(at, tuple(row))
+    return AffineFlat(flat.dim, tuple(rref))
+
+
+def intersect_hyperplanes(dim: int, rows: Iterable[tuple]) -> Optional[AffineFlat]:
+    """Exact intersection of hyperplanes ``normal . x = rhs`` with integer
+    ``normal`` and ``rhs``, one :func:`meet` at a time.
+
+    No rows yields the ambient space; an inconsistent system yields None.
+    """
+    if dim > MAX_DIM:
+        raise ValueError(f"dimension {dim} exceeds the supported bound {MAX_DIM}")
+    rows = list(rows)
+    if any(len(normal) != dim for normal, _ in rows):
+        raise ValueError("hyperplane dimension mismatch")
+    flat = AffineFlat(dim, ())
+    for normal, rhs in rows:
+        flat = meet(flat, normal, rhs)
+        if flat is None:
+            return None
+    return flat
 
 
 def flat_contains(flat: AffineFlat, normal: Sequence[int], rhs: int) -> bool:
-    """Whether every point of a nonempty flat lies on the hyperplane
+    """Whether every point of the flat lies on the hyperplane
     ``normal . x = rhs`` (integer data)."""
-    if flat.is_empty:
-        raise ValueError("empty flat")
-    return _on_hyperplane(flat, normal, rhs)
+    return not any(_residual(flat, normal, rhs))
 
 
 def contains_flat(outer: AffineFlat, inner: AffineFlat) -> bool:
-    """Whether ``outer`` contains ``inner``, both nonempty."""
-    if outer.is_empty or inner.is_empty:
-        raise ValueError("empty flat")
-    return all(_on_hyperplane(inner, row[:-1], row[-1]) for row in outer.rref)
+    """Whether ``outer`` contains ``inner``."""
+    return not any(any(_residual(inner, row[:-1], row[-1])) for row in outer.rref)
 
 
 def matrix_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank over the rationals of a collection of integer vectors."""
-    work = [list(row) for row in rows]
-    if not work:
-        return 0
-    return len(_row_reduce(work, len(work[0])))
+    """Rank over the rationals of a collection of integer vectors: the
+    codimension of the subspace they cut out as normals."""
+    rows = list(rows)
+    flat = AffineFlat(len(rows[0]) if rows else 0, ())
+    for row in rows:
+        flat = meet(flat, row, 0)
+    return flat.codim

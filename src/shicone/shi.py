@@ -28,6 +28,7 @@ from .exactgeom import (
     feasible_rows,
     flat_contains,
     intersect_hyperplanes,
+    meet,
 )
 from .poly import IntPolynomial
 from .rootsys import (
@@ -366,7 +367,7 @@ def _antichain_flat_poset(rs: RootSystem, sub, send, cone: list) -> Intersection
         gens = frozenset(send(i) for i in A)
         planes = [(rs.positive_roots[g], 1) for g in sorted(gens)]
         geometry = intersect_hyperplanes(rs.rank, planes)
-        if geometry.is_empty or geometry.codim != len(gens):
+        if geometry is None or geometry.codim != len(gens):
             raise RuntimeError(
                 "antichain hyperplanes are dependent; arrangement invariant violated"
             )
@@ -444,31 +445,32 @@ def _closure_poset(
     by inserting them one at a time in ``planes`` order.
 
     ``planes`` maps a generator label to a hyperplane ``(normal, level)``.
-    Inserting H visits each flat X found so far once: H joins the
-    generators of X when it contains X; otherwise the new flat Y = X & H
-    starts with the generators of X plus H.  With ``inside_rows`` given,
-    only flats meeting that open region are kept (a flat meeting it lies
-    in flats that meet it), and a flat missing it is recorded by its rref
-    as None, so each distinct flat goes to the kernel at most once.
+    Inserting H visits each flat X found so far once, with one
+    :func:`~shicone.exactgeom.meet` of X's reduced rows and H: H joins
+    the generators of X when it contains X; otherwise a nonempty new
+    flat Y = X & H starts with the generators of X plus H.  With
+    ``inside_rows`` given, only flats meeting that open region are kept
+    (a flat meeting it lies in flats that meet it), and a flat missing
+    it is recorded by its rref as None, so each distinct flat goes to
+    the kernel at most once.
 
     Completeness: after H_1..H_k, every nonempty intersection of some of
     them that meets the region is found, with all of H_1..H_k containing
     it.  A new Y = X & H_k lies on no earlier H outside the generators of
     X, since X & H would equal Y and would have been found earlier.
     """
-    ambient = intersect_hyperplanes(rs.rank, [])
+    ambient = AffineFlat(rs.rank, ())
     found = {ambient.rref: (set(), ambient)}
     for label, (normal, level) in planes.items():
         for entry in list(found.values()):
             if entry is None:
                 continue
             xgens, x = entry
-            if flat_contains(x, normal, level):
+            y = meet(x, normal, level)
+            if y is x:
                 xgens.add(label)
                 continue
-            rows = [(r[:-1], r[-1]) for r in x.rref]
-            y = intersect_hyperplanes(rs.rank, rows + [(normal, level)])
-            if y.is_empty or y.rref in found:
+            if y is None or y.rref in found:
                 continue
             if inside_rows is not None:
                 eqs = [(r[:-1], r[-1], EQ) for r in y.rref]

@@ -318,7 +318,7 @@ def check_nonnesting_injectivity(ctx: TypeContext) -> str:
         flat = intersect_hyperplanes(
             rs.rank, [(rs.positive_roots[i], 0) for i in sorted(A)]
         )
-        _need(not flat.is_empty, "level-0 intersection empty")
+        _need(flat is not None, "level-0 intersection empty")
         _need(flat.rref not in seen, "two antichains share a level-0 flat")
         seen[flat.rref] = A
     return f"{len(seen)} distinct flats"
@@ -464,14 +464,16 @@ _EXTRA_CHECKS = [
 def run_suite(rs: RootSystem, theorem: str = "all", m: int = 1) -> list:
     """Run the selected checks and return their results.
 
-    ``theorem`` is one of '1', '2', '3', 'all'.  With m > 1 the
-    extended-level summary replaces the base-theory checks (and is
-    bounded to rank <= 3; bound violations raise instead of skipping).
+    ``theorem`` is one of '1', '2', '3', 'all'; with m > 1 it must be
+    'all', since the extended-level summary replaces the base-theory
+    checks (bounded to rank <= 3; bound violations raise, not skip).
     """
     if m < 1:
         raise ValueError(f"level extension requires m >= 1, got {m}")
     if theorem not in ("1", "2", "3", "all"):
         raise ValueError(f"unknown theorem selector {theorem!r}")
+    if m > 1 and theorem != "all":
+        raise ValueError(f"theorem selector {theorem!r} needs m = 1, got m = {m}")
     results: list[CheckResult] = []
 
     def run(name, fn, *args):

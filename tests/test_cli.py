@@ -182,6 +182,26 @@ def test_verify_level_below_one_rejected(capsys, m):
     assert "m >= 1" in err
 
 
+def test_verify_theorem_with_level_rejected(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--type", "A2", "--theorem", "1", "--m", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "needs m = 1" in err
+
+
+def test_verify_deterministic_apart_from_elapsed(capsys):
+    def run():
+        code, data = run_json(capsys, "verify", "--type", "A2", "--theorem", "1")
+        assert code == 0
+        for check in data["payload"]["checks"]:
+            assert check.pop("elapsed_s") >= 0
+        return data
+
+    assert run() == run()
+
+
 def test_verify_bound_violation_reported(capsys):
     code, _, err = run_cli(capsys, "verify", "--type", "B4", "--m", "2")
     assert code == 2
@@ -267,6 +287,17 @@ def test_orderring_malformed_file(tmp_path, capsys, text):
 def test_orderring_needs_input(capsys):
     code, _, err = run_cli(capsys, "orderring")
     assert code == 2
+
+
+def test_orderring_type_and_file_rejected(tmp_path, capsys):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps({"elements": [1, 2], "covers": [[0, 1]]}))
+    code, out, err = run_cli(
+        capsys, "orderring", "--type", "B2", "--poset-file", str(path)
+    )
+    assert code == 2
+    assert out == ""
+    assert "error: --type and --poset-file cannot be combined" in err
 
 
 # -- output handling ----------------------------------------------------------------

@@ -1,7 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -14,11 +14,11 @@ from shicone.exactgeom import (
     as_fractions,
     check_farkas,
     contains_flat,
-    empty_flat,
     feasible_rows,
     flat_contains,
     intersect_hyperplanes,
     matrix_rank,
+    meet,
 )
 from shicone.rootsys import (
     act,
@@ -321,17 +321,13 @@ def test_scaled_rows_same_flat():
                 k = rng.choice([-3, -2, -1, 1, 2, 5])
                 scaled.append((tuple(k * c for c in normal), k * rhs))
             assert intersect_hyperplanes(dim, scaled) == flat
-        if not flat.is_empty:
+        if flat is not None:
             for normal, rhs in rows:
                 assert flat_contains(flat, normal, rhs)
 
 
 def test_empty_intersection():
-    flat = intersect_hyperplanes(2, [((1, 0), 0), ((1, 0), 1)])
-    assert flat.is_empty
-    assert flat == empty_flat(2)
-    with pytest.raises(ValueError):
-        flat.codim
+    assert intersect_hyperplanes(2, [((1, 0), 0), ((1, 0), 1)]) is None
 
 
 def test_flat_contains_basics():
@@ -360,7 +356,7 @@ def test_intersection_rows_all_contained():
         ]
         rows = [(n, r) for n, r in rows if any(n)]
         flat = intersect_hyperplanes(dim, rows)
-        if not flat.is_empty:
+        if flat is not None:
             for normal, rhs in rows:
                 assert flat_contains(flat, normal, rhs)
 
@@ -425,7 +421,7 @@ def test_containment_matches_basepoint_reference_random():
             for _ in range(rng.randint(0, 4))
         ]
         flats = [intersect_hyperplanes(dim, rows[:k]) for k in range(len(rows) + 1)]
-        flats = [f for f in flats if not f.is_empty]
+        flats = [f for f in flats if f is not None]
         planes = [
             (tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(-3, 3))
             for _ in range(6)
@@ -452,6 +448,87 @@ def test_containment_matches_basepoint_reference_rank4_cones():
             _check_against_reference(flats, planes)
             flats_seen += len(flats)
     assert flats_seen > 200
+
+
+def _reference_row_reduce(rows, ncols):
+    """Batch fraction-free Gauss-Jordan elimination, independent of
+    :func:`meet`: every row is reduced by each pivot in turn, and rows
+    stay primitive after every step.  Returns the pivot columns and the
+    rows, the pivot rows first in that order."""
+
+    def primitive(row):
+        g = gcd(*row)
+        return [x // g for x in row] if g > 1 else row
+
+    work = [primitive(list(row)) for row in rows]
+    pivot_cols = []
+    for col in range(ncols):
+        r = len(pivot_cols)
+        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        prow = work[r]
+        p = prow[col]
+        for i in range(len(work)):
+            f = work[i][col]
+            if i != r and f:
+                work[i] = primitive([p * a - f * b for a, b in zip(work[i], prow)])
+        pivot_cols.append(col)
+    return pivot_cols, work
+
+
+def _reference_rref(dim, rows):
+    """The primitive reduced rows with positive pivots of the system
+    ``normal . x = rhs``, or None if it is inconsistent."""
+    pivot_cols, work = _reference_row_reduce([[*n, r] for n, r in rows], dim)
+    if any(row[dim] for row in work[len(pivot_cols) :]):
+        return None
+    return tuple(
+        tuple(row if row[col] > 0 else [-x for x in row])
+        for row, col in zip(work, pivot_cols)
+    )
+
+
+def test_meet_matches_batch_elimination_reference():
+    rng = random.Random(47)
+    seen = {"inconsistent": 0, "contained": 0, "cut": 0}
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        base = [
+            (tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(-3, 3))
+            for _ in range(rng.randint(0, 4))
+        ]
+        rows = list(base)
+        for normal, rhs in rng.sample(base, min(2, len(base))):
+            k = rng.choice([-3, -2, -1, 2, 4])
+            rows.append((tuple(k * c for c in normal), k * rhs))  # rescaled
+            rows.append((normal, rhs + rng.choice([-1, 1])))  # parallel shift
+            rows.append((normal, rhs))  # duplicate
+        rng.shuffle(rows)
+        for k in range(len(rows) + 1):
+            ref = _reference_rref(dim, rows[:k])
+            flat = intersect_hyperplanes(dim, rows[:k])
+            if ref is None:
+                assert flat is None
+                seen["inconsistent"] += 1
+                continue
+            assert flat is not None and flat.rref == ref
+            for normal, rhs in rows[k:] + base:
+                ref_after = _reference_rref(dim, rows[:k] + [(normal, rhs)])
+                y = meet(flat, normal, rhs)
+                assert (y is flat) == (ref_after == ref)
+                assert flat_contains(flat, normal, rhs) == (y is flat)
+                if y is flat:
+                    seen["contained"] += 1
+                elif ref_after is None:
+                    assert y is None
+                else:
+                    assert y.rref == ref_after and y.codim == flat.codim + 1
+                    seen["cut"] += 1
+        normals = [n for n, _ in rows]
+        assert matrix_rank(normals) == len(_reference_row_reduce(normals, dim)[0])
+    assert min(seen.values()) > 200
 
 
 def test_matrix_rank():

@@ -13,6 +13,7 @@ from shicone.exactgeom import (
     feasible_rows,
     flat_contains,
     intersect_hyperplanes,
+    meet,
 )
 from shicone.poly import IntPolynomial
 from shicone.rootsys import (
@@ -379,24 +380,26 @@ def _insertion_step(rank, planes, flat):
 def test_closure_intersects_each_flat_once_per_later_hyperplane(
     name, levels, monkeypatch
 ):
-    # one intersection for the ambient space, then one per found flat and
-    # later hyperplane not containing it: no flat is rebuilt per parent
+    # one meet per kept flat and hyperplane inserted after the closure
+    # found it, which both tests containment and cuts the new flat: no
+    # flat is rebuilt per parent
     rs = get_rs(name)
     planes = _level_planes(rs, levels)
     inside = shi._positivity_rows(rs.rank) if levels[0] else None
     calls = []
 
-    def counting(dim, rows):
-        calls.append(rows)
-        return intersect_hyperplanes(dim, rows)
+    def counting(flat, normal, rhs):
+        calls.append((flat, normal, rhs))
+        return meet(flat, normal, rhs)
 
-    monkeypatch.setattr(shi, "intersect_hyperplanes", counting)
+    monkeypatch.setattr(shi, "meet", counting)
+    monkeypatch.setattr(shi, "flat_contains", None)
+    monkeypatch.setattr(shi, "intersect_hyperplanes", None)
     poset = shi._closure_poset(rs, planes, inside_rows=inside)
     order = list(planes)
-    expected = 1
-    for f in poset.flats:
-        later = order[_insertion_step(rs.rank, planes, f) :]
-        expected += sum(label not in f.generators for label in later)
+    expected = sum(
+        len(order) - _insertion_step(rs.rank, planes, f) for f in poset.flats
+    )
     assert len(calls) == expected
 
 

@@ -48,6 +48,10 @@ def test_bad_selector():
     # the selector is checked before the extended-level branch
     with pytest.raises(ValueError, match="selector"):
         run_suite(get_rs("A2"), theorem="bogus", m=2)
+    # the extended level runs one summary, not a single theorem's checks
+    for theorem in ("1", "2", "3"):
+        with pytest.raises(ValueError, match="needs m = 1"):
+            run_suite(get_rs("A2"), theorem=theorem, m=2)
 
 
 def test_level_two_suite():
