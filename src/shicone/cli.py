@@ -20,7 +20,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from . import orderring, shi
 from .posets import FinitePoset
@@ -38,26 +37,12 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class OutputRecord:
-    command: str
-    cartan_type: str
-    payload: dict
-    format: str
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "cartan_type": self.cartan_type,
-            "payload": self.payload,
-        }
-
-
 def parse_word(text: str, rank: int) -> tuple:
-    """Generator word: letters s/t in rank <= 2, digits 1..rank otherwise."""
+    """Generator word: letters ``"st"[:rank]`` in rank <= 2, digits
+    1..rank otherwise."""
     out = []
     for ch in text.strip():
-        if ch in "st" and rank <= 2:
+        if rank <= 2 and ch in "st"[:rank]:
             out.append("st".index(ch))
         elif ch.isdigit() and 1 <= int(ch) <= rank:
             out.append(int(ch) - 1)
@@ -96,33 +81,34 @@ def _flatten(prefix: str, value, rows: list) -> None:
         rows.append([prefix, str(value)])
 
 
-def render(record: OutputRecord) -> str:
-    if record.format == "json":
-        return json.dumps(record.as_dict(), sort_keys=True, indent=2) + "\n"
-    if record.format == "csv":
-        rows: list = []
-        rows.append(["command", record.command])
-        rows.append(["cartan_type", record.cartan_type])
-        _flatten("", record.payload, rows)
+def render(command: str, cartan_type: str, payload: dict, fmt: str) -> str:
+    if fmt == "json":
+        record = {"command": command, "cartan_type": cartan_type, "payload": payload}
+        return json.dumps(record, sort_keys=True, indent=2) + "\n"
+    if fmt == "csv":
+        rows: list = [["command", command], ["cartan_type", cartan_type]]
+        _flatten("", payload, rows)
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(rows)
         return buf.getvalue()
-    lines = [f"{record.command} {record.cartan_type}".strip()]
+    lines = [f"{command} {cartan_type}".strip()]
     rows = []
-    _flatten("", record.payload, rows)
+    _flatten("", payload, rows)
     for row in rows:
         lines.append("  " + row[0] + ": " + " ".join(row[1:]))
     return "\n".join(lines) + "\n"
 
 
-def emit(record: OutputRecord, out_path) -> None:
-    text = render(record)
-    if out_path:
+def emit(command: str, cartan_type: str, payload: dict, args) -> None:
+    """Render the output in ``args.format`` and write it to ``args.out``,
+    or to stdout when no file is given."""
+    text = render(command, cartan_type, payload, args.format)
+    if args.out:
         try:
-            with open(out_path, "w") as fh:
+            with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise UsageError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
+            raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -145,7 +131,7 @@ def cmd_roots(args) -> int:
         "parking": num.parking,
         "narayana": list(num.narayana),
     }
-    emit(OutputRecord("roots", str(ctype), payload, args.format), args.out)
+    emit("roots", str(ctype), payload, args)
     return 0
 
 
@@ -160,7 +146,7 @@ def cmd_cone(args) -> int:
     else:
         w = element_from_word(rs, parse_word(args.word or "", rs.rank))
         payload = shi.cone_report(rs, w)
-    emit(OutputRecord("cone", str(ctype), payload, args.format), args.out)
+    emit("cone", str(ctype), payload, args)
     return 0
 
 
@@ -182,7 +168,7 @@ def cmd_verify(args) -> int:
         ],
         "all_passed": all(r.passed for r in results),
     }
-    emit(OutputRecord("verify", str(ctype), payload, args.format), args.out)
+    emit("verify", str(ctype), payload, args)
     if args.format != "text":
         for r in results:
             print(r.line(), file=sys.stderr)
@@ -221,7 +207,7 @@ def cmd_orderring(args) -> int:
         ],
         "hilbert": list(orderring.hilbert_series(poset)),
     }
-    emit(OutputRecord("orderring", label, payload, args.format), args.out)
+    emit("orderring", label, payload, args)
     return 0
 
 

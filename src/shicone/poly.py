@@ -59,6 +59,9 @@ class IntPolynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # A constant equals its integer (see __eq__), so hashes as it.
+        if len(self.coeffs) <= 1:
+            return hash(self.coefficient(0))
         return hash(self.coeffs)
 
     def __add__(self, other: "IntPolynomial | int") -> "IntPolynomial":

@@ -104,6 +104,13 @@ def test_cone_letters_only_rank2(capsys):
     assert code == 2
 
 
+def test_cone_letter_t_rejected_in_rank1(capsys):
+    code, out, err = run_cli(capsys, "cone", "--type", "A1", "--word", "t")
+    assert code == 2
+    assert out == ""
+    assert err == "error: invalid generator symbol 't' for rank 1\n"
+
+
 def test_cone_with_deletion(capsys):
     code, data = run_json(capsys, "cone", "--type", "B2", "--e", "0,3")
     assert code == 0

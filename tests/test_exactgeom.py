@@ -28,7 +28,7 @@ from shicone.rootsys import (
     root_poset,
     weyl_group,
 )
-from shicone.shi import flats_in_cone
+from shicone.shi import complement_of_inversions, cone_rows, flats_in_cone, region_rows
 
 
 # -- feasibility ----------------------------------------------------------------
@@ -178,6 +178,47 @@ def test_kernel_answers_pinned():
     # A closed degenerate interval: 3x >= 1 and -3x >= -1 pin x to 1/3.
     rows = [((3,), 1, exactgeom.GE), ((-3,), -1, exactgeom.GE)]
     assert solve(1, rows) == ((1,), 3)
+
+
+def _product_systems(rs, w):
+    """The kernel systems the constructions pose for the cone wC, built
+    from the row builders: each dominant region of the deletion, each
+    ceiling probe (one root of the region's ideal pinned to 1) and each
+    antichain's flat equalities against the cone's walls."""
+    E = complement_of_inversions(rs, w)
+    sub = root_poset(rs).restrict(E)
+    cone = cone_rows(rs, w)
+    systems = []
+    for A in sub.antichains():
+        ideal = sub.ideal_generated(A)
+        base = region_rows(rs, E, ideal)
+        systems.append(base)
+        for b in sorted(ideal):
+            rows = base.copy()
+            rows[rs.rank + E.index(b)] = (rs.positive_roots[b], 1, EQ)
+            systems.append(rows)
+        gens = sorted(w.perm[i] for i in A)
+        systems.append([(rs.positive_roots[g], 1, EQ) for g in gens] + cone)
+    return systems
+
+
+# sha256 of repr() of the kernel's answers to the product systems of
+# every B3 cone and three seeded cones of each rank-4 type.
+PRODUCT_DIGEST = "16e88be854db4400780dc48784d7a10db9b8d77c844291cc24c320ba2c80f1da"
+
+
+def test_kernel_answers_on_product_systems_pinned():
+    rng = random.Random(41)
+    cones = [(get_rs("B3"), w) for w in weyl_group(get_rs("B3"))]
+    for name in ("A4", "B4", "C4", "D4", "F4"):
+        rs = get_rs(name)
+        cones += [(rs, w) for w in rng.sample(weyl_group(rs), 3)]
+    systems = [(rs.rank, rows) for rs, w in cones for rows in _product_systems(rs, w)]
+    assert len(systems) == 3945
+    assert sum(any(kind == EQ for *_, kind in rows) for _, rows in systems) == 3225
+    outputs = [exactgeom._fmcore.solve(dim, rows) for dim, rows in systems]
+    assert sum(out is None for out in outputs) == 1763
+    assert hashlib.sha256(repr(outputs).encode()).hexdigest() == PRODUCT_DIGEST
 
 
 # -- Farkas certificates ----------------------------------------------------------

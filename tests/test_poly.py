@@ -34,3 +34,13 @@ def test_coefficient_and_eq_int():
     assert p == 5
     assert IntPolynomial() == 0
     assert p.coefficient(0) == 5 and p.coefficient(3) == 0
+
+
+def test_constant_hashes_as_its_integer():
+    # equal objects hash equal: a constant polynomial equals its integer
+    for value in (5, -3, 0):
+        p = IntPolynomial([value])
+        assert p == value and hash(p) == hash(value)
+        assert len({p, value}) == 1
+    assert hash(IntPolynomial()) == hash(0)
+    assert {IntPolynomial([1, 2]): "a"}[IntPolynomial([1, 2])] == "a"
