@@ -8,9 +8,11 @@ numerator/denominator pairs, and the witness is returned as an integer
 numerator vector with a common positive denominator.
 
 Stage 1 pivots on an equality coefficient of least absolute value, made
-positive by negating the equality, and ``_eliminate`` removes the pivot
-variable from every row.  A row made constant stays: ``0 = c`` with
-``c != 0`` is infeasible; ``_reduce_add`` drops or rejects the rest.
+positive by negating the equality; stage 2 is Fourier-Motzkin on the
+inequalities.  Rows combine only in ``_eliminate``, and infeasibility is
+decided only in ``_reduce_add``, which rejects a contradictory constant
+row; a constant equality ``0 = c`` left by stage 1 enters it as the
+rows ``0 >= c`` and ``0 >= -c``.
 
 Row format: ``(coeffs, rhs, kind)`` with integer ``coeffs``/``rhs`` and
 ``kind`` one of EQ, GE, GT, meaning ``coeffs . x (= | >= | >) rhs``.
@@ -19,6 +21,7 @@ Row format: ``(coeffs, rhs, kind)`` with integer ``coeffs``/``rhs`` and
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import mul
 
 EQ, GE, GT = 0, 1, 2
 
@@ -30,8 +33,8 @@ def solve(dim, rows):
 
     Returns ``(nums, den)`` with ``den > 0`` such that ``x_i = nums[i]/den``
     satisfies every row exactly, or ``None`` if the system is infeasible.
-    Infeasibility is established by elimination reaching a contradictory
-    constant constraint.
+    Infeasibility is established by ``_reduce_add`` rejecting a
+    contradictory constant row.
     """
     eqs = []
     ineqs = []
@@ -71,8 +74,8 @@ def solve(dim, rows):
             (*_eliminate(c, r, ec, erhs, k), s) if c[k] else (c, r, s)
             for c, r, s in ineqs
         ]
-    if any(erhs for _, erhs in eqs):
-        return None  # every equality left is constant: 0 = nonzero
+    # Every equality left is constant, 0 = c: it enters as 0 >= c, 0 >= -c.
+    ineqs += [(c, s * r, 0) for c, r in eqs for s in (1, -1)]
 
     # Stage 2: Fourier-Motzkin on the remaining inequalities.
     active = {}
@@ -112,13 +115,9 @@ def solve(dim, rows):
                 carry[coeffs] = (rhs, strict)
         stages.append((k, pos + neg))
         active = carry
-        # Inline _eliminate(nc, nrhs, pc, prhs, k): a call costs ~2% per solve.
         for pc, prhs, pstrict in pos:
-            cp = pc[k]
             for nc, nrhs, nstrict in neg:
-                cn = -nc[k]
-                coeffs = [cn * a + cp * b for a, b in zip(pc, nc)]
-                rhs = cn * prhs + cp * nrhs
+                coeffs, rhs = _eliminate(nc, nrhs, pc, prhs, k)
                 if _reduce_add(active, coeffs, rhs, pstrict or nstrict) is False:
                     return None
 
@@ -145,7 +144,7 @@ def solve(dim, rows):
 
     # Exact integer re-check of the witness against the original rows.
     for coeffs, rhs, kind in rows:
-        lhs = sum(c * x for c, x in zip(coeffs, nums))
+        lhs = sum(map(mul, coeffs, nums))
         r = rhs * common
         if kind == EQ:
             ok = lhs == r
@@ -160,7 +159,8 @@ def solve(dim, rows):
 
 def _eliminate(coeffs, rhs, ec, erhs, k):
     """The row times ``ec[k]`` minus the pivot row times ``coeffs[k]``, free
-    of ``x_k``; with ``ec[k] > 0`` an inequality keeps its direction."""
+    of ``x_k``; with ``ec[k] > 0`` an inequality keeps its direction (in
+    stage 2 the pivot is a lower bound on ``x_k``, the row an upper one)."""
     p = ec[k]
     a = coeffs[k]
     return [p * c - a * d for c, d in zip(coeffs, ec)], p * rhs - a * erhs

@@ -32,6 +32,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Iterable, Sequence
 
 from .poly import IntPolynomial
@@ -188,7 +189,7 @@ def _reflect_simple(cartan: Matrix, v: Sequence[int], i: int) -> RootVector:
 def _assert_positive_definite(form: Matrix) -> None:
     n = len(form)
     rows = [[Fraction(x) for x in row] for row in form]
-    # Fraction-free-ish Gaussian elimination; all pivots must be positive.
+    # Gaussian elimination over Fractions; all pivots must be positive.
     for k in range(n):
         if rows[k][k] <= 0:
             raise AssertionError("bilinear form is not positive definite")
@@ -226,26 +227,15 @@ def build_root_system(ctype: CartanType) -> RootSystem:
 
     h = 2 * len(positive) // n
     degrees = _DEGREES[ctype.family](n)
-    assert h == _coxeter_table(ctype), "closure disagrees with Coxeter number table"
+    assert h == max(degrees), "closure disagrees with the largest degree"
     assert len(positive) == n * h // 2
+    assert sum(d - 1 for d in degrees) == len(positive), "exponents must sum to N"
     # height 1 sorts by coordinates, so simple root a_j sits at index n-1-j
     assert positive[:n] == tuple(reversed(simples)), "simple roots must come first"
 
     rs = RootSystem(ctype, cartan, form, positive, h, degrees)
     assert _catalan(rs) > 0
     return rs
-
-
-def _coxeter_table(ctype: CartanType) -> int:
-    fam, n = ctype.family, ctype.rank
-    return {
-        "A": n + 1,
-        "B": 2 * n,
-        "C": 2 * n,
-        "D": 2 * n - 2,
-        "G": 6,
-        "F": 12,
-    }[fam]
 
 
 @lru_cache(maxsize=None)
@@ -374,11 +364,10 @@ def root_poset(rs: RootSystem) -> FinitePoset:
 
 
 def _catalan(rs: RootSystem) -> int:
-    value = Fraction(1)
-    for d in rs.degrees:
-        value *= Fraction(d + rs.coxeter_number, d)
-    assert value.denominator == 1
-    return int(value)
+    num = prod(d + rs.coxeter_number for d in rs.degrees)
+    den = prod(rs.degrees)
+    assert num % den == 0
+    return num // den
 
 
 @dataclass(frozen=True)

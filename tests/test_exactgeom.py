@@ -221,6 +221,73 @@ def test_kernel_answers_on_product_systems_pinned():
     assert hashlib.sha256(repr(outputs).encode()).hexdigest() == PRODUCT_DIGEST
 
 
+def _recording(monkeypatch, name):
+    """Replace the kernel helper ``name`` by a wrapper that appends each
+    return value to the list it returns."""
+    real = getattr(exactgeom._fmcore, name)
+    results = []
+
+    def wrapper(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(exactgeom._fmcore, name, wrapper)
+    return results
+
+
+def _random_rows(rng, dim, kinds):
+    return [
+        (tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(-3, 3), rng.choice(kinds))
+        for _ in range(rng.randint(2, 8))
+    ]
+
+
+def test_fourier_motzkin_combines_through_eliminate(monkeypatch):
+    # Systems without equalities or constant rows in which every variable
+    # has a lower and an upper bound: the first variable stage 2
+    # eliminates needs at least one (lower, upper) combination, and that
+    # must be _eliminate.
+    calls = _recording(monkeypatch, "_eliminate")
+    solve = exactgeom._fmcore.solve
+    assert solve(2, [((1, 0), 0, GT), ((0, 1), 0, GT), ((-1, -1), -1, GT)]) is not None
+    assert calls
+    rng = random.Random(43)
+    solved = 0
+    while solved < 200:
+        dim = rng.randint(1, 4)
+        rows = _random_rows(rng, dim, [GE, GT])
+        if not all(any(c) for c, *_ in rows) or not all(
+            any(c[k] > 0 for c, *_ in rows) and any(c[k] < 0 for c, *_ in rows)
+            for k in range(dim)
+        ):
+            continue
+        calls.clear()
+        solve(dim, rows)
+        assert calls, rows
+        solved += 1
+
+
+def test_infeasible_only_through_reduce_add(monkeypatch):
+    results = _recording(monkeypatch, "_reduce_add")
+    solve = exactgeom._fmcore.solve
+    rng = random.Random(47)
+    systems = [
+        # the only contradictions are constant equalities left by stage 1
+        (1, [((1,), 1, EQ), ((1,), 2, EQ)]),
+        (2, [((1, 1), 1, EQ), ((2, 2), 3, EQ), ((1, 0), 0, GT)]),
+    ]
+    for _ in range(500):
+        dim = rng.randint(1, 4)
+        systems.append((dim, _random_rows(rng, dim, [EQ, GE, GT])))
+    answers = []
+    for dim, rows in systems:
+        results.clear()
+        answers.append(solve(dim, rows))
+        assert (answers[-1] is None) == (False in results), rows
+    assert answers[0] is None and answers[1] is None
+    assert 100 < sum(a is None for a in answers) < 400
+
+
 # -- Farkas certificates ----------------------------------------------------------
 
 
