@@ -4,8 +4,8 @@ Decides systems of linear equalities and strict/non-strict inequalities
 over the rationals by Fourier-Motzkin elimination, and extracts an exact
 witness by back-substitution.  Everything runs on Python integers:
 elimination on integer rows, back-substitution on reduced
-numerator/denominator pairs, and the witness is returned as an integer
-numerator vector with a common positive denominator.
+numerator/denominator pairs, and the witness is returned, unchecked,
+as an integer numerator vector with a common positive denominator.
 
 Stage 1 pivots on an equality coefficient of least absolute value, made
 positive by negating the equality; stage 2 is Fourier-Motzkin on the
@@ -21,7 +21,6 @@ Row format: ``(coeffs, rhs, kind)`` with integer ``coeffs``/``rhs`` and
 from __future__ import annotations
 
 from math import gcd, lcm
-from operator import mul
 
 EQ, GE, GT = 0, 1, 2
 
@@ -31,10 +30,10 @@ __all__ = ["EQ", "GE", "GT", "solve"]
 def solve(dim, rows):
     """Feasibility of an integer constraint system in ``dim`` variables.
 
-    Returns ``(nums, den)`` with ``den > 0`` such that ``x_i = nums[i]/den``
-    satisfies every row exactly, or ``None`` if the system is infeasible.
-    Infeasibility is established by ``_reduce_add`` rejecting a
-    contradictory constant row.
+    Returns a witness ``(nums, den)`` with ``den > 0``, meant to satisfy
+    every row at ``x_i = nums[i]/den`` and not re-checked here, or ``None``
+    if the system is infeasible.  Infeasibility is established by
+    ``_reduce_add`` rejecting a contradictory constant row.
     """
     eqs = []
     ineqs = []
@@ -140,21 +139,7 @@ def solve(dim, rows):
         num[k], den[k] = _reduced(*_solve_for(ec, erhs, k, num, den))
 
     common = lcm(*den)
-    nums = tuple(n * (common // d) for n, d in zip(num, den))
-
-    # Exact integer re-check of the witness against the original rows.
-    for coeffs, rhs, kind in rows:
-        lhs = sum(map(mul, coeffs, nums))
-        r = rhs * common
-        if kind == EQ:
-            ok = lhs == r
-        elif kind == GE:
-            ok = lhs >= r
-        else:
-            ok = lhs > r
-        if not ok:
-            raise AssertionError("witness failed exact re-substitution")
-    return nums, common
+    return tuple(n * (common // d) for n, d in zip(num, den)), common
 
 
 def _eliminate(coeffs, rhs, ec, erhs, k):

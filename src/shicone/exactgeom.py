@@ -18,10 +18,10 @@ Feasibility of mixed strict and non-strict systems is decided by
 Fourier-Motzkin elimination with exact witness extraction, in the
 integer kernel ``_fmcore_py``.  :func:`feasible_rows` is the one entry
 to the kernel: it takes integer rows (a rational system enters with its
-denominators cleared) and returns the kernel's ``(nums, den)`` witness;
-:func:`as_fractions` is the one conversion of a point to ``Fraction``
-coordinates.  :func:`check_farkas` checks a certificate of
-infeasibility, integer multipliers of the rows, without the kernel.
+denominators cleared) and returns its ``(nums, den)`` witness once
+:func:`check_witness` accepts it; :func:`check_farkas` checks integer
+multipliers of the rows that prove infeasibility.  Neither checker
+calls the kernel.  :func:`as_fractions` converts a point to Fractions.
 
 Ambient dimension is capped at 4, in :func:`feasible_rows` and
 :func:`intersect_hyperplanes` alike: open cones of the rank <= 4 Weyl
@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from . import _fmcore_py as _fmcore
@@ -46,18 +47,39 @@ EQ, GE, GT = _fmcore.EQ, _fmcore.GE, _fmcore.GT
 MAX_DIM = 4
 
 
-def feasible_rows(dim: int, rows) -> Optional[tuple]:
-    """Feasibility of integer rows ``(coeffs, rhs, kind)`` in ``dim``
-    variables, ``kind`` one of EQ, GE, GT.
+def feasible_rows(dim: int, rows: Sequence[tuple]) -> Optional[tuple]:
+    """Feasibility of a sequence of integer rows ``(coeffs, rhs, kind)``
+    in ``dim`` variables, ``kind`` one of EQ, GE, GT.
 
-    Returns an exact interior point ``(nums, den)``, meaning
-    ``x_i = nums[i] / den`` with ``den > 0``, or None if infeasible.
-    Raises ``ValueError`` for ``dim > MAX_DIM`` or a row of another
-    dimension.
+    Returns the kernel's point ``(nums, den)``, ``x_i = nums[i] / den``
+    with ``den > 0``, once :func:`check_witness` accepts it (else
+    ``AssertionError``), or None if infeasible.  Raises ``ValueError``
+    for ``dim > MAX_DIM`` or a row of another dimension.
     """
     if dim > MAX_DIM:
         raise ValueError(f"dimension {dim} exceeds the supported bound {MAX_DIM}")
-    return _fmcore.solve(dim, rows)
+    point = _fmcore.solve(dim, rows)
+    if point is None or check_witness(dim, rows, point):
+        return point
+    raise AssertionError("witness failed exact re-substitution")
+
+
+def check_witness(dim: int, rows: Iterable[tuple], point: tuple) -> bool:
+    """Whether ``len(nums) == dim``, ``den > 0`` and the point ``(nums, den)``
+    satisfies each row: ``coeffs . nums (= | >= | >) rhs * den``.  Raises
+    ``ValueError`` for a row it reads of another dimension or kind."""
+    nums, den = point
+    if len(nums) != dim or den <= 0:
+        return False
+    for coeffs, rhs, kind in rows:
+        if len(coeffs) != dim:
+            raise ValueError(f"not a row in {dim} variables: {(coeffs, rhs, kind)}")
+        d = sum(map(mul, coeffs, nums)) - rhs * den
+        if not (kind == GT and d > 0 or kind == GE and d >= 0 or kind == EQ and d == 0):
+            if kind not in (EQ, GE, GT):
+                raise ValueError(f"not a row in {dim} variables: {(coeffs, rhs, kind)}")
+            return False
+    return True
 
 
 def check_farkas(dim: int, rows, lam: Sequence[int]) -> bool:

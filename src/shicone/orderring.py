@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from .exactgeom import GT, check_witness
 from .poly import IntPolynomial
 from .posets import FinitePoset
-from .rootsys import RootSystem
+from .rootsys import RootSystem, signed_roots
 from .shi import ShiRegion
 
 #: Elements beyond this make the dense function representation silly.
@@ -125,9 +126,8 @@ def vg_heaviside(rs: RootSystem, E: Iterable[int], region: ShiRegion, b: int) ->
     """
     if b not in set(E):
         raise ValueError("root index outside the deletion set")
-    nums, den = region.witness
-    value = sum(c * x for c, x in zip(rs.positive_roots[b], nums))
-    return 1 if value < den else 0
+    row = (signed_roots(rs)[len(rs.positive_roots) + b], -1, GT)
+    return int(check_witness(rs.rank, [row], region.witness))
 
 
 # -- order polytope and presentation ------------------------------------------

@@ -22,7 +22,9 @@ from itertools import combinations
 from . import orderring, shi
 from .exactgeom import (
     EQ,
+    GT,
     check_farkas,
+    check_witness,
     contains_flat,
     feasible_rows,
     intersect_hyperplanes,
@@ -38,6 +40,7 @@ from .rootsys import (
     numerology,
     root_index,
     root_poset,
+    signed_roots,
     weyl_group,
 )
 from .shi import (
@@ -118,18 +121,14 @@ def _witness_in_region(rs, inv, E, region) -> bool:
     """Exact witness check of a region description: the witness pairs
     below 0 with the roots of ``inv``, above 0 with every other root,
     below 1 with the region's ideal and above 1 with the rest of E."""
-    nums, den = region.witness
-    for i, coords in enumerate(rs.positive_roots):
-        v = sum(c * x for c, x in zip(coords, nums))
-        if i in inv:
-            ok = v < 0
-        elif i in region.ideal:
-            ok = 0 < v < den
-        else:
-            ok = v > den if i in E else v > 0
-        if not ok:
-            return False
-    return True
+    roots, N = signed_roots(rs), len(rs.positive_roots)
+    above_one = E - region.ideal
+    rows = [(roots[N + i], -1, GT) for i in region.ideal - inv]
+    rows += [
+        (roots[N + i], 0, GT) if i in inv else (roots[i], int(i in above_one), GT)
+        for i in range(N)
+    ]
+    return check_witness(rs.rank, rows, region.witness)
 
 
 # -- individual checks ---------------------------------------------------
@@ -387,21 +386,14 @@ def check_region_ring_isomorphism(ctx: TypeContext) -> str:
     E = tuple(range(len(rs.positive_roots)))
     regions = ctx.regions(ctx.W[0])
     ring = orderring.OrderRing(ctx.rp)
-    for b in E:
-        yb = ring.heaviside(b)
-        for region in regions:
-            _need(
-                orderring.vg_heaviside(rs, E, region, b) == yb(region.ideal),
-                "Heaviside values disagree",
-            )
+    ys = [ring.heaviside(b) for b in E]
+    sides = [[orderring.vg_heaviside(rs, E, r, b) for r in regions] for b in E]
+    for yb, side in zip(ys, sides):
+        _need(side == [yb(r.ideal) for r in regions], "Heaviside values disagree")
     for b, c in combinations(E, 2):
-        yb, yc = ring.heaviside(b), ring.heaviside(c)
-        prod = yb * yc
-        for region in regions:
-            geo = orderring.vg_heaviside(rs, E, region, b) * orderring.vg_heaviside(
-                rs, E, region, c
-            )
-            _need(geo == prod(region.ideal), "products are not preserved")
+        prod = ys[b] * ys[c]
+        for region, gb, gc in zip(regions, sides[b], sides[c]):
+            _need(gb * gc == prod(region.ideal), "products are not preserved")
     return f"{len(regions)} regions x {len(E)} generators"
 
 

@@ -130,6 +130,13 @@ def test_cone_deletion_bad_index(capsys):
     assert code == 2
 
 
+def test_cone_deletion_unparsable_index(capsys):
+    code, out, err = run_cli(capsys, "cone", "--type", "B2", "--e", "1,x")
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot parse index list '1,x'\n"
+
+
 def test_cone_word_and_deletion_rejected(capsys):
     code, out, err = run_cli(capsys, "cone", "--type", "B2", "--word", "12", "--e", "0,3")
     assert code == 2

@@ -13,6 +13,7 @@ from shicone.exactgeom import (
     GT,
     as_fractions,
     check_farkas,
+    check_witness,
     contains_flat,
     feasible_rows,
     flat_contains,
@@ -286,6 +287,104 @@ def test_infeasible_only_through_reduce_add(monkeypatch):
         assert (answers[-1] is None) == (False in results), rows
     assert answers[0] is None and answers[1] is None
     assert 100 < sum(a is None for a in answers) < 400
+
+
+# -- witness certificates ---------------------------------------------------------
+
+
+def _moved_across_a_row(dim, rows, point):
+    """The point with one numerator moved by ``den`` so that the Fraction
+    reference finds a row violated, or None if no such move exists."""
+    nums, den = point
+    for i in range(dim):
+        for step in (den, -den):
+            moved = nums[:i] + (nums[i] + step,) + nums[i + 1 :]
+            if not all(holds(r, [Fraction(n, den) for n in moved]) for r in rows):
+                return moved, den
+    return None
+
+
+def test_feasible_rows_certifies_kernel_witness(monkeypatch):
+    # the kernel's answer replaced by a proposal: an untouched answer
+    # passes through as it is, a moved witness is refused
+    solve = exactgeom._fmcore.solve
+    proposed = []
+    monkeypatch.setattr(exactgeom._fmcore, "solve", lambda dim, rows: proposed[-1])
+    rows = [((1,), 0, GT), ((-1,), -1, GT)]
+    proposed.append(((3,), 2))
+    with pytest.raises(AssertionError, match="witness failed exact re-substitution"):
+        feasible_rows(1, rows)
+    rng = random.Random(53)
+    refused = 0
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        rows = _random_system(rng, dim)
+        proposed.append(solve(dim, rows))
+        assert feasible_rows(dim, rows) is proposed[-1]
+        moved = proposed[-1] and _moved_across_a_row(dim, rows, proposed[-1])
+        if moved:
+            proposed.append(moved)
+            with pytest.raises(AssertionError, match="witness failed exact re-substitution"):
+                feasible_rows(dim, rows)
+            refused += 1
+    assert refused > 50
+
+
+def test_check_witness_matches_fraction_reference(monkeypatch):
+    # About a third of the rows are tight at the point: the row scaled by
+    # den with its value as rhs, so each kind meets its boundary there.
+    # The checker never reaches the kernel.
+    monkeypatch.setattr(exactgeom._fmcore, "solve", None)
+    rng = random.Random(59)
+    boundary = set()
+    accepted = 0
+    for _ in range(20000):
+        dim = rng.randint(1, 4)
+        den = rng.randint(1, 6)
+        nums = tuple(rng.randint(-12, 12) for _ in range(dim))
+        point = [Fraction(n, den) for n in nums]
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            coeffs = tuple(rng.randint(-4, 4) for _ in range(dim))
+            kind = rng.choice((EQ, GE, GT))
+            if rng.randrange(3):
+                rows.append((coeffs, rng.randint(-6, 6), kind))
+            else:
+                value = sum(c * n for c, n in zip(coeffs, nums))
+                rows.append((tuple(den * c for c in coeffs), value, kind))
+                boundary.add((kind, holds(rows[-1], point)))
+        expected = all(holds(r, point) for r in rows)
+        assert check_witness(dim, rows, (nums, den)) == expected, (rows, nums, den)
+        accepted += expected
+    assert boundary == {(EQ, True), (GE, True), (GT, False)}
+    assert 2000 < accepted < 18000
+
+
+def test_check_witness_rejects_malformed_points():
+    rows = [((1, 0), 0, GT), ((0, 1), 0, GE)]
+    assert check_witness(2, rows, ((1, 1), 2))
+    assert check_witness(0, [], ((), 1))
+    # a point of the wrong length, or without a positive denominator
+    assert not check_witness(2, rows, ((1,), 2))
+    assert not check_witness(2, rows, ((1, 1, 1), 2))
+    assert not check_witness(2, rows, ((1, 1), 0))
+    assert not check_witness(2, rows, ((-1, -1), -2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: check_witness(2, [((1,), 0, GT)], ((1, 1), 2)), "not a row in 2"),
+        (lambda: check_witness(2, [((1, 0), 0, 3)], ((1, 1), 2)), "not a row in 2"),
+        (lambda: feasible_rows(1, [((1,), 0, 3)]), "unknown constraint kind"),
+        (lambda: intersect_hyperplanes(5, []), "exceeds the supported bound"),
+        (lambda: intersect_hyperplanes(2, [((1, 0, 0), 1)]), "dimension mismatch"),
+    ],
+    ids=["witness-row-dim", "witness-row-kind", "kernel-row-kind", "flat-dim", "flat-normal"],
+)
+def test_malformed_rows_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # -- Farkas certificates ----------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from conftest import get_rs
 from shicone.orderring import (
     OrderRing,
+    RingElement,
     generator_strings,
     generator_value,
     generators,
@@ -223,6 +224,21 @@ def test_poset_mismatch_rejected():
 def test_heaviside_unknown_element():
     with pytest.raises(ValueError):
         OrderRing(FORK).heaviside(99)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # 3 lies above 1 and 2, so {3} is not an ideal
+        lambda ring: ring.ideal_position({3}),
+        lambda ring: ring.delta({2, 3}),
+        lambda ring: RingElement(ring, [0] * (len(ring.ideals) - 1)),
+    ],
+    ids=["position-non-ideal", "delta-non-ideal", "element-wrong-length"],
+)
+def test_ring_rejects_malformed_arguments(call):
+    with pytest.raises(ValueError):
+        call(OrderRing(FORK))
 
 
 def test_ring_size_cap():

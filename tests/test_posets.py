@@ -108,6 +108,11 @@ def test_filter_generated():
     assert FORK.filter_generated([1, 2]) == {1, 2, 3, 4, 5}
 
 
+def test_filter_generated_rejects_chains():
+    with pytest.raises(ValueError, match="not an antichain"):
+        FORK.filter_generated([3, 4])
+
+
 # -- antichains -----------------------------------------------------------------
 
 

@@ -303,6 +303,12 @@ def test_act_basics(rs_b2):
         assert act(rs_b2, w, act(rs_b2, winv, r)) == r
 
 
+@pytest.mark.parametrize("word", [(2,), (-1,), (0, 1, 2)])
+def test_element_from_word_rejects_out_of_range_generators(rs_b2, word):
+    with pytest.raises(ValueError, match="out of range"):
+        element_from_word(rs_b2, word)
+
+
 def test_act_rejects_non_roots(rs_b2):
     s = element_from_word(rs_b2, (0,))
     with pytest.raises(ValueError):

@@ -325,6 +325,14 @@ def test_intersection_poset_structure(rs_b2):
         assert poset.interval_mobius(0, j) == f.mobius
 
 
+def test_interval_mobius_vanishes_off_the_order(rs_b2):
+    poset = flats_in_cone(rs_b2, element_from_word(rs_b2, ()))
+    n = len(poset)
+    pairs = [(i, j) for i in range(n) for j in range(n) if not poset.leq(i, j)]
+    assert pairs
+    assert all(poset.interval_mobius(i, j) == 0 for i, j in pairs)
+
+
 def _level_planes(rs, levels):
     return {(i, k): (c, k) for i, c in enumerate(rs.positive_roots) for k in levels}
 
@@ -455,6 +463,41 @@ def test_closure_asks_kernel_once_per_flat(monkeypatch):
         assert len(set(systems)) == len(systems)
         total += len(systems)
     assert total > 0
+
+
+@pytest.mark.parametrize(
+    "name, fake, build, message",
+    [
+        # the kernel finds no point in a region built from an antichain
+        (
+            "feasible_rows",
+            lambda dim, rows: None,
+            lambda rs: regions_in_dominant(rs, range(4)),
+            "empty region",
+        ),
+        # the last hyperplane of an antichain adds nothing to the others
+        (
+            "intersect_hyperplanes",
+            lambda dim, rows: intersect_hyperplanes(dim, list(rows)[:-1]),
+            lambda rs: flats_in_cone(rs, element_from_word(rs, ())),
+            "hyperplanes are dependent",
+        ),
+        # the kernel finds no point of a flat inside its cone
+        (
+            "feasible_rows",
+            lambda dim, rows: None,
+            lambda rs: flats_in_dominant(rs, range(4)),
+            "does not meet its cone",
+        ),
+    ],
+    ids=["empty-region", "dependent-antichain", "flat-misses-cone"],
+)
+def test_invariant_violation_fails_construction(
+    rs_b2, monkeypatch, name, fake, build, message
+):
+    monkeypatch.setattr(shi, name, fake)
+    with pytest.raises(RuntimeError, match=message):
+        build(rs_b2)
 
 
 def test_flat_on_outside_hyperplane_fails_construction(rs_b2, monkeypatch):
