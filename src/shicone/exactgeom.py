@@ -47,9 +47,9 @@ EQ, GE, GT = _fmcore.EQ, _fmcore.GE, _fmcore.GT
 MAX_DIM = 4
 
 
-def feasible_rows(dim: int, rows: Sequence[tuple]) -> Optional[tuple]:
-    """Feasibility of a sequence of integer rows ``(coeffs, rhs, kind)``
-    in ``dim`` variables, ``kind`` one of EQ, GE, GT.
+def feasible_rows(dim: int, rows: Iterable[tuple]) -> Optional[tuple]:
+    """Feasibility of integer rows ``(coeffs, rhs, kind)`` in ``dim``
+    variables, ``kind`` one of EQ, GE, GT; ``rows`` may be any iterable.
 
     Returns the kernel's point ``(nums, den)``, ``x_i = nums[i] / den``
     with ``den > 0``, once :func:`check_witness` accepts it (else
@@ -58,6 +58,8 @@ def feasible_rows(dim: int, rows: Sequence[tuple]) -> Optional[tuple]:
     """
     if dim > MAX_DIM:
         raise ValueError(f"dimension {dim} exceeds the supported bound {MAX_DIM}")
+    if not isinstance(rows, (list, tuple)):
+        rows = list(rows)  # read twice: by the kernel and by check_witness
     point = _fmcore.solve(dim, rows)
     if point is None or check_witness(dim, rows, point):
         return point

@@ -176,9 +176,29 @@ def test_kernel_answers_pinned():
     outputs.append(solve(2, rows))
     assert sum(out is None for out in outputs) == 269
     assert hashlib.sha256(repr(outputs).encode()).hexdigest() == KERNEL_DIGEST
+    # every witness is in lowest terms
+    assert all(gcd(den, *nums) == 1 for nums, den in filter(None, outputs))
     # A closed degenerate interval: 3x >= 1 and -3x >= -1 pin x to 1/3.
     rows = [((3,), 1, exactgeom.GE), ((-3,), -1, exactgeom.GE)]
     assert solve(1, rows) == ((1,), 3)
+
+
+def test_back_substitution_rescales_assigned_coordinates():
+    # y in [1, 1] is set first, y = 1 on the denominator 1; then the
+    # equality 3x - 6y = -4 gives x = 2/3, and y is rescaled to 3/3.
+    solve = exactgeom._fmcore.solve
+    rows = [((0, 1), 1, GE), ((0, -1), -1, GE), ((3, -6), -4, EQ)]
+    assert solve(2, rows) == ((2, 3), 3)
+    # y in (0, 1) gives y = 1/2 and z = 2, then 5x = 1 + y + 2z gives
+    # x = 11/10: the denominator grows 1 -> 2 -> 10 and y = 5/10.
+    rows = [
+        ((0, 1, 0), 0, GT),
+        ((0, -1, 0), -1, GT),
+        ((0, 0, 1), 2, GE),
+        ((0, 0, -1), -2, GE),
+        ((5, -1, -2), 1, EQ),
+    ]
+    assert solve(3, rows) == ((11, 5, 20), 10)
 
 
 def _product_systems(rs, w):
@@ -328,6 +348,19 @@ def test_feasible_rows_certifies_kernel_witness(monkeypatch):
                 feasible_rows(dim, rows)
             refused += 1
     assert refused > 50
+
+
+def test_feasible_rows_certifies_against_iterator_rows(monkeypatch):
+    # a kernel that reads its rows and proposes x = -5: the rows must still
+    # be there for the certification when they come as a one-shot iterator
+    def propose(dim, rows):
+        for _ in rows:
+            pass
+        return (-5,), 1
+
+    monkeypatch.setattr(exactgeom._fmcore, "solve", propose)
+    with pytest.raises(AssertionError, match="witness failed exact re-substitution"):
+        feasible_rows(1, iter([((1,), 0, GT)]))
 
 
 def test_check_witness_matches_fraction_reference(monkeypatch):
