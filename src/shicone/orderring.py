@@ -1,17 +1,21 @@
 """The order ring of a finite poset and its region-ring counterpart.
 
-The order ring of P is the ring of integer-valued functions on the
-order ideals of P under pointwise operations.  It is generated by the
-Heaviside functions y_p (membership indicators of p across ideals), has
-the delta functions of ideals as a linear basis, and its associated
-graded ring has the squarefree antichain monomials as a basis, so its
-Hilbert series is the antichain-counting polynomial.
+Both rings are rings of functions on a finite point set.  The order
+ring of P lives on the order ideals of P and is generated by the
+Heaviside functions y_p, the membership indicators of p.  The
+Varchenko-Gel'fand (VG) ring of the dominant cone of a Shi deletion
+lives on its regions and is generated by the Heaviside functions of the
+level-1 hyperplanes, which :func:`vg_heaviside` evaluates from a
+region's exact witness.  The dictionary region <-> order ideal
+identifies the two.
 
-The same ring arises from the dominant cone of a Shi deletion as the
-ring of integer functions on regions, with Heaviside functions reading
-off which side of a level-1 hyperplane a region lies on; the dictionary
-region <-> order ideal identifies the two, and :func:`vg_heaviside`
-evaluates the geometric side from a region's exact witness.
+With each generator stored as a bitmask over the points,
+:func:`filtered_hilbert` computes the Hilbert series of the degree
+filtration of either ring by ranks over the rationals.  For the order
+ring that series is the antichain-counting polynomial, which
+:func:`hilbert_series` returns by formula: the squarefree antichain
+monomials (:func:`standard_monomials`) are a basis of the associated
+graded ring.
 
 Order-polytope vertices are indicator vectors of order filters; the
 quadratic generators z_p(1 - z_q) for p <= q vanish on all of them and
@@ -22,99 +26,49 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .exactgeom import GT, check_witness
+from .exactgeom import GT, AffineFlat, check_witness, meet
 from .poly import IntPolynomial
 from .posets import FinitePoset
 from .rootsys import RootSystem, signed_roots
 from .shi import ShiRegion
 
-#: Elements beyond this make the dense function representation silly.
-MAX_RING_ELEMENTS = 24
+
+def membership_masks(points: Sequence[Iterable], elements: Iterable) -> list:
+    """The Heaviside functions on a family of sets, one bitmask per
+    element: bit i is set when the element lies in ``points[i]``."""
+    return [sum(1 << i for i, S in enumerate(points) if e in S) for e in elements]
 
 
-class RingElement:
-    """A function from the order ideals of a fixed poset to the integers.
+def filtered_hilbert(masks: Iterable[int], n: int) -> IntPolynomial:
+    """Hilbert series of the ring of functions on n points generated by
+    0/1 functions, each given as a bitmask (bit i is its value at point
+    i), filtered by degree in the generators.
 
-    Values are stored densely, aligned with the owning ring's ideal
-    sequence; addition and multiplication are pointwise.
+    F_k is spanned by the ANDs of at most k masks: products of at most k
+    generators, of which the squarefree ones suffice since x^2 = x for
+    0/1 values.  The coefficient of t^k is dim F_k - dim F_{k-1}, by
+    ranks over the rationals with :func:`meet`.  As F_{k+1} = F_k F_1,
+    only the products that raised the rank at level k are extended to
+    level k + 1, and the first level that adds nothing ends the series.
     """
-
-    __slots__ = ("ring", "values")
-
-    def __init__(self, ring: "OrderRing", values: Sequence[int]):
-        if len(values) != len(ring.ideals):
-            raise ValueError("value vector does not match the ideal family")
-        self.ring = ring
-        self.values = tuple(int(v) for v in values)
-
-    def __call__(self, ideal: Iterable) -> int:
-        return self.values[self.ring.ideal_position(ideal)]
-
-    def _check_ring(self, other: "RingElement") -> None:
-        if self.ring is not other.ring and self.ring.poset != other.ring.poset:
-            raise ValueError("ring elements belong to different posets")
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        self._check_ring(other)
-        return RingElement(self.ring, [a + b for a, b in zip(self.values, other.values)])
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        self._check_ring(other)
-        return RingElement(self.ring, [a - b for a, b in zip(self.values, other.values)])
-
-    def __mul__(self, other: "RingElement | int") -> "RingElement":
-        if isinstance(other, int):
-            return RingElement(self.ring, [a * other for a in self.values])
-        self._check_ring(other)
-        return RingElement(self.ring, [a * b for a, b in zip(self.values, other.values)])
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return self.ring.poset == other.ring.poset and self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash(self.values)
-
-    def __repr__(self) -> str:
-        return f"RingElement({list(self.values)!r})"
-
-
-class OrderRing:
-    """Container fixing the poset and its ideal family once."""
-
-    def __init__(self, poset: FinitePoset):
-        if len(poset) > MAX_RING_ELEMENTS:
-            raise ValueError(
-                f"order ring materializes one value per order ideal; "
-                f"posets are capped at {MAX_RING_ELEMENTS} elements"
-            )
-        self.poset = poset
-        self.ideals = tuple(poset.order_ideals())
-        self._pos = {ideal: i for i, ideal in enumerate(self.ideals)}
-
-    def ideal_position(self, ideal: Iterable) -> int:
-        key = frozenset(ideal)
-        if key not in self._pos:
-            raise ValueError("not an order ideal of this poset")
-        return self._pos[key]
-
-    def zero(self) -> RingElement:
-        return RingElement(self, [0] * len(self.ideals))
-
-    def one(self) -> RingElement:
-        return RingElement(self, [1] * len(self.ideals))
-
-    def delta(self, ideal: Iterable) -> RingElement:
-        j = self.ideal_position(ideal)
-        return RingElement(self, [1 if i == j else 0 for i in range(len(self.ideals))])
-
-    def heaviside(self, p) -> RingElement:
-        if p not in self.poset:
-            raise ValueError(f"{p!r} is not a poset element")
-        return RingElement(self, [1 if p in ideal else 0 for ideal in self.ideals])
+    masks = set(masks)
+    span = AffineFlat(n, ())
+    seen = set()
+    counts = []
+    level = [(1 << n) - 1]
+    while True:
+        added = []
+        for p in level:
+            if p not in seen:
+                seen.add(p)
+                grown = meet(span, [p >> i & 1 for i in range(n)], 0)
+                if grown is not span:
+                    span = grown
+                    added.append(p)
+        if not added:
+            return IntPolynomial(counts)
+        counts.append(len(added))
+        level = [p & m for p in added for m in masks]
 
 
 def vg_heaviside(rs: RootSystem, E: Iterable[int], region: ShiRegion, b: int) -> int:

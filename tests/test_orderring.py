@@ -1,16 +1,15 @@
 import random
-from itertools import combinations
 
 import pytest
 
 from conftest import get_rs
 from shicone.orderring import (
-    OrderRing,
-    RingElement,
+    filtered_hilbert,
     generator_strings,
     generator_value,
     generators,
     hilbert_series,
+    membership_masks,
     polytope_vertices,
     standard_monomials,
     vg_heaviside,
@@ -142,7 +141,7 @@ def test_counts_agree(seed):
     n = len(poset.antichains())
     assert len(polytope_vertices(poset)) == n
     assert len(standard_monomials(poset)) == n
-    assert len(OrderRing(poset).ideals) == n
+    assert len(poset.order_ideals()) == n
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C3", "D3", "G2",
@@ -152,7 +151,7 @@ def test_counts_agree_on_root_posets(name):
     n = len(poset.antichains())
     assert len(polytope_vertices(poset)) == n
     assert len(standard_monomials(poset)) == n
-    assert len(OrderRing(poset).ideals) == n
+    assert len(poset.order_ideals()) == n
 
 
 def test_hilbert_recursion_random():
@@ -164,86 +163,63 @@ def test_hilbert_recursion_random():
             assert hilbert_series(poset) == hilbert_series(p1) + T * hilbert_series(p0)
 
 
-# -- ring elements ------------------------------------------------------------------------
+# -- filtered Hilbert series -----------------------------------------------------------------
 
 
-def test_single_element_heaviside_is_delta():
-    poset = FinitePoset(["p"])
-    ring = OrderRing(poset)
-    assert ring.heaviside("p") == ring.delta({"p"})
+def order_ring_series(poset):
+    ideals = poset.order_ideals()
+    return filtered_hilbert(membership_masks(ideals, poset.elements), len(ideals))
 
 
-def test_b2_heaviside_membership():
-    poset = root_poset(get_rs("B2"))
-    ring = OrderRing(poset)
-    y0 = ring.heaviside(0)
-    assert y0(frozenset({0, 1, 2})) == 1
-    assert y0(frozenset()) == 0
+def test_membership_masks():
+    assert membership_masks([{1}, {1, 2}, set()], [1, 2, 3]) == [0b011, 0b010, 0]
 
 
-def test_delta_expansion_identity():
-    # delta_I = prod_{b in I} y_b * prod_{b not in I} (1 - y_b), pointwise
-    ring = OrderRing(FORK)
-    one = ring.one()
-    for ideal in ring.ideals:
-        product = one
-        for b in FORK.elements:
-            y = ring.heaviside(b)
-            product = product * (y if b in ideal else one - y)
-        assert product == ring.delta(ideal)
+def test_fork_filtered_hilbert():
+    assert order_ring_series(FORK) == IntPolynomial([1, 5, 2])
 
 
-def test_delta_orthogonality():
-    ring = OrderRing(FORK)
-    ideals = ring.ideals
-    d0, d1 = ring.delta(ideals[0]), ring.delta(ideals[1])
-    assert d0 * d1 == ring.zero()
-    assert d0 * d0 == d0
+def test_empty_poset_filtered_hilbert():
+    assert order_ring_series(FinitePoset([])) == IntPolynomial([1])
 
 
-def test_one_is_identity():
-    ring = OrderRing(FORK)
-    f = ring.heaviside(3) + 2 * ring.delta(ring.ideals[0])
-    assert ring.one() * f == f
+def test_chain_filtered_hilbert():
+    # y_a y_b = y_b on a chain a < b < c: the filtration stops at degree 1
+    chain = FinitePoset("abc", [("a", "b"), ("b", "c")])
+    assert order_ring_series(chain) == IntPolynomial([1, 3])
 
 
-def test_heaviside_product_absorbs_upward():
-    # 1 <= 3 in the fork, so any ideal containing 3 contains 1
-    ring = OrderRing(FORK)
-    y1, y3 = ring.heaviside(1), ring.heaviside(3)
-    assert y1 * y3 == y3
+def test_filtered_hilbert_reads_ranks_not_masks():
+    # three points: y = (1, 1, 0) and z = (0, 1, 1) give y z = (0, 1, 0),
+    # so F_2 is everything; a repeated or constant mask adds nothing
+    assert filtered_hilbert([0b011, 0b110], 3) == IntPolynomial([1, 2])
+    assert filtered_hilbert([0b011, 0b011, 0b111, 0], 3) == IntPolynomial([1, 1])
+    assert filtered_hilbert([0b001, 0b010], 3) == IntPolynomial([1, 2])
+    assert filtered_hilbert([], 0) == IntPolynomial()
 
 
-def test_poset_mismatch_rejected():
-    a = OrderRing(FinitePoset([1]))
-    b = OrderRing(FinitePoset([2]))
-    with pytest.raises(ValueError):
-        a.one() * b.one()
+@pytest.mark.parametrize("seed", range(6))
+def test_filtered_hilbert_matches_antichains(seed):
+    rng = random.Random(500 + seed)
+    poset = random_poset(rng.randint(0, 7), rng)
+    assert order_ring_series(poset) == hilbert_series(poset)
 
 
-def test_heaviside_unknown_element():
-    with pytest.raises(ValueError):
-        OrderRing(FORK).heaviside(99)
-
-
-@pytest.mark.parametrize(
-    "call",
-    [
-        # 3 lies above 1 and 2, so {3} is not an ideal
-        lambda ring: ring.ideal_position({3}),
-        lambda ring: ring.delta({2, 3}),
-        lambda ring: RingElement(ring, [0] * (len(ring.ideals) - 1)),
-    ],
-    ids=["position-non-ideal", "delta-non-ideal", "element-wrong-length"],
-)
-def test_ring_rejects_malformed_arguments(call):
-    with pytest.raises(ValueError):
-        call(OrderRing(FORK))
-
-
-def test_ring_size_cap():
-    with pytest.raises(ValueError):
-        OrderRing(FinitePoset(range(25)))
+def test_flipped_vg_bit_changes_series():
+    # the A3 dominant VG masks give the Poincare polynomial 1 + 6t + 6t^2 + t^3;
+    # claiming any hyperplane has the empty-ideal region below level 1 moves it
+    rs = get_rs("A3")
+    E = range(len(rs.positive_roots))
+    regions = regions_in_dominant(rs, E)
+    masks = [
+        sum(vg_heaviside(rs, E, r, b) << i for i, r in enumerate(regions)) for b in E
+    ]
+    assert filtered_hilbert(masks, len(regions)) == IntPolynomial([1, 6, 6, 1])
+    bottom = next(i for i, r in enumerate(regions) if not r.ideal)
+    for b in E:
+        flipped = list(masks)
+        flipped[b] ^= 1 << bottom
+        assert filtered_hilbert(flipped, len(regions)) != IntPolynomial([1, 6, 6, 1])
 
 
 # -- region ring dictionary ------------------------------------------------------------------
@@ -272,14 +248,8 @@ def test_region_ring_isomorphism(name):
     rs = get_rs(name)
     poset = root_poset(rs)
     E = range(len(rs.positive_roots))
-    ring = OrderRing(poset)
     regions = regions_in_dominant(rs, E)
-    for b in E:
-        y = ring.heaviside(b)
-        for region in regions:
-            assert vg_heaviside(rs, E, region, b) == y(region.ideal)
-    for b, c in combinations(E, 2):
-        prod = ring.heaviside(b) * ring.heaviside(c)
-        for region in regions:
-            geo = vg_heaviside(rs, E, region, b) * vg_heaviside(rs, E, region, c)
-            assert geo == prod(region.ideal)
+    vg = [sum(vg_heaviside(rs, E, r, b) << i for i, r in enumerate(regions)) for b in E]
+    assert vg == membership_masks([r.ideal for r in regions], E)
+    assert filtered_hilbert(vg, len(regions)) == order_ring_series(poset)
+    assert order_ring_series(poset) == hilbert_series(poset)

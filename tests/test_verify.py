@@ -4,6 +4,7 @@ import pytest
 
 from conftest import get_rs
 from shicone import verify
+from shicone.posets import FinitePoset
 from shicone.rootsys import inversion_set
 from shicone.verify import (
     TypeContext,
@@ -13,6 +14,7 @@ from shicone.verify import (
     check_fuss,
     check_hilbert_matches_poincare,
     check_region_ceiling_bijection,
+    check_region_ring_isomorphism,
     run_suite,
 )
 
@@ -106,6 +108,48 @@ def test_swapped_flats_fail_poincare_checks():
         check_hilbert_matches_poincare(ctx)
     with pytest.raises(verify._Failure, match="dominant Whitney numbers not Narayana"):
         check_counting(ctx)
+
+
+def test_swapped_flats_fail_region_ring_check():
+    # both ring series are computed from their own points and compared
+    # with the dominant flats, which now have Poincare polynomial 1
+    ctx = TypeContext(get_rs("B2"))
+    ctx._memo[("flats", ctx.W[0].word)] = ctx.flats(ctx.W[-1])
+    with pytest.raises(
+        verify._Failure, match="VG ring Hilbert series differs from Poincare polynomial"
+    ):
+        check_region_ring_isomorphism(ctx)
+
+
+def test_unordered_root_poset_fails_order_ring_series():
+    # the regions and flats stay right, but the order ring is read off the
+    # root poset: without its relations every subset is an ideal
+    ctx = TypeContext(get_rs("B2"))
+    ctx.rp = FinitePoset(ctx.rp.elements)
+    with pytest.raises(
+        verify._Failure, match="order ring Hilbert series differs from Poincare polynomial"
+    ):
+        check_region_ring_isomorphism(ctx)
+
+
+def test_swapped_witnesses_fail_region_ring_values():
+    # two dominant regions trading witnesses read each other's Heaviside values
+    ctx = TypeContext(get_rs("A3"))
+    regions = ctx.regions(ctx.W[0])
+    i = next(k for k, r in enumerate(regions) if not r.ideal)
+    j = next(k for k, r in enumerate(regions) if len(r.ideal) == 6)
+    regions[i], regions[j] = (
+        replace(regions[i], witness=regions[j].witness),
+        replace(regions[j], witness=regions[i].witness),
+    )
+    with pytest.raises(verify._Failure, match="Heaviside values disagree"):
+        check_region_ring_isomorphism(ctx)
+
+
+def test_interval_mobius_runs_at_rank_4():
+    details = check_boolean_intervals(TypeContext(get_rs("A4")))
+    pairs = int(details.split(", ")[1].split()[0])
+    assert pairs > 0
 
 
 def test_extra_hyperplane_fails_boolean_check(monkeypatch):
