@@ -31,6 +31,7 @@ irrelevant.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -131,11 +132,13 @@ class AffineFlat:
     positive, rows in pivot-column order.  It is a canonical key for the
     flat: two hyperplane collections cut out the same flat exactly when
     their reduced systems agree, and the codimension is the number of
-    rows.  :func:`meet` is the one operation that builds it.
+    rows.  ``pivots`` holds the rows' pivot columns.  :func:`meet` is the
+    one operation that builds it, from the ambient ``AffineFlat(dim, (), ())``.
     """
 
     dim: int
     rref: tuple
+    pivots: tuple
 
     @property
     def codim(self) -> int:
@@ -157,12 +160,10 @@ def _residual(flat: AffineFlat, normal: Sequence[int], rhs: int) -> list:
     throughout exactly when the row lies in the span of the reduced
     rows, since no nonzero combination of them vanishes on every pivot."""
     row = [*normal, rhs]
-    for prow in flat.rref:
-        for col, p in enumerate(prow):
-            if p:
-                break
+    for col, prow in zip(flat.pivots, flat.rref):
         f = row[col]
         if f:
+            p = prow[col]
             for j, b in enumerate(prow):
                 row[j] = p * row[j] - f * b
     return row
@@ -190,13 +191,13 @@ def meet(flat: AffineFlat, normal: Sequence[int], rhs: int) -> Optional[AffineFl
         f = prow[col]
         if f:
             # prow is zero in the new pivot column afterwards, and row is
-            # zero in prow's pivot column, so that pivot stays positive
+            # zero in prow's pivot column, so that pivot keeps its column and sign
             prow = tuple(_primitive([p * a - f * b for a, b in zip(prow, row)]))
         rref.append(prow)
-    # the rows with a pivot left of col are those nonzero before col
-    at = sum(1 for prow in flat.rref if any(prow[:col]))
+    at = bisect(flat.pivots, col)
     rref.insert(at, tuple(row))
-    return AffineFlat(flat.dim, tuple(rref))
+    pivots = (*flat.pivots[:at], col, *flat.pivots[at:])
+    return AffineFlat(flat.dim, tuple(rref), pivots)
 
 
 def intersect_hyperplanes(dim: int, rows: Iterable[tuple]) -> Optional[AffineFlat]:
@@ -210,7 +211,7 @@ def intersect_hyperplanes(dim: int, rows: Iterable[tuple]) -> Optional[AffineFla
     rows = list(rows)
     if any(len(normal) != dim for normal, _ in rows):
         raise ValueError("hyperplane dimension mismatch")
-    flat = AffineFlat(dim, ())
+    flat = AffineFlat(dim, (), ())
     for normal, rhs in rows:
         flat = meet(flat, normal, rhs)
         if flat is None:
@@ -233,7 +234,7 @@ def matrix_rank(rows: Iterable[Sequence[int]]) -> int:
     """Rank over the rationals of a collection of integer vectors: the
     codimension of the subspace they cut out as normals."""
     rows = list(rows)
-    flat = AffineFlat(len(rows[0]) if rows else 0, ())
+    flat = AffineFlat(len(rows[0]) if rows else 0, (), ())
     for row in rows:
         flat = meet(flat, row, 0)
     return flat.codim

@@ -52,7 +52,7 @@ def filtered_hilbert(masks: Iterable[int], n: int) -> IntPolynomial:
     level k + 1, and the first level that adds nothing ends the series.
     """
     masks = set(masks)
-    span = AffineFlat(n, ())
+    span = AffineFlat(n, (), ())
     seen = set()
     counts = []
     level = [(1 << n) - 1]

@@ -144,12 +144,12 @@ class FinitePoset:
         return FinitePoset._from_masks(sub, up)
 
     def is_antichain(self, S: Iterable[ElementId]) -> bool:
+        """Whether no member of ``S`` is repeated or below another."""
         items = list(S)
-        for i, a in enumerate(items):
-            for b in items[i + 1 :]:
-                if self.comparable(a, b):
-                    return False
-        return True
+        m = self._mask(items)
+        return m.bit_count() == len(items) and all(
+            self._up[i] & m == 1 << i for i in _bits(m)
+        )
 
     def _closure(self, masks: list, A: Iterable[ElementId]) -> frozenset:
         """Union of ``masks`` (down-sets or up-sets) over the elements of A."""

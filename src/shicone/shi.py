@@ -34,6 +34,7 @@ from .poly import IntPolynomial
 from .rootsys import (
     RootSystem,
     WeylElement,
+    element_from_word,
     inverse_element,
     inversion_set,
     root_poset,
@@ -209,22 +210,22 @@ def _positive_image(rs: RootSystem, w: WeylElement, i: int) -> int:
 def regions_in_dominant(rs: RootSystem, E: Iterable[int]) -> list:
     """All dominant-cone regions of the deletion to E.
 
-    One region per antichain of the deletion poset, built from the
-    antichain's order ideal; the witness comes from exact feasibility
-    and certifies the region is nonempty.
+    One region per antichain A of the deletion poset, with ceiling A and
+    ideal the order ideal of A (``order_ideals`` lists them in the order
+    of ``antichains``); the witness comes from exact feasibility and
+    certifies the region is nonempty.
     """
     E = sorted(set(E))
     sub = root_poset(rs).restrict(E)
     out = []
-    for A in sub.antichains():
-        ideal = sub.ideal_generated(A)
+    for ideal, A in zip(sub.order_ideals(), sub.antichains()):
         witness = feasible_rows(rs.rank, region_rows(rs, E, ideal))
         if witness is None:
             raise RuntimeError(
                 "region construction produced an empty region; "
                 "arrangement invariant violated"
             )
-        out.append(ShiRegion(frozenset(ideal), frozenset(A), witness))
+        out.append(ShiRegion(ideal, A, witness))
     return out
 
 
@@ -350,21 +351,21 @@ def dominant_sign_oracle(rs: RootSystem, E: Iterable[int]) -> dict:
 # -- flats -------------------------------------------------------------------
 
 
-def _antichain_flat_poset(rs: RootSystem, sub, send, cone: list) -> IntersectionPoset:
-    """Shared construction: one flat per antichain of ``sub``, checked
-    against a cone.
+def _antichain_flat_poset(rs: RootSystem, sub, w: WeylElement) -> IntersectionPoset:
+    """Shared construction: one flat per antichain of ``sub``, the
+    subposet attached to the cone wC, checked against that cone.
 
-    ``send`` maps a poset element to the root index of its hyperplane.
-    Each flat must meet the cone and lie on no hyperplane of ``sub``
-    outside its own antichain.  So its generators are complete, as
-    :class:`IntersectionPoset` requires, and the lower interval of a
-    flat of codim k is the Boolean lattice of its antichain's 2^k
-    subsets.
+    Element i stands for the hyperplane of the root w(i).  Each flat must
+    meet the cone and lie on no hyperplane of ``sub`` outside its own
+    antichain.  So its generators are complete, as
+    :class:`IntersectionPoset` requires, and the lower interval of a flat
+    of codim k is the Boolean lattice of its antichain's 2^k subsets.
     """
-    roots = [send(i) for i in sub.elements]
+    image = {i: _positive_image(rs, w, i) for i in sub.elements}
+    cone = cone_rows(rs, w)
     entries = []
     for A in sub.antichains():
-        gens = frozenset(send(i) for i in A)
+        gens = frozenset(image[i] for i in A)
         planes = [(rs.positive_roots[g], 1) for g in sorted(gens)]
         geometry = intersect_hyperplanes(rs.rank, planes)
         if geometry is None or geometry.codim != len(gens):
@@ -378,7 +379,7 @@ def _antichain_flat_poset(rs: RootSystem, sub, send, cone: list) -> Intersection
             )
         if any(
             g not in gens and flat_contains(geometry, rs.positive_roots[g], 1)
-            for g in roots
+            for g in image.values()
         ):
             raise RuntimeError(
                 "flat lies on a hyperplane outside its antichain; "
@@ -394,16 +395,14 @@ def flats_in_cone(rs: RootSystem, w: WeylElement) -> IntersectionPoset:
     One flat per antichain of the deletion poset attached to the cone,
     with generators reported in unrotated coordinates.
     """
-    E = complement_of_inversions(rs, w)
-    sub = root_poset(rs).restrict(E)
-    send = lambda i: _positive_image(rs, w, i)
-    return _antichain_flat_poset(rs, sub, send, cone_rows(rs, w))
+    sub = root_poset(rs).restrict(complement_of_inversions(rs, w))
+    return _antichain_flat_poset(rs, sub, w)
 
 
 def flats_in_dominant(rs: RootSystem, E: Iterable[int]) -> IntersectionPoset:
     """Intersection poset of the deletion to E inside the dominant cone."""
     sub = root_poset(rs).restrict(sorted(set(E)))
-    return _antichain_flat_poset(rs, sub, lambda i: i, _positivity_rows(rs.rank))
+    return _antichain_flat_poset(rs, sub, element_from_word(rs, ()))
 
 
 def flats_oracle(rs: RootSystem, w: WeylElement) -> IntersectionPoset:
@@ -459,7 +458,7 @@ def _closure_poset(
     it.  A new Y = X & H_k lies on no earlier H outside the generators of
     X, since X & H would equal Y and would have been found earlier.
     """
-    ambient = AffineFlat(rs.rank, ())
+    ambient = AffineFlat(rs.rank, (), ())
     found = {ambient.rref: (set(), ambient)}
     for label, (normal, level) in planes.items():
         for entry in list(found.values()):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from . import orderring, shi
+from . import orderring
 from .exactgeom import (
     EQ,
     GT,
@@ -29,6 +29,7 @@ from .exactgeom import (
     check_witness,
     contains_flat,
     feasible_rows,
+    flat_contains,
     intersect_hyperplanes,
     matrix_rank,
 )
@@ -82,8 +83,8 @@ def _need(cond: bool, message: str) -> None:
 
 
 class TypeContext:
-    """Per-type caches shared across checks (regions and flats are the
-    expensive parts; every check that needs them reuses one copy)."""
+    """Per-type caches shared across checks: each cone's subposet, its
+    regions and its flats, built once for every check that reads them."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
@@ -97,15 +98,14 @@ class TypeContext:
             self._memo[key] = build()
         return self._memo[key]
 
-    def E(self, w) -> tuple:
-        return complement_of_inversions(self.rs, w)
-
     def sub(self, w) -> FinitePoset:
-        return self._cached("sub", w, lambda: self.rp.restrict(self.E(w)))
+        return self._cached(
+            "sub", w, lambda: self.rp.restrict(complement_of_inversions(self.rs, w))
+        )
 
     def regions(self, w) -> list:
         return self._cached(
-            "regions", w, lambda: regions_in_dominant(self.rs, self.E(w))
+            "regions", w, lambda: regions_in_dominant(self.rs, self.sub(w).elements)
         )
 
     def cone_regions(self, w) -> list:
@@ -143,12 +143,11 @@ def check_region_ceiling_bijection(ctx: TypeContext) -> str:
     n_regions = 0
     n_probes = 0
     for w in ctx.W:
-        E = ctx.E(w)
-        E_set = frozenset(E)
         sub = ctx.sub(w)
-        antichains = sub.antichains()
+        E = sub.elements
+        E_set = frozenset(E)
         regions = ctx.regions(w)
-        _need(len(regions) == len(antichains), "region/antichain count mismatch")
+        _need(len(regions) == len(sub.antichains()), "region/antichain count mismatch")
         seen_ideals = set()
         for region in regions:
             _need(sub.is_ideal(region.ideal), "region set is not an order ideal")
@@ -215,7 +214,7 @@ def check_flat_bijection(ctx: TypeContext) -> str:
             scanned = frozenset(
                 g
                 for g in range(npos)
-                if shi.flat_contains(f.geometry, rs.positive_roots[g], 1)
+                if flat_contains(f.geometry, rs.positive_roots[g], 1)
             )
             _need(scanned == f.generators, "containment scan disagrees")
             _need(not scanned & inv_w, "flat lies in a wall-separated hyperplane")
@@ -329,8 +328,8 @@ def check_comparable_pair_infeasibility(ctx: TypeContext) -> str:
     """For comparable roots, both level-1 hyperplanes cannot meet the
     dominant cone simultaneously: certified by multipliers 1 and -1 on
     the two hyperplanes and ``root_j - root_i`` on the positivity rows."""
-    rs = ctx.rs
-    rows0 = shi._positivity_rows(rs.rank)
+    rs, dim = ctx.rs, ctx.rs.rank
+    rows0 = [(tuple(int(j == i) for j in range(dim)), 0, GT) for i in range(dim)]
     n = 0
     for i, low in enumerate(rs.positive_roots):
         for j, high in enumerate(rs.positive_roots):
@@ -347,14 +346,14 @@ def check_counting(ctx: TypeContext) -> str:
     Narayana numbers are checked against the dominant cone's flats."""
     rs = ctx.rs
     num = numerology(rs)
-    polys = [poincare(rs, w) for w in ctx.W]
+    polys = [ctx.sub(w).antichain_polynomial() for w in ctx.W]
     total = sum(polys, IntPolynomial())
     _need(total(1) == num.parking, "total region count is not the parking number")
     _need(total.coefficient(0) == len(ctx.W), "constant term is not the group order")
     e = ctx.W[0]
     whitney = ctx.flats(e).poincare_polynomial()
     _need(whitney == num.narayana, "dominant Whitney numbers not Narayana")
-    _need(poincare(rs, e)(1) == num.catalan, "dominant count is not Catalan")
+    _need(polys[0](1) == num.catalan, "dominant count is not Catalan")
     # ceiling-size refinement: distribution over all cones matches the
     # summed Whitney numbers
     dist: dict = {}

@@ -103,6 +103,22 @@ def test_ideal_generated_rejects_chains():
         FORK.ideal_generated([1, 3])
 
 
+def test_is_antichain_matches_pairwise_reference():
+    rng = random.Random(5)
+    for _ in range(50):
+        poset = random_poset(7, rng)
+        for _ in range(20):
+            items = [rng.randrange(7) for _ in range(rng.randrange(5))]
+            pairwise = all(
+                a != b and not poset.comparable(a, b)
+                for i, a in enumerate(items)
+                for b in items[i + 1 :]
+            )
+            assert poset.is_antichain(items) == pairwise
+    with pytest.raises(KeyError):
+        FORK.is_antichain([6])
+
+
 def test_filter_generated():
     assert FORK.filter_generated([3]) == {3, 4, 5}
     assert FORK.filter_generated([1, 2]) == {1, 2, 3, 4, 5}

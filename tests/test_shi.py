@@ -416,28 +416,56 @@ def test_closure_intersects_each_flat_once_per_later_hyperplane(
 ORACLE_DIGEST = "a87289a9f8b1666c4353cadb2ddf7f190bdbac186d07b8890962b52bcb7cdf4c"
 
 
-def test_oracle_outputs_pinned():
-    def flats(poset):
-        return [
-            (f.geometry.rref, sorted(f.generators), f.geometry.codim, f.mobius)
-            for f in poset.flats
-        ]
+def _flats(poset):
+    return [
+        (f.geometry.rref, sorted(f.generators), f.geometry.codim, f.mobius)
+        for f in poset.flats
+    ]
 
+
+def test_oracle_outputs_pinned():
     data = []
     for name in ("G2", "B3"):
         rs = get_rs(name)
-        data.append(flats(shi._closure_poset(rs, _level_planes(rs, (0, 1)))))
+        data.append(_flats(shi._closure_poset(rs, _level_planes(rs, (0, 1)))))
         for m in (1, 2, 3):
             planes = _level_planes(rs, range(1, m + 1))
             inside = shi._positivity_rows(rs.rank)
-            data.append(flats(shi._closure_poset(rs, planes, inside_rows=inside)))
+            data.append(_flats(shi._closure_poset(rs, planes, inside_rows=inside)))
             data.append(shi._cells(rs, range(len(rs.positive_roots)), m))
     rs = get_rs("B3")
     for w in weyl_group(rs):
-        data.append(flats(flats_oracle(rs, w)))
+        data.append(_flats(flats_oracle(rs, w)))
         oracle = dominant_sign_oracle(rs, complement_of_inversions(rs, w))
         data.append([(sorted(below), witness) for below, witness in oracle.items()])
     assert hashlib.sha256(repr(data).encode()).hexdigest() == ORACLE_DIGEST
+
+
+# sha256 of repr() of the construction outputs below: any change to a
+# region's ideal, ceiling or witness, or to a flat's rref, generators,
+# codim or Mobius value changes it.
+CONSTRUCTION_DIGEST = "46c8836c9246491ee08b76748fb82c75f6b9e03d493f0f3de842b2431ba5c469"
+
+
+def test_construction_outputs_pinned():
+    def regions(found):
+        return [(sorted(r.ideal), sorted(r.ceiling), r.witness) for r in found]
+
+    rng = random.Random(17)
+    cones = [(get_rs("B3"), w) for w in weyl_group(get_rs("B3"))]
+    for name in RANK_4:
+        rs = get_rs(name)
+        cones += [(rs, w) for w in rng.sample(weyl_group(rs), 8)]
+    data = []
+    for rs, w in cones:
+        data.append(regions(regions_in_cone(rs, w)))
+        data.append(_flats(flats_in_cone(rs, w)))
+    for name, E in (("B3", (0, 2, 3, 5, 6, 8)), ("F4", range(0, 24, 2))):
+        rs = get_rs(name)
+        data.append(regions(regions_in_dominant(rs, E)))
+        data.append(_flats(flats_in_dominant(rs, E)))
+    assert sum(map(len, data)) == 1900
+    assert hashlib.sha256(repr(data).encode()).hexdigest() == CONSTRUCTION_DIGEST
 
 
 def test_closure_asks_kernel_once_per_flat(monkeypatch):
