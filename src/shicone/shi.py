@@ -12,12 +12,28 @@ Regions are stored combinatorially (the set of roots whose level-1
 hyperplane lies above the region, plus an exact interior witness);
 their geometry is recomputed from that data whenever a claim needs
 re-checking.
+
+Every "this set is nonempty" answer is an exact point accepted by
+:func:`~shicone.exactgeom.check_witness`, and every "empty" answer is a
+Farkas certificate accepted by :func:`~shicone.exactgeom.check_farkas`
+or the kernel's verdict.  The points come from one of two sources:
+
+* the per-type table :func:`antichain_points`, whose points depend only
+  on an antichain of the root poset, for the facet probes of
+  :func:`ceiling_oracle` and the flat-meets-cone tests of the flat
+  builder (and the cone-cut check in :mod:`shicone.verify`);
+* the kernel, through :func:`~shicone.exactgeom.feasible_rows`, for the
+  region witnesses, the rank <= 3 oracles, and any table point that is
+  missing or that the checker refuses.
+
+So a wrong table costs kernel calls, never a wrong answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exactgeom import (
     EQ,
@@ -25,6 +41,7 @@ from .exactgeom import (
     AffineFlat,
     as_fractions,
     check_farkas,
+    check_witness,
     feasible_rows,
     flat_contains,
     intersect_hyperplanes,
@@ -190,6 +207,52 @@ def act_point(rs: RootSystem, winv: WeylElement, point: tuple) -> tuple:
     )
 
 
+class AntichainPoints(NamedTuple):
+    """Dominant-cone points of one type, keyed by antichains of its root
+    poset: ``face[A]`` and ``facet[A, b]`` for b in A are exact points
+    ``(nums, den)``; see :func:`antichain_points`."""
+
+    face: dict
+    facet: dict
+
+
+@lru_cache(maxsize=None)
+def antichain_points(rs: RootSystem) -> AntichainPoints:
+    """The point table of a type, built by the kernel on first use.
+
+    For an antichain A of the root poset with order ideal J, the face
+    point has a . x = 1 on A, b . x < 1 on J - A, c . x > 1 outside J
+    and x > 0; the facet point of b in A has b . x = 1, the rest of J
+    below 1 and everything outside J above 1.  An antichain of a cone's
+    subposet is an antichain of the root poset, so one table serves every
+    cone: the facet point of (A, b) lies in a probe of
+    :func:`ceiling_oracle` for a region with ceiling A, and the face
+    point of A, moved by w with :func:`act_point`, lies on the flat of A
+    in wC and inside the cone.
+
+    The table only proposes: each user checks a point against the exact
+    rows of its own question with :func:`check_witness` and asks the
+    kernel when the point is missing or refused.
+    """
+    rp = root_poset(rs)
+    n = rs.rank
+    face, facet = {}, {}
+    for A, J in zip(rp.antichains(), rp.order_ideals()):
+        rows = region_rows(rs, range(len(rs.positive_roots)), J)
+        pinned = rows.copy()
+        for b in A:
+            # row n + b is root b's: region_rows lists the roots in order
+            probe = rows.copy()
+            probe[n + b] = pinned[n + b] = (rs.positive_roots[b], 1, EQ)
+            point = feasible_rows(n, probe)
+            if point is not None:
+                facet[A, b] = point
+        point = feasible_rows(n, pinned)
+        if point is not None:
+            face[A] = point
+    return AntichainPoints(face, facet)
+
+
 # -- regions ----------------------------------------------------------------
 
 
@@ -215,8 +278,13 @@ def regions_in_dominant(rs: RootSystem, E: Iterable[int]) -> list:
     of ``antichains``); the witness comes from exact feasibility and
     certifies the region is nonempty.
     """
-    E = sorted(set(E))
-    sub = root_poset(rs).restrict(E)
+    return _dominant_regions(rs, root_poset(rs).restrict(sorted(set(E))))
+
+
+def _dominant_regions(rs: RootSystem, sub) -> list:
+    """:func:`regions_in_dominant` for the deletion poset ``sub`` itself,
+    a restriction of the root poset."""
+    E = sub.elements
     out = []
     for ideal, A in zip(sub.order_ideals(), sub.antichains()):
         witness = feasible_rows(rs.rank, region_rows(rs, E, ideal))
@@ -264,12 +332,22 @@ def ceiling_oracle(rs: RootSystem, E: Iterable[int], region: ShiRegion) -> froze
 
     A root b of the ideal is a ceiling exactly when pinning its
     hyperplane to equality, ``b . x = 1``, while keeping every other
-    region row strict leaves a nonempty set.  Each probe first looks in
-    its own rows for a proof that the set is empty: a row
-    ``-c . x > -1`` with ``c - b >= 0`` coordinatewise.  With multiplier
-    1 on it and on the pinned row, and ``c - b`` on the positivity rows,
-    the rows sum to ``0 > 0``.  A proof that :func:`check_farkas`
-    accepts settles the probe; otherwise the kernel decides it.
+    region row strict leaves a nonempty set.  Each probe is settled by
+    the first of three proofs that is accepted:
+
+    * the table point ``antichain_points(rs).facet[region.ceiling, b]``,
+      which :func:`check_witness` must accept on the probe's rows (it
+      shows the set nonempty);
+    * a dominance certificate that the set is empty: a row
+      ``-c . x > -1`` with ``c - b >= 0`` coordinatewise.  With
+      multiplier 1 on it and on the pinned row, and ``c - b`` on the
+      positivity rows, the rows sum to ``0 > 0``, which
+      :func:`check_farkas` must accept;
+    * the kernel's answer.
+
+    The table is keyed by the claimed ceiling, but a point only counts
+    once it satisfies the probe's own rows, so a wrong claim costs
+    kernel calls, not a wrong answer.
     """
     n = rs.rank
     E = sorted(set(E))
@@ -280,12 +358,17 @@ def ceiling_oracle(rs: RootSystem, E: Iterable[int], region: ShiRegion) -> froze
         for j, (coeffs, rhs, kind) in enumerate(base)
         if kind == GT and rhs == -1
     ]
+    facets = antichain_points(rs).facet
     found = []
     for b in sorted(region.ideal):
         k = pos[b]
         coords = rs.positive_roots[b]
         rows = base.copy()
         rows[k] = (coords, 1, EQ)
+        point = facets.get((region.ceiling, b))
+        if point is not None and check_witness(n, rows, point):
+            found.append(b)
+            continue
         lam = None
         for j, coeffs in upper:
             if j != k and all(x + y <= 0 for x, y in zip(coords, coeffs)):
@@ -360,9 +443,16 @@ def _antichain_flat_poset(rs: RootSystem, sub, w: WeylElement) -> IntersectionPo
     antichain.  So its generators are complete, as
     :class:`IntersectionPoset` requires, and the lower interval of a flat
     of codim k is the Boolean lattice of its antichain's 2^k subsets.
+
+    That a flat meets the cone is shown by a point on it inside wC: the
+    face point ``antichain_points(rs).face[A]`` moved by w, once
+    :func:`check_witness` accepts it on the flat's equalities and the
+    cone's walls, and otherwise the kernel's witness.
     """
     image = {i: _positive_image(rs, w, i) for i in sub.elements}
     cone = cone_rows(rs, w)
+    faces = antichain_points(rs).face
+    winv = inverse_element(rs, w)
     entries = []
     for A in sub.antichains():
         gens = frozenset(image[i] for i in A)
@@ -372,8 +462,10 @@ def _antichain_flat_poset(rs: RootSystem, sub, w: WeylElement) -> IntersectionPo
             raise RuntimeError(
                 "antichain hyperplanes are dependent; arrangement invariant violated"
             )
-        eqs = [(normal, level, EQ) for normal, level in planes]
-        if feasible_rows(rs.rank, eqs + cone) is None:
+        rows = [(normal, level, EQ) for normal, level in planes] + cone
+        point = faces.get(A)
+        met = point is not None and check_witness(rs.rank, rows, act_point(rs, winv, point))
+        if not met and feasible_rows(rs.rank, rows) is None:
             raise RuntimeError(
                 "flat does not meet its cone; arrangement invariant violated"
             )
@@ -577,14 +669,19 @@ def _report_body(rs: RootSystem, regions: list, poset, poly) -> dict:
 
 
 def cone_report(rs: RootSystem, w: WeylElement) -> dict:
-    """JSON-ready summary of one cone: regions, flats, Poincare data."""
+    """JSON-ready summary of one cone: regions, flats, Poincare data, all
+    read from one restriction of the root poset."""
     inv = inversion_set(rs, w)
+    sub = root_poset(rs).restrict(complement_of_inversions(rs, w))
     return {
         "word": "".join(str(i + 1) for i in w.word),
         "length": len(inv),
         "inversions": _root_list(rs, inv),
         **_report_body(
-            rs, regions_in_cone(rs, w), flats_in_cone(rs, w), poincare(rs, w)
+            rs,
+            transport_regions(rs, w, _dominant_regions(rs, sub)),
+            _antichain_flat_poset(rs, sub, w),
+            sub.antichain_polynomial(),
         ),
     }
 
@@ -592,13 +689,14 @@ def cone_report(rs: RootSystem, w: WeylElement) -> dict:
 def deletion_report(rs: RootSystem, E: Iterable[int]) -> dict:
     """JSON-ready summary of the deletion to E inside the dominant cone."""
     E = sorted(set(E))
+    sub = root_poset(rs).restrict(E)
     return {
         "e_indices": E,
         "e_roots": _root_list(rs, E),
         **_report_body(
             rs,
-            regions_in_dominant(rs, E),
-            flats_in_dominant(rs, E),
-            root_poset(rs).restrict(E).antichain_polynomial(),
+            _dominant_regions(rs, sub),
+            _antichain_flat_poset(rs, sub, element_from_word(rs, ())),
+            sub.antichain_polynomial(),
         ),
     }

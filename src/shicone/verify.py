@@ -48,6 +48,8 @@ from .rootsys import (
 )
 from .shi import (
     MAX_ORACLE_RANK,
+    act_point,
+    antichain_points,
     ceiling_oracle,
     complement_of_inversions,
     cone_rows,
@@ -278,10 +280,14 @@ def check_boolean_intervals(ctx: TypeContext) -> str:
 def check_cone_cut(ctx: TypeContext) -> str:
     """A level-1 hyperplane meets wC exactly when its root is not an
     inversion of w, checked for every (cone, root) pair.  A meeting is
-    shown by a kernel witness; a miss by the Farkas certificate ``-d`` on
-    the walls and 1 on the hyperplane, d the simple-root coordinates of
+    shown by a point of the hyperplane inside wC: the face point of the
+    antichain {w^{-1}b} in :func:`~shicone.shi.antichain_points`, moved
+    by w, once :func:`check_witness` accepts it, and otherwise a kernel
+    witness.  A miss is shown by the Farkas certificate ``-d`` on the
+    walls and 1 on the hyperplane, d the simple-root coordinates of
     w^{-1}b."""
     rs = ctx.rs
+    faces = antichain_points(rs).face
     n = 0
     for w in ctx.W:
         inv = inversion_set(rs, w)
@@ -293,7 +299,12 @@ def check_cone_cut(ctx: TypeContext) -> str:
                 lam = [-d for d in act(rs, winv, coords)] + [1]
                 ok = check_farkas(rs.rank, rows, lam)
             else:
-                ok = feasible_rows(rs.rank, rows) is not None
+                # winv.perm[i] indexes w^{-1}b among the signed roots
+                point = faces.get(frozenset({winv.perm[i]}))
+                ok = (
+                    point is not None
+                    and check_witness(rs.rank, rows, act_point(rs, winv, point))
+                ) or feasible_rows(rs.rank, rows) is not None
             _need(ok, "cut criterion failed")
             n += 1
     return f"{n} (cone, hyperplane) pairs"

@@ -7,6 +7,7 @@ import pytest
 
 from shicone.exactgeom import EQ, GE, GT
 from shicone.rootsys import CartanType, build_root_system
+from shicone.shi import AntichainPoints, antichain_points
 
 
 @lru_cache(maxsize=None)
@@ -22,6 +23,16 @@ def rs_b2():
 @pytest.fixture
 def rs_a3():
     return get_rs("A3")
+
+
+@pytest.fixture
+def fresh_point_table():
+    """Empties the per-type point table cache before and after a test that
+    patches the kernel's entry, so that no table built under the patch
+    outlives the test and no count depends on which test built it first."""
+    antichain_points.cache_clear()
+    yield
+    antichain_points.cache_clear()
 
 
 def mat_vec(m, v) -> tuple:
@@ -53,6 +64,24 @@ def weyl_matrix(rs, w) -> tuple:
         )
         m = mat_mul(m, s_k)
     return m
+
+
+def bumped_point_table(rs, table):
+    """The point table with one coordinate of every point raised by
+    1/den: the first coordinate in which the lowest pinned root is
+    nonzero, so that the pinned equality fails (the empty antichain's
+    point keeps its place in the cone)."""
+
+    def bump(point, pinned):
+        nums, den = point
+        roots = [rs.positive_roots[b] for b in sorted(pinned)]
+        i = next(k for k, c in enumerate(roots[0]) if c) if roots else 0
+        return (*nums[:i], nums[i] + 1, *nums[i + 1 :]), den
+
+    return AntichainPoints(
+        {A: bump(p, A) for A, p in table.face.items()},
+        {(A, b): bump(p, {b}) for (A, b), p in table.facet.items()},
+    )
 
 
 RANK_LE_3 = ["A1", "A2", "A3", "B2", "B3", "C3", "D3", "G2"]

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import RANK_4, RANK_LE_3, get_rs
+from conftest import RANK_4, RANK_LE_3, bumped_point_table, get_rs
 from shicone import shi
 from shicone.exactgeom import (
     EQ,
     GT,
+    check_witness,
     contains_flat,
     feasible_rows,
     flat_contains,
@@ -16,6 +17,7 @@ from shicone.exactgeom import (
     meet,
 )
 from shicone.poly import IntPolynomial
+from shicone.posets import FinitePoset
 from shicone.rootsys import (
     element_from_word,
     inversion_set,
@@ -24,6 +26,8 @@ from shicone.rootsys import (
     weyl_group,
 )
 from shicone.shi import (
+    AntichainPoints,
+    antichain_points,
     ceiling_oracle,
     complement_of_inversions,
     cone_report,
@@ -91,7 +95,7 @@ def test_region_witness_predicates(rs_b2):
                 assert v > den
 
 
-def test_sign_oracle_extends_only_feasible_prefixes(monkeypatch):
+def test_sign_oracle_extends_only_feasible_prefixes(monkeypatch, fresh_point_table):
     # one kernel call for the bare dominant cone, then two per feasible
     # proper prefix: the oracle never extends an empty prefix
     rs = get_rs("B3")
@@ -181,9 +185,13 @@ def test_ceiling_oracle_matches_max_elements_everywhere(name):
 
 
 @pytest.mark.parametrize("name", ["B3", "F4"])
-def test_ceiling_oracle_calls_kernel_only_for_ceilings(name, monkeypatch):
-    # every non-facet is settled by a checked certificate, so the kernel
-    # runs once per ceiling root and never on an infeasible probe
+def test_ceiling_oracle_calls_kernel_only_for_ceilings(
+    name, monkeypatch, fresh_point_table
+):
+    # every non-facet is settled by a checked certificate and every facet
+    # by a checked table point, so the oracle never runs the kernel; with
+    # an empty table the kernel runs once per ceiling root and never on
+    # an infeasible probe
     rs = get_rs(name)
     calls = []
 
@@ -192,11 +200,17 @@ def test_ceiling_oracle_calls_kernel_only_for_ceilings(name, monkeypatch):
         calls.append(witness is not None)
         return witness
 
+    antichain_points(rs)  # built before the kernel is counted
     for w in _cone_sample(name):
         E = complement_of_inversions(rs, w)
         regions = regions_in_dominant(rs, E)
         with monkeypatch.context() as m:
             m.setattr(shi, "feasible_rows", counting)
+            calls.clear()
+            for region in regions:
+                assert ceiling_oracle(rs, E, region) == region.ceiling
+            assert calls == []
+            m.setattr(shi, "antichain_points", lambda rs: AntichainPoints({}, {}))
             for region in regions:
                 calls.clear()
                 ceiling_oracle(rs, E, region)
@@ -468,7 +482,7 @@ def test_construction_outputs_pinned():
     assert hashlib.sha256(repr(data).encode()).hexdigest() == CONSTRUCTION_DIGEST
 
 
-def test_closure_asks_kernel_once_per_flat(monkeypatch):
+def test_closure_asks_kernel_once_per_flat(monkeypatch, fresh_point_table):
     rs = get_rs("B3")
     systems = []
     kernel = shi.feasible_rows
@@ -493,27 +507,42 @@ def test_closure_asks_kernel_once_per_flat(monkeypatch):
     assert total > 0
 
 
+def _off_cone_and_no_kernel(rs):
+    """Patches: the point table with the first coordinate of every face
+    point negated, which puts it outside the dominant cone (and so, moved
+    by w, outside wC), and a kernel that finds no point."""
+    table = antichain_points(rs)
+    face = {A: ((-nums[0], *nums[1:]), den) for A, (nums, den) in table.face.items()}
+    off_cone = AntichainPoints(face, table.facet)
+    return {
+        "antichain_points": lambda rs: off_cone,
+        "feasible_rows": lambda dim, rows: None,
+    }
+
+
 @pytest.mark.parametrize(
-    "name, fake, build, message",
+    "fakes, build, message",
     [
         # the kernel finds no point in a region built from an antichain
         (
-            "feasible_rows",
-            lambda dim, rows: None,
+            lambda rs: {"feasible_rows": lambda dim, rows: None},
             lambda rs: regions_in_dominant(rs, range(4)),
             "empty region",
         ),
         # the last hyperplane of an antichain adds nothing to the others
         (
-            "intersect_hyperplanes",
-            lambda dim, rows: intersect_hyperplanes(dim, list(rows)[:-1]),
+            lambda rs: {
+                "intersect_hyperplanes": lambda dim, rows: intersect_hyperplanes(
+                    dim, list(rows)[:-1]
+                )
+            },
             lambda rs: flats_in_cone(rs, element_from_word(rs, ())),
             "hyperplanes are dependent",
         ),
-        # the kernel finds no point of a flat inside its cone
+        # neither the table's point, pushed out of the cone, nor the
+        # kernel shows a point of a flat inside its cone
         (
-            "feasible_rows",
-            lambda dim, rows: None,
+            _off_cone_and_no_kernel,
             lambda rs: flats_in_dominant(rs, range(4)),
             "does not meet its cone",
         ),
@@ -521,9 +550,10 @@ def test_closure_asks_kernel_once_per_flat(monkeypatch):
     ids=["empty-region", "dependent-antichain", "flat-misses-cone"],
 )
 def test_invariant_violation_fails_construction(
-    rs_b2, monkeypatch, name, fake, build, message
+    rs_b2, monkeypatch, fresh_point_table, fakes, build, message
 ):
-    monkeypatch.setattr(shi, name, fake)
+    for name, fake in fakes(rs_b2).items():
+        monkeypatch.setattr(shi, name, fake)
     with pytest.raises(RuntimeError, match=message):
         build(rs_b2)
 
@@ -532,6 +562,114 @@ def test_flat_on_outside_hyperplane_fails_construction(rs_b2, monkeypatch):
     monkeypatch.setattr(shi, "flat_contains", lambda flat, normal, level: True)
     with pytest.raises(RuntimeError, match="outside its antichain"):
         flats_in_cone(rs_b2, element_from_word(rs_b2, ()))
+
+
+# -- the antichain point table ---------------------------------------------------------
+
+#: (antichains, sum of their sizes) of each rank-4 root poset
+POINT_TABLE_SIZES = {
+    "A4": (42, 84),
+    "B4": (70, 140),
+    "C4": (70, 140),
+    "D4": (50, 100),
+    "F4": (105, 210),
+}
+
+
+def _table_rows(rs, A, pinned):
+    """Rows of a table point of the antichain A, written out from the
+    root poset: x > 0, b . x = 1 for b in ``pinned``, below 1 on the rest
+    of A's order ideal J and above 1 outside J."""
+    n = rs.rank
+    J = shi.root_poset(rs).ideal_generated(A)
+    rows = [(tuple(int(i == j) for j in range(n)), 0, GT) for i in range(n)]
+    for g, coords in enumerate(rs.positive_roots):
+        if g in pinned:
+            rows.append((coords, 1, EQ))
+        elif g in J:
+            rows.append((tuple(-c for c in coords), -1, GT))
+        else:
+            rows.append((coords, 1, GT))
+    return rows
+
+
+@pytest.mark.parametrize("name", RANK_LE_3 + RANK_4)
+def test_point_table_is_complete_and_checked(name):
+    rs = get_rs(name)
+    antichains = shi.root_poset(rs).antichains()
+    table = antichain_points(rs)
+    assert set(table.face) == set(antichains)
+    assert set(table.facet) == {(A, b) for A in antichains for b in A}
+    if name in POINT_TABLE_SIZES:
+        assert (len(table.face), len(table.facet)) == POINT_TABLE_SIZES[name]
+    for A, point in table.face.items():
+        assert check_witness(rs.rank, _table_rows(rs, A, A), point)
+    for (A, b), point in table.facet.items():
+        assert check_witness(rs.rank, _table_rows(rs, A, {b}), point)
+
+
+@pytest.mark.parametrize("name", RANK_LE_3 + RANK_4)
+def test_moved_face_points_lie_on_flats_in_cone(name, monkeypatch, fresh_point_table):
+    # the face point of each antichain, moved by w, lies on the flat the
+    # construction builds for it and inside wC; the posets built from the
+    # table equal those built by the kernel alone
+    rs = get_rs(name)
+    faces = antichain_points(rs).face
+    cones = _cone_sample(name)
+    built = [flats_in_cone(rs, w) for w in cones]
+    for w, poset in zip(cones, built):
+        winv = element_from_word(rs, reversed(w.word))
+        walls = shi.cone_rows(rs, w)
+        by_gens = {f.generators: f.geometry for f in poset.flats}
+        for A in shi.root_poset(rs).restrict(complement_of_inversions(rs, w)).antichains():
+            point = shi.act_point(rs, winv, faces[A])
+            flat = by_gens[frozenset(w.perm[a] for a in A)]
+            on_flat = [(row[:-1], row[-1], EQ) for row in flat.rref]
+            assert check_witness(rs.rank, on_flat + walls, point)
+    monkeypatch.setattr(shi, "antichain_points", lambda rs: AntichainPoints({}, {}))
+    assert [_flats(p) for p in built] == [_flats(flats_in_cone(rs, w)) for w in cones]
+
+
+@pytest.mark.parametrize("name", ["B3", "D4"])
+def test_mutant_point_table_falls_back_to_kernel(name, monkeypatch, fresh_point_table):
+    rs = get_rs(name)
+    mutant = bumped_point_table(rs, antichain_points(rs))
+    for A, point in mutant.face.items():
+        assert check_witness(rs.rank, _table_rows(rs, A, A), point) == (not A)
+    for (A, b), point in mutant.facet.items():
+        assert not check_witness(rs.rank, _table_rows(rs, A, {b}), point)
+
+    calls = []
+
+    def counting(dim, rows):
+        calls.append(dim)
+        return feasible_rows(dim, rows)
+
+    cones = _cone_sample(name)
+    regions = [regions_in_dominant(rs, complement_of_inversions(rs, w)) for w in cones]
+
+    def answers():
+        """Ceilings and flats of every cone, with the kernel calls of each."""
+        out = []
+        for w, found in zip(cones, regions):
+            E = complement_of_inversions(rs, w)
+            calls.clear()
+            ceilings = [ceiling_oracle(rs, E, r) for r in found]
+            out.append((ceilings, len(calls)))
+            calls.clear()
+            out.append((_flats(flats_in_cone(rs, w)), len(calls)))
+        return out
+
+    monkeypatch.setattr(shi, "feasible_rows", counting)
+    expected = answers()
+    monkeypatch.setattr(shi, "antichain_points", lambda rs: mutant)
+    got = answers()
+    assert [a for a, _ in got] == [a for a, _ in expected]
+    assert all(n == 0 for _, n in expected)
+    for (ceilings, n_ceiling), (flats, n_flat), found in zip(got[::2], got[1::2], regions):
+        # every facet point and every face point off the ambient space is refused
+        assert n_ceiling == sum(len(r.ceiling) for r in found)
+        assert n_flat == len(flats) - 1
 
 
 # -- Poincare polynomials ---------------------------------------------------------------
@@ -667,3 +805,32 @@ def test_cone_report_b2(rs_b2):
     assert report["inversions"] == [[1, 0], [2, 1]]
     witness = [Fraction(x) for x in report["regions"][0]["witness"]]
     assert len(witness) == 2
+
+
+def test_reports_restrict_and_enumerate_once(monkeypatch):
+    # a report reads one restriction of the root poset for its regions,
+    # flats and Poincare polynomial, and enumerates its antichains once
+    rs = get_rs("F4")
+    shi.root_poset(rs).antichains()
+    antichain_points(rs)
+    calls = []
+    restrict = FinitePoset.restrict
+    enumerate_antichains = FinitePoset._enumerate_antichains
+
+    def counting_restrict(self, S):
+        calls.append("restrict")
+        return restrict(self, S)
+
+    def counting_enumerate(self):
+        calls.append("enumerate")
+        return enumerate_antichains(self)
+
+    monkeypatch.setattr(FinitePoset, "restrict", counting_restrict)
+    monkeypatch.setattr(FinitePoset, "_enumerate_antichains", counting_enumerate)
+    for report in (
+        lambda: cone_report(rs, weyl_group(rs)[500]),
+        lambda: shi.deletion_report(rs, range(0, 24, 2)),
+    ):
+        calls.clear()
+        report()
+        assert calls == ["restrict", "enumerate"]

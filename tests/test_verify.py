@@ -2,10 +2,11 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import get_rs
+from conftest import bumped_point_table, get_rs
 from shicone import verify
 from shicone.posets import FinitePoset
 from shicone.rootsys import inversion_set
+from shicone.shi import AntichainPoints, antichain_points
 from shicone.verify import (
     TypeContext,
     check_boolean_intervals,
@@ -161,9 +162,11 @@ def test_extra_hyperplane_fails_boolean_check(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "G2", "D4"])
-def test_cone_cut_calls_kernel_only_for_meetings(name, monkeypatch):
-    # cone-cut inversions are proved by checked Farkas certificates, so
-    # the kernel runs only for the hyperplanes meeting a cone
+def test_cone_cut_calls_kernel_only_for_meetings(name, monkeypatch, fresh_point_table):
+    # cone-cut inversions are proved by checked Farkas certificates and
+    # meetings by checked table points, so the kernel is not called; with
+    # an empty table, or one whose every point is refused, it runs only
+    # for the hyperplanes meeting a cone
     ctx = TypeContext(get_rs(name))
     calls = []
     kernel = verify.feasible_rows
@@ -175,6 +178,12 @@ def test_cone_cut_calls_kernel_only_for_meetings(name, monkeypatch):
 
     monkeypatch.setattr(verify, "feasible_rows", counting)
     check_cone_cut(ctx)
+    assert calls == []
     npos = len(ctx.rs.positive_roots)
     meets = sum(npos - len(inversion_set(ctx.rs, w)) for w in ctx.W)
-    assert len(calls) == meets and all(calls)
+    bumped = bumped_point_table(ctx.rs, antichain_points(ctx.rs))
+    for table in (AntichainPoints({}, {}), bumped):
+        calls.clear()
+        monkeypatch.setattr(verify, "antichain_points", lambda rs: table)
+        check_cone_cut(ctx)
+        assert len(calls) == meets and all(calls)
