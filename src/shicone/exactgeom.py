@@ -158,7 +158,10 @@ def _residual(flat: AffineFlat, normal: Sequence[int], rhs: int) -> list:
     """The row ``(normal, rhs)`` eliminated against each reduced row's
     pivot, fraction-free.  It is zero in every pivot column, and zero
     throughout exactly when the row lies in the span of the reduced
-    rows, since no nonzero combination of them vanishes on every pivot."""
+    rows, since no nonzero combination of them vanishes on every pivot.
+    Raises ``ValueError`` for a normal of another dimension."""
+    if len(normal) != flat.dim:
+        raise ValueError("hyperplane dimension mismatch")
     row = [*normal, rhs]
     for col, prow in zip(flat.pivots, flat.rref):
         f = row[col]

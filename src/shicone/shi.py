@@ -27,6 +27,11 @@ or the kernel's verdict.  The points come from one of two sources:
   missing or that the checker refuses.
 
 So a wrong table costs kernel calls, never a wrong answer.
+
+The constructions :func:`regions_in_dominant` and :func:`flats_in_cone`
+read the cone's subposet (:func:`cone_poset`, or for a deletion the root
+poset restricted to its roots), which their caller builds once; the
+oracles read plain root sets, never the poset they check.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from .exactgeom import (
     meet,
 )
 from .poly import IntPolynomial
+from .posets import FinitePoset
 from .rootsys import (
     RootSystem,
     WeylElement,
@@ -257,10 +263,17 @@ def antichain_points(rs: RootSystem) -> AntichainPoints:
 
 
 def complement_of_inversions(rs: RootSystem, w: WeylElement) -> tuple:
-    """Sorted root indices of the subposet attached to the cone wC: the
-    complement of Inv(w^{-1}), the roots that w keeps positive."""
+    """Sorted root indices of the roots that w keeps positive,
+    Phi+ - Inv(w): the elements of the subposet attached to the cone wC."""
     n = len(rs.positive_roots)
     return tuple(i for i in range(n) if w.perm[i] < n)
+
+
+def cone_poset(rs: RootSystem, w: WeylElement) -> FinitePoset:
+    """The subposet of the root poset attached to the cone wC, on the
+    roots that w keeps positive.  Its antichains index the regions of
+    the Shi arrangement in wC and the flats that meet it."""
+    return root_poset(rs).restrict(complement_of_inversions(rs, w))
 
 
 def _positive_image(rs: RootSystem, w: WeylElement, i: int) -> int:
@@ -270,20 +283,15 @@ def _positive_image(rs: RootSystem, w: WeylElement, i: int) -> int:
     return w.perm[i]
 
 
-def regions_in_dominant(rs: RootSystem, E: Iterable[int]) -> list:
-    """All dominant-cone regions of the deletion to E.
+def regions_in_dominant(rs: RootSystem, sub: FinitePoset) -> list:
+    """All dominant-cone regions of the deletion to the roots of ``sub``,
+    the deletion poset: the root poset restricted to those roots.
 
-    One region per antichain A of the deletion poset, with ceiling A and
-    ideal the order ideal of A (``order_ideals`` lists them in the order
-    of ``antichains``); the witness comes from exact feasibility and
+    One region per antichain A of ``sub``, with ceiling A and ideal the
+    order ideal of A (``order_ideals`` lists them in the order of
+    ``antichains``); the witness comes from exact feasibility and
     certifies the region is nonempty.
     """
-    return _dominant_regions(rs, root_poset(rs).restrict(sorted(set(E))))
-
-
-def _dominant_regions(rs: RootSystem, sub) -> list:
-    """:func:`regions_in_dominant` for the deletion poset ``sub`` itself,
-    a restriction of the root poset."""
     E = sub.elements
     out = []
     for ideal, A in zip(sub.order_ideals(), sub.antichains()):
@@ -319,11 +327,10 @@ def regions_in_cone(rs: RootSystem, w: WeylElement) -> list:
     """Regions of the full Shi arrangement inside the cone wC.
 
     Computed by transporting the dominant regions of the deletion to
-    the complement of Inv(w^{-1}); ideals, ceilings and witnesses are
-    reported in unrotated coordinates.
+    the roots that w keeps positive, Phi+ - Inv(w); ideals, ceilings and
+    witnesses are reported in unrotated coordinates.
     """
-    E = complement_of_inversions(rs, w)
-    return transport_regions(rs, w, regions_in_dominant(rs, E))
+    return transport_regions(rs, w, regions_in_dominant(rs, cone_poset(rs, w)))
 
 
 def ceiling_oracle(rs: RootSystem, E: Iterable[int], region: ShiRegion) -> frozenset:
@@ -434,9 +441,13 @@ def dominant_sign_oracle(rs: RootSystem, E: Iterable[int]) -> dict:
 # -- flats -------------------------------------------------------------------
 
 
-def _antichain_flat_poset(rs: RootSystem, sub, w: WeylElement) -> IntersectionPoset:
-    """Shared construction: one flat per antichain of ``sub``, the
-    subposet attached to the cone wC, checked against that cone.
+def flats_in_cone(rs: RootSystem, sub: FinitePoset, w: WeylElement) -> IntersectionPoset:
+    """Intersection poset, inside the cone wC, of the level-1 hyperplanes
+    of the roots w(i) for i in ``sub``: one flat per antichain of
+    ``sub``, with generators reported in unrotated coordinates.  ``sub``
+    is :func:`cone_poset` for the full Shi arrangement; with w the
+    identity, any restriction of the root poset gives a deletion inside
+    the dominant cone.
 
     Element i stands for the hyperplane of the root w(i).  Each flat must
     meet the cone and lie on no hyperplane of ``sub`` outside its own
@@ -481,22 +492,6 @@ def _antichain_flat_poset(rs: RootSystem, sub, w: WeylElement) -> IntersectionPo
     return IntersectionPoset(entries)
 
 
-def flats_in_cone(rs: RootSystem, w: WeylElement) -> IntersectionPoset:
-    """Intersection poset of the full Shi arrangement restricted to wC.
-
-    One flat per antichain of the deletion poset attached to the cone,
-    with generators reported in unrotated coordinates.
-    """
-    sub = root_poset(rs).restrict(complement_of_inversions(rs, w))
-    return _antichain_flat_poset(rs, sub, w)
-
-
-def flats_in_dominant(rs: RootSystem, E: Iterable[int]) -> IntersectionPoset:
-    """Intersection poset of the deletion to E inside the dominant cone."""
-    sub = root_poset(rs).restrict(sorted(set(E)))
-    return _antichain_flat_poset(rs, sub, element_from_word(rs, ()))
-
-
 def flats_oracle(rs: RootSystem, w: WeylElement) -> IntersectionPoset:
     """Flats of the Shi arrangement meeting wC by closure, rank <= 3.
 
@@ -519,9 +514,8 @@ def flats_oracle(rs: RootSystem, w: WeylElement) -> IntersectionPoset:
 
 def poincare(rs: RootSystem, w: WeylElement) -> IntPolynomial:
     """Poincare polynomial of the cone wC: its k-th coefficient counts
-    the size-k antichains of the deletion poset attached to the cone."""
-    E = complement_of_inversions(rs, w)
-    return root_poset(rs).restrict(E).antichain_polynomial()
+    the size-k antichains of the cone's subposet."""
+    return cone_poset(rs, w).antichain_polynomial()
 
 
 # -- whole-arrangement and extended-level computations -----------------------
@@ -672,15 +666,15 @@ def cone_report(rs: RootSystem, w: WeylElement) -> dict:
     """JSON-ready summary of one cone: regions, flats, Poincare data, all
     read from one restriction of the root poset."""
     inv = inversion_set(rs, w)
-    sub = root_poset(rs).restrict(complement_of_inversions(rs, w))
+    sub = cone_poset(rs, w)
     return {
         "word": "".join(str(i + 1) for i in w.word),
         "length": len(inv),
         "inversions": _root_list(rs, inv),
         **_report_body(
             rs,
-            transport_regions(rs, w, _dominant_regions(rs, sub)),
-            _antichain_flat_poset(rs, sub, w),
+            transport_regions(rs, w, regions_in_dominant(rs, sub)),
+            flats_in_cone(rs, sub, w),
             sub.antichain_polynomial(),
         ),
     }
@@ -695,8 +689,8 @@ def deletion_report(rs: RootSystem, E: Iterable[int]) -> dict:
         "e_roots": _root_list(rs, E),
         **_report_body(
             rs,
-            _dominant_regions(rs, sub),
-            _antichain_flat_poset(rs, sub, element_from_word(rs, ())),
+            regions_in_dominant(rs, sub),
+            flats_in_cone(rs, sub, element_from_word(rs, ())),
             sub.antichain_polynomial(),
         ),
     }

@@ -51,7 +51,7 @@ from .shi import (
     act_point,
     antichain_points,
     ceiling_oracle,
-    complement_of_inversions,
+    cone_poset,
     cone_rows,
     dominant_sign_oracle,
     flats_in_cone,
@@ -101,14 +101,10 @@ class TypeContext:
         return self._memo[key]
 
     def sub(self, w) -> FinitePoset:
-        return self._cached(
-            "sub", w, lambda: self.rp.restrict(complement_of_inversions(self.rs, w))
-        )
+        return self._cached("sub", w, lambda: cone_poset(self.rs, w))
 
     def regions(self, w) -> list:
-        return self._cached(
-            "regions", w, lambda: regions_in_dominant(self.rs, self.sub(w).elements)
-        )
+        return self._cached("regions", w, lambda: regions_in_dominant(self.rs, self.sub(w)))
 
     def cone_regions(self, w) -> list:
         return self._cached(
@@ -118,7 +114,7 @@ class TypeContext:
         )
 
     def flats(self, w):
-        return self._cached("flats", w, lambda: flats_in_cone(self.rs, w))
+        return self._cached("flats", w, lambda: flats_in_cone(self.rs, self.sub(w), w))
 
 
 def _witness_in_region(rs, inv, E, region) -> bool:

@@ -29,7 +29,13 @@ from shicone.rootsys import (
     root_poset,
     weyl_group,
 )
-from shicone.shi import complement_of_inversions, cone_rows, flats_in_cone, region_rows
+from shicone.shi import (
+    complement_of_inversions,
+    cone_poset,
+    cone_rows,
+    flats_in_cone,
+    region_rows,
+)
 
 
 # -- feasibility ----------------------------------------------------------------
@@ -412,8 +418,21 @@ def test_check_witness_rejects_malformed_points():
         (lambda: feasible_rows(1, [((1,), 0, 3)]), "unknown constraint kind"),
         (lambda: intersect_hyperplanes(5, []), "exceeds the supported bound"),
         (lambda: intersect_hyperplanes(2, [((1, 0, 0), 1)]), "dimension mismatch"),
+        (lambda: matrix_rank([(1, 0), (0, 1, 5)]), "dimension mismatch"),
+        (
+            lambda: flat_contains(intersect_hyperplanes(2, [((1, 0), 1)]), (1,), 1),
+            "dimension mismatch",
+        ),
     ],
-    ids=["witness-row-dim", "witness-row-kind", "kernel-row-kind", "flat-dim", "flat-normal"],
+    ids=[
+        "witness-row-dim",
+        "witness-row-kind",
+        "kernel-row-kind",
+        "flat-dim",
+        "flat-normal",
+        "rank-normal",
+        "contains-normal",
+    ],
 )
 def test_malformed_rows_raise(call, message):
     with pytest.raises(ValueError, match=message):
@@ -684,7 +703,7 @@ def test_containment_matches_basepoint_reference_rank4_cones():
         rs = get_rs(name)
         planes = [(r, k) for r in rs.positive_roots for k in (0, 1, 2)]
         for w in rng.sample(weyl_group(rs), 5):
-            flats = [f.geometry for f in flats_in_cone(rs, w).flats]
+            flats = [f.geometry for f in flats_in_cone(rs, cone_poset(rs, w), w).flats]
             _check_against_reference(flats, planes)
             flats_seen += len(flats)
     assert flats_seen > 200

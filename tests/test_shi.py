@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import RANK_4, RANK_LE_3, bumped_point_table, get_rs
+from conftest import RANK_4, RANK_LE_3, bumped_point_table, deletion_poset, get_rs
 from shicone import shi
 from shicone.exactgeom import (
     EQ,
@@ -20,6 +20,7 @@ from shicone.poly import IntPolynomial
 from shicone.posets import FinitePoset
 from shicone.rootsys import (
     element_from_word,
+    inverse_element,
     inversion_set,
     numerology,
     root_index,
@@ -30,10 +31,10 @@ from shicone.shi import (
     antichain_points,
     ceiling_oracle,
     complement_of_inversions,
+    cone_poset,
     cone_report,
     dominant_sign_oracle,
     flats_in_cone,
-    flats_in_dominant,
     flats_oracle,
     full_arrangement_poincare,
     fuss_dominant,
@@ -52,7 +53,7 @@ def roots_of(rs, indices):
 
 
 def test_b2_dominant_regions(rs_b2):
-    regions = regions_in_dominant(rs_b2, range(4))
+    regions = regions_in_dominant(rs_b2, deletion_poset(rs_b2, range(4)))
     assert len(regions) == 6
     ceilings = {frozenset(roots_of(rs_b2, r.ceiling)) for r in regions}
     assert ceilings == {
@@ -66,7 +67,7 @@ def test_b2_dominant_regions(rs_b2):
 
 
 def test_empty_deletion_single_region(rs_b2):
-    regions = regions_in_dominant(rs_b2, [])
+    regions = regions_in_dominant(rs_b2, deletion_poset(rs_b2, []))
     assert len(regions) == 1
     assert regions[0].ceiling == frozenset()
     nums, den = regions[0].witness
@@ -75,7 +76,7 @@ def test_empty_deletion_single_region(rs_b2):
 
 def test_a3_dominant_region_count_with_oracle(rs_a3):
     E = range(len(rs_a3.positive_roots))
-    regions = regions_in_dominant(rs_a3, E)
+    regions = regions_in_dominant(rs_a3, deletion_poset(rs_a3, E))
     assert len(regions) == 14
     oracle = dominant_sign_oracle(rs_a3, E)
     assert set(oracle) == {r.ideal for r in regions}
@@ -83,7 +84,7 @@ def test_a3_dominant_region_count_with_oracle(rs_a3):
 
 def test_region_witness_predicates(rs_b2):
     E = [0, 3]
-    for region in regions_in_dominant(rs_b2, E):
+    for region in regions_in_dominant(rs_b2, deletion_poset(rs_b2, E)):
         nums, den = region.witness
         assert den > 0
         for i, coords in enumerate(rs_b2.positive_roots):
@@ -123,21 +124,21 @@ def test_sign_oracle_rank_bound():
 
 
 def test_ceiling_oracle_empty_ideal(rs_b2):
-    region = regions_in_dominant(rs_b2, [])[0]
+    region = regions_in_dominant(rs_b2, deletion_poset(rs_b2, []))[0]
     assert ceiling_oracle(rs_b2, [], region) == frozenset()
 
 
 def test_ceiling_oracle_bounded_alcove(rs_b2):
     # the region below every level-1 hyperplane has only the highest root
     # as a ceiling
-    regions = regions_in_dominant(rs_b2, range(4))
+    regions = regions_in_dominant(rs_b2, deletion_poset(rs_b2, range(4)))
     idx = root_index(rs_b2)
     full = next(r for r in regions if r.ideal == frozenset(range(4)))
     assert ceiling_oracle(rs_b2, range(4), full) == {idx[(2, 1)]}
 
 
 def test_ceiling_oracle_two_simples(rs_b2):
-    regions = regions_in_dominant(rs_b2, range(4))
+    regions = regions_in_dominant(rs_b2, deletion_poset(rs_b2, range(4)))
     idx = root_index(rs_b2)
     two = frozenset({idx[(1, 0)], idx[(0, 1)]})
     region = next(r for r in regions if r.ideal == two)
@@ -178,7 +179,7 @@ def test_ceiling_oracle_matches_max_elements_everywhere(name):
     rs = get_rs(name)
     for w in _cone_sample(name):
         E = complement_of_inversions(rs, w)
-        for region in regions_in_dominant(rs, E):
+        for region in regions_in_dominant(rs, cone_poset(rs, w)):
             oracle = ceiling_oracle(rs, E, region)
             assert oracle == region.ceiling
             assert oracle == _kernel_ceiling(rs, E, region)
@@ -203,7 +204,7 @@ def test_ceiling_oracle_calls_kernel_only_for_ceilings(
     antichain_points(rs)  # built before the kernel is counted
     for w in _cone_sample(name):
         E = complement_of_inversions(rs, w)
-        regions = regions_in_dominant(rs, E)
+        regions = regions_in_dominant(rs, cone_poset(rs, w))
         with monkeypatch.context() as m:
             m.setattr(shi, "feasible_rows", counting)
             calls.clear()
@@ -215,6 +216,24 @@ def test_ceiling_oracle_calls_kernel_only_for_ceilings(
                 calls.clear()
                 ceiling_oracle(rs, E, region)
                 assert len(calls) == len(region.ceiling) and all(calls)
+
+
+# -- cone subposets ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", RANK_LE_3 + RANK_4)
+def test_cone_poset_holds_the_roots_w_keeps_positive(name):
+    # inversion_set(rs, w) is Inv(w^{-1}), so the roots that w keeps
+    # positive, Phi+ - Inv(w), are the complement of the inversion set of
+    # w^{-1}; w sends them onto the complement of Inv(w^{-1}), and the
+    # cone's subposet has one root fewer per letter of the reduced word
+    rs = get_rs(name)
+    N = len(rs.positive_roots)
+    for w in weyl_group(rs):
+        kept = set(complement_of_inversions(rs, w))
+        assert kept == set(range(N)) - inversion_set(rs, inverse_element(rs, w))
+        assert {w.perm[i] for i in kept} == set(range(N)) - inversion_set(rs, w)
+        assert len(cone_poset(rs, w)) == N - len(w.word)
 
 
 # -- cone regions --------------------------------------------------------------------
@@ -231,7 +250,7 @@ def test_b2_st_cone_regions(rs_b2):
 def test_identity_cone_is_dominant(rs_b2):
     e = element_from_word(rs_b2, ())
     a = regions_in_cone(rs_b2, e)
-    b = regions_in_dominant(rs_b2, range(4))
+    b = regions_in_dominant(rs_b2, deletion_poset(rs_b2, range(4)))
     assert [(r.ideal, r.ceiling, r.witness) for r in a] == [
         (r.ideal, r.ceiling, r.witness) for r in b
     ]
@@ -262,9 +281,8 @@ def test_transport_rejects_root_sent_negative(rs_b2):
     # not one of the regions the cone s1 C is built from
     s = element_from_word(rs_b2, (0,))
     a1 = root_index(rs_b2)[(1, 0)]
-    region = next(
-        r for r in regions_in_dominant(rs_b2, range(4)) if a1 in r.ideal
-    )
+    dominant = regions_in_dominant(rs_b2, deletion_poset(rs_b2, range(4)))
+    region = next(r for r in dominant if a1 in r.ideal)
     with pytest.raises(RuntimeError, match="invariant violated"):
         transport_regions(rs_b2, s, [region])
 
@@ -274,7 +292,7 @@ def test_transport_rejects_root_sent_negative(rs_b2):
 
 def test_b2_identity_flats(rs_b2):
     e = element_from_word(rs_b2, ())
-    poset = flats_in_cone(rs_b2, e)
+    poset = flats_in_cone(rs_b2, cone_poset(rs_b2, e), e)
     assert len(poset) == 6
     by_codim = {}
     for f in poset.flats:
@@ -288,15 +306,19 @@ def test_b2_identity_flats(rs_b2):
 
 def test_b2_st_flats(rs_b2):
     st = element_from_word(rs_b2, (0, 1))
-    poset = flats_in_cone(rs_b2, st)
+    poset = flats_in_cone(rs_b2, cone_poset(rs_b2, st), st)
     gens = {frozenset(roots_of(rs_b2, f.generators)) for f in poset.flats}
     assert gens == {frozenset(), frozenset({(0, 1)}), frozenset({(1, 1)})}
 
 
 def test_flats_in_dominant_matches_identity_cone(rs_b2):
+    # the deletion to all roots is the identity cone's subposet, and the
+    # flats built from either are the same
     e = element_from_word(rs_b2, ())
-    a = flats_in_dominant(rs_b2, range(4))
-    b = flats_in_cone(rs_b2, e)
+    deletion = deletion_poset(rs_b2, range(4))
+    assert deletion == cone_poset(rs_b2, e)
+    a = flats_in_cone(rs_b2, deletion, e)
+    b = flats_in_cone(rs_b2, cone_poset(rs_b2, e), e)
     assert [(f.generators, f.geometry, f.mobius) for f in a.flats] == [
         (f.generators, f.geometry, f.mobius) for f in b.flats
     ]
@@ -314,7 +336,7 @@ def test_a1_flat_oracle():
 def test_flats_oracle_matches_construction(name):
     rs = get_rs(name)
     for w in weyl_group(rs):
-        a = flats_in_cone(rs, w)
+        a = flats_in_cone(rs, cone_poset(rs, w), w)
         b = flats_oracle(rs, w)
         key = lambda p: {
             f.geometry.rref: (f.generators, f.mobius) for f in p.flats
@@ -330,7 +352,7 @@ def test_flats_oracle_rank_bound():
 
 def test_intersection_poset_structure(rs_b2):
     e = element_from_word(rs_b2, ())
-    poset = flats_in_cone(rs_b2, e)
+    poset = flats_in_cone(rs_b2, cone_poset(rs_b2, e), e)
     # reverse inclusion: the ambient space is the unique minimum
     assert all(poset.leq(0, j) for j in range(len(poset)))
     for j, f in enumerate(poset.flats):
@@ -340,7 +362,8 @@ def test_intersection_poset_structure(rs_b2):
 
 
 def test_interval_mobius_vanishes_off_the_order(rs_b2):
-    poset = flats_in_cone(rs_b2, element_from_word(rs_b2, ()))
+    e = element_from_word(rs_b2, ())
+    poset = flats_in_cone(rs_b2, cone_poset(rs_b2, e), e)
     n = len(poset)
     pairs = [(i, j) for i in range(n) for j in range(n) if not poset.leq(i, j)]
     assert pairs
@@ -473,11 +496,12 @@ def test_construction_outputs_pinned():
     data = []
     for rs, w in cones:
         data.append(regions(regions_in_cone(rs, w)))
-        data.append(_flats(flats_in_cone(rs, w)))
+        data.append(_flats(flats_in_cone(rs, cone_poset(rs, w), w)))
     for name, E in (("B3", (0, 2, 3, 5, 6, 8)), ("F4", range(0, 24, 2))):
         rs = get_rs(name)
-        data.append(regions(regions_in_dominant(rs, E)))
-        data.append(_flats(flats_in_dominant(rs, E)))
+        sub = deletion_poset(rs, E)
+        data.append(regions(regions_in_dominant(rs, sub)))
+        data.append(_flats(flats_in_cone(rs, sub, element_from_word(rs, ()))))
     assert sum(map(len, data)) == 1900
     assert hashlib.sha256(repr(data).encode()).hexdigest() == CONSTRUCTION_DIGEST
 
@@ -526,7 +550,7 @@ def _off_cone_and_no_kernel(rs):
         # the kernel finds no point in a region built from an antichain
         (
             lambda rs: {"feasible_rows": lambda dim, rows: None},
-            lambda rs: regions_in_dominant(rs, range(4)),
+            lambda rs: regions_in_dominant(rs, deletion_poset(rs, range(4))),
             "empty region",
         ),
         # the last hyperplane of an antichain adds nothing to the others
@@ -536,14 +560,18 @@ def _off_cone_and_no_kernel(rs):
                     dim, list(rows)[:-1]
                 )
             },
-            lambda rs: flats_in_cone(rs, element_from_word(rs, ())),
+            lambda rs: flats_in_cone(
+                rs, cone_poset(rs, element_from_word(rs, ())), element_from_word(rs, ())
+            ),
             "hyperplanes are dependent",
         ),
         # neither the table's point, pushed out of the cone, nor the
         # kernel shows a point of a flat inside its cone
         (
             _off_cone_and_no_kernel,
-            lambda rs: flats_in_dominant(rs, range(4)),
+            lambda rs: flats_in_cone(
+                rs, deletion_poset(rs, range(4)), element_from_word(rs, ())
+            ),
             "does not meet its cone",
         ),
     ],
@@ -560,8 +588,9 @@ def test_invariant_violation_fails_construction(
 
 def test_flat_on_outside_hyperplane_fails_construction(rs_b2, monkeypatch):
     monkeypatch.setattr(shi, "flat_contains", lambda flat, normal, level: True)
+    e = element_from_word(rs_b2, ())
     with pytest.raises(RuntimeError, match="outside its antichain"):
-        flats_in_cone(rs_b2, element_from_word(rs_b2, ()))
+        flats_in_cone(rs_b2, cone_poset(rs_b2, e), e)
 
 
 # -- the antichain point table ---------------------------------------------------------
@@ -616,7 +645,7 @@ def test_moved_face_points_lie_on_flats_in_cone(name, monkeypatch, fresh_point_t
     rs = get_rs(name)
     faces = antichain_points(rs).face
     cones = _cone_sample(name)
-    built = [flats_in_cone(rs, w) for w in cones]
+    built = [flats_in_cone(rs, cone_poset(rs, w), w) for w in cones]
     for w, poset in zip(cones, built):
         winv = element_from_word(rs, reversed(w.word))
         walls = shi.cone_rows(rs, w)
@@ -627,7 +656,9 @@ def test_moved_face_points_lie_on_flats_in_cone(name, monkeypatch, fresh_point_t
             on_flat = [(row[:-1], row[-1], EQ) for row in flat.rref]
             assert check_witness(rs.rank, on_flat + walls, point)
     monkeypatch.setattr(shi, "antichain_points", lambda rs: AntichainPoints({}, {}))
-    assert [_flats(p) for p in built] == [_flats(flats_in_cone(rs, w)) for w in cones]
+    assert [_flats(p) for p in built] == [
+        _flats(flats_in_cone(rs, cone_poset(rs, w), w)) for w in cones
+    ]
 
 
 @pytest.mark.parametrize("name", ["B3", "D4"])
@@ -646,7 +677,7 @@ def test_mutant_point_table_falls_back_to_kernel(name, monkeypatch, fresh_point_
         return feasible_rows(dim, rows)
 
     cones = _cone_sample(name)
-    regions = [regions_in_dominant(rs, complement_of_inversions(rs, w)) for w in cones]
+    regions = [regions_in_dominant(rs, cone_poset(rs, w)) for w in cones]
 
     def answers():
         """Ceilings and flats of every cone, with the kernel calls of each."""
@@ -657,7 +688,7 @@ def test_mutant_point_table_falls_back_to_kernel(name, monkeypatch, fresh_point_
             ceilings = [ceiling_oracle(rs, E, r) for r in found]
             out.append((ceilings, len(calls)))
             calls.clear()
-            out.append((_flats(flats_in_cone(rs, w)), len(calls)))
+            out.append((_flats(flats_in_cone(rs, cone_poset(rs, w), w)), len(calls)))
         return out
 
     monkeypatch.setattr(shi, "feasible_rows", counting)
@@ -709,7 +740,7 @@ def test_poincare_counts_flats_and_regions(name):
     rs = get_rs(name)
     for w in weyl_group(rs):
         poly = poincare(rs, w)
-        poset = flats_in_cone(rs, w)
+        poset = flats_in_cone(rs, cone_poset(rs, w), w)
         assert poly == poset.poincare_polynomial()
         assert poly(1) == len(poset) == len(regions_in_cone(rs, w))
 

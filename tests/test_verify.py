@@ -1,17 +1,19 @@
+import random
 from dataclasses import replace
 
 import pytest
 
-from conftest import bumped_point_table, get_rs
+from conftest import RANK_4, bumped_point_table, get_rs
 from shicone import verify
 from shicone.posets import FinitePoset
-from shicone.rootsys import inversion_set
+from shicone.rootsys import inversion_set, root_poset
 from shicone.shi import AntichainPoints, antichain_points
 from shicone.verify import (
     TypeContext,
     check_boolean_intervals,
     check_cone_cut,
     check_counting,
+    check_flat_bijection,
     check_fuss,
     check_hilbert_matches_poincare,
     check_region_ceiling_bijection,
@@ -74,6 +76,35 @@ def test_fuss_level_one_consistency():
     ctx = TypeContext(get_rs("B2"))
     details = check_fuss(ctx, 1)
     assert "m=1" in details
+
+
+@pytest.mark.parametrize("name", RANK_4)
+def test_region_and_flat_checks_restrict_and_enumerate_once_per_cone(name, monkeypatch):
+    # the regions and the flats of a cone are built from the subposet the
+    # context holds, so each cone's poset is restricted once and its
+    # antichains are enumerated once
+    rs = get_rs(name)
+    root_poset(rs).antichains()
+    antichain_points(rs)
+    ctx = TypeContext(rs)
+    ctx.W = tuple(random.Random(name).sample(ctx.W, 3))
+    calls = []
+    restrict = FinitePoset.restrict
+    enumerate_antichains = FinitePoset._enumerate_antichains
+
+    def counting_restrict(self, S):
+        calls.append("restrict")
+        return restrict(self, S)
+
+    def counting_enumerate(self):
+        calls.append("enumerate")
+        return enumerate_antichains(self)
+
+    monkeypatch.setattr(FinitePoset, "restrict", counting_restrict)
+    monkeypatch.setattr(FinitePoset, "_enumerate_antichains", counting_enumerate)
+    check_region_ceiling_bijection(ctx)
+    check_flat_bijection(ctx)
+    assert calls == ["restrict", "enumerate"] * len(ctx.W)
 
 
 def test_tampered_witness_fails_region_check():
