@@ -20,8 +20,9 @@ or the kernel's verdict.  The points come from one of two sources:
 
 * the per-type table :func:`antichain_points`, whose points depend only
   on an antichain of the root poset, for the facet probes of
-  :func:`ceiling_oracle` and the flat-meets-cone tests of the flat
-  builder (and the cone-cut check in :mod:`shicone.verify`);
+  :func:`ceiling_oracle`, the flats of :func:`flats_in_cone` (a moved
+  face point shows that the flat meets the cone and lies on no other
+  hyperplane of it) and the cone-cut check in :mod:`shicone.verify`;
 * the kernel, through :func:`~shicone.exactgeom.feasible_rows`, for the
   region witnesses, the rank <= 3 oracles, and any table point that is
   missing or that the checker refuses.
@@ -48,7 +49,6 @@ from .exactgeom import (
     check_farkas,
     check_witness,
     feasible_rows,
-    flat_contains,
     intersect_hyperplanes,
     meet,
 )
@@ -177,17 +177,24 @@ def _positivity_rows(rank: int) -> list:
     ]
 
 
-def region_rows(rs: RootSystem, E: Iterable[int], ideal: Iterable[int]) -> list:
-    """Kernel rows cutting out a dominant region of the deletion to E."""
-    ideal = set(ideal)
-    rows = _positivity_rows(rs.rank)
-    for g in sorted(set(E)):
-        coords = rs.positive_roots[g]
-        if g in ideal:
+def _face_rows(walls: list, roots: Iterable[tuple], ideal, pinned) -> list:
+    """``walls``, then for each ``(label, coords)`` of ``roots`` the row
+    ``coords . x = 1`` in ``pinned``, ``< 1`` in the rest of ``ideal``, else ``> 1``."""
+    rows = list(walls)
+    for label, coords in roots:
+        if label in pinned:
+            rows.append((coords, 1, EQ))
+        elif label in ideal:
             rows.append((tuple(-c for c in coords), -1, GT))
         else:
             rows.append((coords, 1, GT))
     return rows
+
+
+def region_rows(rs: RootSystem, E: Iterable[int], ideal: Iterable[int]) -> list:
+    """Kernel rows cutting out a dominant region of the deletion to E."""
+    roots = [(g, rs.positive_roots[g]) for g in sorted(set(E))]
+    return _face_rows(_positivity_rows(rs.rank), roots, frozenset(ideal), ())
 
 
 def cone_rows(rs: RootSystem, w: WeylElement) -> list:
@@ -234,7 +241,7 @@ def antichain_points(rs: RootSystem) -> AntichainPoints:
     cone: the facet point of (A, b) lies in a probe of
     :func:`ceiling_oracle` for a region with ceiling A, and the face
     point of A, moved by w with :func:`act_point`, lies on the flat of A
-    in wC and inside the cone.
+    in wC, inside the cone and off every other hyperplane of the cone.
 
     The table only proposes: each user checks a point against the exact
     rows of its own question with :func:`check_witness` and asks the
@@ -242,18 +249,15 @@ def antichain_points(rs: RootSystem) -> AntichainPoints:
     """
     rp = root_poset(rs)
     n = rs.rank
+    walls = _positivity_rows(n)
+    roots = list(enumerate(rs.positive_roots))
     face, facet = {}, {}
     for A, J in zip(rp.antichains(), rp.order_ideals()):
-        rows = region_rows(rs, range(len(rs.positive_roots)), J)
-        pinned = rows.copy()
         for b in A:
-            # row n + b is root b's: region_rows lists the roots in order
-            probe = rows.copy()
-            probe[n + b] = pinned[n + b] = (rs.positive_roots[b], 1, EQ)
-            point = feasible_rows(n, probe)
+            point = feasible_rows(n, _face_rows(walls, roots, J, {b}))
             if point is not None:
                 facet[A, b] = point
-        point = feasible_rows(n, pinned)
+        point = feasible_rows(n, _face_rows(walls, roots, J, A))
         if point is not None:
             face[A] = point
     return AntichainPoints(face, facet)
@@ -292,10 +296,11 @@ def regions_in_dominant(rs: RootSystem, sub: FinitePoset) -> list:
     ``antichains``); the witness comes from exact feasibility and
     certifies the region is nonempty.
     """
-    E = sub.elements
+    walls = _positivity_rows(rs.rank)
+    roots = [(g, rs.positive_roots[g]) for g in sorted(sub.elements)]
     out = []
     for ideal, A in zip(sub.order_ideals(), sub.antichains()):
-        witness = feasible_rows(rs.rank, region_rows(rs, E, ideal))
+        witness = feasible_rows(rs.rank, _face_rows(walls, roots, ideal, ()))
         if witness is None:
             raise RuntimeError(
                 "region construction produced an empty region; "
@@ -455,17 +460,18 @@ def flats_in_cone(rs: RootSystem, sub: FinitePoset, w: WeylElement) -> Intersect
     :class:`IntersectionPoset` requires, and the lower interval of a flat
     of codim k is the Boolean lattice of its antichain's 2^k subsets.
 
-    That a flat meets the cone is shown by a point on it inside wC: the
-    face point ``antichain_points(rs).face[A]`` moved by w, once
-    :func:`check_witness` accepts it on the flat's equalities and the
-    cone's walls, and otherwise the kernel's witness.
+    Both facts are shown by one point of the flat's face rows (A on its
+    hyperplanes, the rest of A's ideal below 1, the rest of ``sub`` above
+    1, inside wC): ``antichain_points(rs).face[A]`` moved by w, once
+    :func:`check_witness` accepts it, and otherwise the kernel's witness.
     """
     image = {i: _positive_image(rs, w, i) for i in sub.elements}
     cone = cone_rows(rs, w)
+    roots = [(i, rs.positive_roots[g]) for i, g in image.items()]
     faces = antichain_points(rs).face
     winv = inverse_element(rs, w)
     entries = []
-    for A in sub.antichains():
+    for A, J in zip(sub.antichains(), sub.order_ideals()):
         gens = frozenset(image[i] for i in A)
         planes = [(rs.positive_roots[g], 1) for g in sorted(gens)]
         geometry = intersect_hyperplanes(rs.rank, planes)
@@ -473,19 +479,12 @@ def flats_in_cone(rs: RootSystem, sub: FinitePoset, w: WeylElement) -> Intersect
             raise RuntimeError(
                 "antichain hyperplanes are dependent; arrangement invariant violated"
             )
-        rows = [(normal, level, EQ) for normal, level in planes] + cone
+        rows = _face_rows(cone, roots, J, A)
         point = faces.get(A)
         met = point is not None and check_witness(rs.rank, rows, act_point(rs, winv, point))
         if not met and feasible_rows(rs.rank, rows) is None:
             raise RuntimeError(
-                "flat does not meet its cone; arrangement invariant violated"
-            )
-        if any(
-            g not in gens and flat_contains(geometry, rs.positive_roots[g], 1)
-            for g in image.values()
-        ):
-            raise RuntimeError(
-                "flat lies on a hyperplane outside its antichain; "
+                "flat does not meet its cone off the other hyperplanes; "
                 "arrangement invariant violated"
             )
         entries.append((gens, geometry))

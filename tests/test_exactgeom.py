@@ -208,10 +208,12 @@ def test_back_substitution_rescales_assigned_coordinates():
 
 
 def _product_systems(rs, w):
-    """The kernel systems the constructions pose for the cone wC, built
-    from the row builders: each dominant region of the deletion, each
-    ceiling probe (one root of the region's ideal pinned to 1) and each
-    antichain's flat equalities against the cone's walls."""
+    """Kernel systems for the cone wC, built from the row builders: each
+    dominant region of the deletion and each ceiling probe (one root of
+    the region's ideal pinned to 1), as the constructions pose them, and
+    each antichain's flat equalities against the cone's walls.  The flat
+    builder poses the flat's face rows instead of the last kind; those
+    systems stay here as a pin of the kernel on equality systems."""
     E = complement_of_inversions(rs, w)
     sub = root_poset(rs).restrict(E)
     cone = cone_rows(rs, w)

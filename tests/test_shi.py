@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import RANK_4, RANK_LE_3, bumped_point_table, deletion_poset, get_rs
-from shicone import shi
+from shicone import exactgeom, shi
 from shicone.exactgeom import (
     EQ,
     GT,
@@ -438,7 +438,7 @@ def test_closure_intersects_each_flat_once_per_later_hyperplane(
         return meet(flat, normal, rhs)
 
     monkeypatch.setattr(shi, "meet", counting)
-    monkeypatch.setattr(shi, "flat_contains", None)
+    monkeypatch.setattr(exactgeom, "flat_contains", None)
     monkeypatch.setattr(shi, "intersect_hyperplanes", None)
     poset = shi._closure_poset(rs, planes, inside_rows=inside)
     order = list(planes)
@@ -587,10 +587,32 @@ def test_invariant_violation_fails_construction(
 
 
 def test_flat_on_outside_hyperplane_fails_construction(rs_b2, monkeypatch):
-    monkeypatch.setattr(shi, "flat_contains", lambda flat, normal, level: True)
+    # the face point of the two simple roots lies on each simple root's
+    # flat and inside the dominant cone, but also on the other simple
+    # root's hyperplane, so it proves neither singleton flat: the builder
+    # asks the kernel for each, and fails when the kernel finds no point
+    # off the other hyperplanes
     e = element_from_word(rs_b2, ())
-    with pytest.raises(RuntimeError, match="outside its antichain"):
-        flats_in_cone(rs_b2, cone_poset(rs_b2, e), e)
+    sub = cone_poset(rs_b2, e)
+    expected = _flats(flats_in_cone(rs_b2, sub, e))
+    idx = root_index(rs_b2)
+    a, b = idx[(1, 0)], idx[(0, 1)]
+    table = antichain_points(rs_b2)
+    face = dict(table.face)
+    face[frozenset({a})] = face[frozenset({b})] = table.face[frozenset({a, b})]
+    monkeypatch.setattr(shi, "antichain_points", lambda rs: AntichainPoints(face, table.facet))
+    calls = []
+
+    def counting(dim, rows):
+        calls.append(dim)
+        return feasible_rows(dim, rows)
+
+    monkeypatch.setattr(shi, "feasible_rows", counting)
+    assert _flats(flats_in_cone(rs_b2, sub, e)) == expected
+    assert len(calls) == 2
+    monkeypatch.setattr(shi, "feasible_rows", lambda dim, rows: None)
+    with pytest.raises(RuntimeError, match="does not meet its cone"):
+        flats_in_cone(rs_b2, sub, e)
 
 
 # -- the antichain point table ---------------------------------------------------------
@@ -635,6 +657,26 @@ def test_point_table_is_complete_and_checked(name):
         assert check_witness(rs.rank, _table_rows(rs, A, A), point)
     for (A, b), point in table.facet.items():
         assert check_witness(rs.rank, _table_rows(rs, A, {b}), point)
+
+
+# sha256 of repr() of every type's point table: any change to a system
+# the table poses to the kernel changes its point, and so the digest.
+POINT_TABLE_DIGEST = "30a4f356bfdd66f2abdd043a4cc9fe5fb5c9766d93733fd4f8e08e4503aed791"
+
+
+def test_point_table_pinned(fresh_point_table):
+    # each table is built here, by the kernel, not read from the cache
+    data = []
+    for name in RANK_LE_3 + RANK_4:
+        table = antichain_points(get_rs(name))
+        data.append(
+            (
+                name,
+                sorted((sorted(A), p) for A, p in table.face.items()),
+                sorted((sorted(A), b, p) for (A, b), p in table.facet.items()),
+            )
+        )
+    assert hashlib.sha256(repr(data).encode()).hexdigest() == POINT_TABLE_DIGEST
 
 
 @pytest.mark.parametrize("name", RANK_LE_3 + RANK_4)
