@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import ge
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exactgeom import (
@@ -350,11 +351,11 @@ def ceiling_oracle(rs: RootSystem, E: Iterable[int], region: ShiRegion) -> froze
     * the table point ``antichain_points(rs).facet[region.ceiling, b]``,
       which :func:`check_witness` must accept on the probe's rows (it
       shows the set nonempty);
-    * a dominance certificate that the set is empty: a row
-      ``-c . x > -1`` with ``c - b >= 0`` coordinatewise.  With
-      multiplier 1 on it and on the pinned row, and ``c - b`` on the
-      positivity rows, the rows sum to ``0 > 0``, which
-      :func:`check_farkas` must accept;
+    * a comparable-pair certificate that the set is empty, on n + 2 of
+      the probe's rows: for a root c > b of the ideal (``c - b >= 0``
+      coordinatewise), multipliers ``c - b`` on the positivity rows and
+      1 on ``-c . x > -1`` and on the pinned row sum them to ``0 > 0``,
+      which :func:`check_farkas` must accept;
     * the kernel's answer.
 
     The table is keyed by the claimed ceiling, but a point only counts
@@ -364,30 +365,28 @@ def ceiling_oracle(rs: RootSystem, E: Iterable[int], region: ShiRegion) -> froze
     n = rs.rank
     E = sorted(set(E))
     base = region_rows(rs, E, region.ideal)
-    pos = {g: n + i for i, g in enumerate(E)}
-    upper = [
-        (j, coeffs)
-        for j, (coeffs, rhs, kind) in enumerate(base)
-        if kind == GT and rhs == -1
-    ]
+    walls, pos = base[:n], {g: n + i for i, g in enumerate(E)}
+    ideal = sorted(region.ideal)
     facets = antichain_points(rs).facet
     found = []
-    for b in sorted(region.ideal):
-        k = pos[b]
+    for b in ideal:
         coords = rs.positive_roots[b]
+        pinned = (coords, 1, EQ)
         rows = base.copy()
-        rows[k] = (coords, 1, EQ)
+        rows[pos[b]] = pinned
         point = facets.get((region.ceiling, b))
         if point is not None and check_witness(n, rows, point):
             found.append(b)
             continue
-        lam = None
-        for j, coeffs in upper:
-            if j != k and all(x + y <= 0 for x, y in zip(coords, coeffs)):
-                lam = [-(x + y) for x, y in zip(coords, coeffs)] + [0] * len(E)
-                lam[j] = lam[k] = 1
-                break
-        if lam is not None and check_farkas(n, rows, lam):
+        c = next(
+            (c for c in ideal if c != b and all(map(ge, rs.positive_roots[c], coords))),
+            None,
+        )
+        if c is not None and check_farkas(
+            n,
+            [*walls, base[pos[c]], pinned],
+            [*(x - y for x, y in zip(rs.positive_roots[c], coords)), 1, 1],
+        ):
             continue
         if feasible_rows(n, rows) is not None:
             found.append(b)

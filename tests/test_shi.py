@@ -9,6 +9,7 @@ from shicone import exactgeom, shi
 from shicone.exactgeom import (
     EQ,
     GT,
+    check_farkas,
     check_witness,
     contains_flat,
     feasible_rows,
@@ -216,6 +217,46 @@ def test_ceiling_oracle_calls_kernel_only_for_ceilings(
                 calls.clear()
                 ceiling_oracle(rs, E, region)
                 assert len(calls) == len(region.ceiling) and all(calls)
+
+
+@pytest.mark.parametrize("name", ["B3", "F4"])
+def test_refused_certificate_falls_back_to_kernel(name, monkeypatch, fresh_point_table):
+    # each root of a region's ideal that is no facet is proved by one
+    # comparable-pair certificate on rank + 2 rows, with no kernel call;
+    # with every certificate refused the kernel settles each of them, and
+    # finds it infeasible, and the ceilings do not change
+    rs = get_rs(name)
+    certificates, calls = [], []
+
+    def checking(dim, rows, lam):
+        accepted = check_farkas(dim, rows, lam)
+        certificates.append((len(rows), accepted))
+        return accepted
+
+    def counting(dim, rows):
+        witness = feasible_rows(dim, rows)
+        calls.append(witness)
+        return witness
+
+    antichain_points(rs)  # built before the kernel is counted
+    for w in _cone_sample(name):
+        E = complement_of_inversions(rs, w)
+        regions = regions_in_dominant(rs, cone_poset(rs, w))
+        with monkeypatch.context() as m:
+            m.setattr(shi, "feasible_rows", counting)
+            m.setattr(shi, "check_farkas", checking)
+            calls.clear()
+            for region in regions:
+                certificates.clear()
+                assert ceiling_oracle(rs, E, region) == region.ceiling
+                non_facets = len(region.ideal - region.ceiling)
+                assert certificates == [(rs.rank + 2, True)] * non_facets
+            assert calls == []
+            m.setattr(shi, "check_farkas", lambda dim, rows, lam: False)
+            for region in regions:
+                calls.clear()
+                assert ceiling_oracle(rs, E, region) == region.ceiling
+                assert calls == [None] * len(region.ideal - region.ceiling)
 
 
 # -- cone subposets ----------------------------------------------------------------

@@ -126,6 +126,74 @@ def test_untransported_witness_fails_cone_check():
         check_region_ceiling_bijection(ctx)
 
 
+def _first_region(ctx, keep):
+    """The first cone, in group order, with a dominant region that ``keep``
+    accepts, and that region's position among the cone's regions."""
+    for w in ctx.W:
+        for k, region in enumerate(ctx.regions(w)):
+            if keep(ctx.sub(w), region):
+                return w, k
+    raise AssertionError("no such region")
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["ceiling-is-its-chain-ideal", "ceiling-gains-an-inversion", "ideal-gains-a-root"],
+)
+def test_tampered_region_fails_ideal_checks(case):
+    # the ceiling must be an antichain of the cone poset that generates
+    # the region's ideal; together these say the ideal is an order ideal
+    # and the ceiling its maximal antichain
+    ctx = TypeContext(get_rs("A2"))
+    if case == "ceiling-is-its-chain-ideal":
+        w, k = _first_region(ctx, lambda sub, r: len(r.ideal) == 2 and len(r.ceiling) == 1)
+        change = lambda r: replace(r, ceiling=r.ideal)
+        message = "ceiling is not an antichain"
+    elif case == "ceiling-gains-an-inversion":
+        w, k = _first_region(ctx, lambda sub, r: len(sub) < 3 and not r.ceiling)
+        lost = min(inversion_set(ctx.rs, w))
+        change = lambda r: replace(r, ceiling=r.ceiling | {lost})
+        message = "ceiling is not an antichain"
+    else:
+        # a minimal root outside the ideal joins it, so the ideal stays an
+        # order ideal but its maximal antichain is no longer the ceiling
+        w, k = _first_region(ctx, lambda sub, r: len(r.ideal) == 1 and len(sub) == 3)
+        sub, ideal = ctx.sub(w), ctx.regions(w)[k].ideal
+        gained = next(
+            b for b in sub.elements if b not in ideal and sub.is_ideal(ideal | {b})
+        )
+        change = lambda r: replace(r, ideal=r.ideal | {gained})
+        message = "ceiling does not regenerate the ideal"
+    regions = ctx.regions(w)
+    regions[k] = change(regions[k])
+    with pytest.raises(verify._Failure, match=message):
+        check_region_ceiling_bijection(ctx)
+
+
+def test_coincident_flats_fail_flat_injectivity():
+    # two codim-1 flats of the dominant B2 poset made one flat: its scan
+    # gives one generator set twice, so the pullback is not injective
+    ctx = TypeContext(get_rs("B2"))
+    poset = ctx.flats(ctx.W[0])
+    i, j = [k for k, f in enumerate(poset.flats) if f.geometry.codim == 1][:2]
+    flats = list(poset.flats)
+    flats[j] = flats[i]
+    poset.flats = tuple(flats)
+    with pytest.raises(verify._Failure, match="pullback map is not injective"):
+        check_flat_bijection(ctx)
+
+
+def test_wrong_flat_mobius_fails_eulerian_check():
+    # mu(V, X) of a codim-2 flat is the [V, X] row of the Eulerian check,
+    # which is what makes the flats' Mobius values alternate
+    ctx = TypeContext(get_rs("B2"))
+    poset = ctx.flats(ctx.W[0])
+    j = next(k for k, f in enumerate(poset.flats) if f.geometry.codim == 2)
+    poset._interval_cache[(0, j)] = 5
+    with pytest.raises(verify._Failure, match="interval Mobius is not Eulerian"):
+        check_boolean_intervals(ctx)
+
+
 def test_swapped_flats_fail_poincare_checks():
     # the dominant cone carrying the flats of the longest cone, whose
     # Poincare polynomial is 1: the order-ring side is read off the root
@@ -155,11 +223,12 @@ def test_swapped_flats_fail_region_ring_check():
 
 def test_unordered_root_poset_fails_order_ring_series():
     # the regions and flats stay right, but the order ring is read off the
-    # root poset: without its relations every subset is an ideal
+    # root poset: without its relations every subset is an ideal, so the
+    # order ring has other points than the region ring
     ctx = TypeContext(get_rs("B2"))
     ctx.rp = FinitePoset(ctx.rp.elements)
     with pytest.raises(
-        verify._Failure, match="order ring Hilbert series differs from Poincare polynomial"
+        verify._Failure, match="region ideals are not the order ideals of the root poset"
     ):
         check_region_ring_isomorphism(ctx)
 
