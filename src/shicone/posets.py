@@ -205,9 +205,13 @@ class FinitePoset:
 
         Enumerated on the first call; every call returns a new list.
         """
+        return list(self._antichain_tuple())
+
+    def _antichain_tuple(self) -> tuple:
+        """The cached antichains, enumerated on first use."""
         if self._antichains is None:
             self._antichains = self._enumerate_antichains()
-        return list(self._antichains)
+        return self._antichains
 
     def _enumerate_antichains(self) -> tuple:
         """Walks elements in natural-label order, extending each antichain
@@ -238,14 +242,14 @@ class FinitePoset:
 
     def order_ideals(self) -> list[frozenset]:
         """All order ideals, in bijection with (and ordered like) antichains."""
-        return [self._closure(self._down, A) for A in self.antichains()]
+        return [self._closure(self._down, A) for A in self._antichain_tuple()]
 
     def order_filters(self) -> list[frozenset]:
-        return [self._closure(self._up, A) for A in self.antichains()]
+        return [self._closure(self._up, A) for A in self._antichain_tuple()]
 
     def antichain_polynomial(self) -> IntPolynomial:
         """Generating polynomial of antichains by cardinality."""
-        return IntPolynomial.from_sizes(len(A) for A in self.antichains())
+        return IntPolynomial.from_sizes(len(A) for A in self._antichain_tuple())
 
     def delete_split(self, k: ElementId) -> tuple["FinitePoset", "FinitePoset"]:
         """Split along a maximal element ``k``.

@@ -16,18 +16,18 @@ re-checking.
 Every "this set is nonempty" answer is an exact point accepted by
 :func:`~shicone.exactgeom.check_witness`, and every "empty" answer is a
 Farkas certificate accepted by :func:`~shicone.exactgeom.check_farkas`
-or the kernel's verdict.  The points come from one of two sources:
+or the kernel's verdict.
 
-* the per-type table :func:`antichain_points`, whose points depend only
-  on an antichain of the root poset, for the facet probes of
-  :func:`ceiling_oracle`, the flats of :func:`flats_in_cone` (a moved
-  face point shows that the flat meets the cone and lies on no other
-  hyperplane of it) and the cone-cut check in :mod:`shicone.verify`;
-* the kernel, through :func:`~shicone.exactgeom.feasible_rows`, for the
-  region witnesses, the rank <= 3 oracles, and any table point that is
-  missing or that the checker refuses.
-
-So a wrong table costs kernel calls, never a wrong answer.
+Every construction question is a face of a deletion in the dominant
+cone C, posed by :func:`_face_rows`: a region pins no root, a facet
+probe one, a flat its antichain; wC is w applied to the deletion to the
+roots that w keeps positive.  An antichain's ideal in a deletion is its
+ideal in the root poset cut to the deletion's roots, so the per-type
+table :func:`antichain_points` answers every face and facet unmoved
+(the cone-cut check of :mod:`shicone.verify` moves its points into wC).
+The kernel, :func:`~shicone.exactgeom.feasible_rows`, gives the region
+witnesses, the rank <= 3 oracles and any table point that is missing or
+refused, so a wrong table costs kernel calls, never a wrong answer.
 
 The constructions :func:`regions_in_dominant` and :func:`flats_in_cone`
 read the cone's subposet (:func:`cone_poset`, or for a deletion the root
@@ -180,7 +180,8 @@ def _positivity_rows(rank: int) -> list:
 
 def _face_rows(walls: list, roots: Iterable[tuple], ideal, pinned) -> list:
     """``walls``, then for each ``(label, coords)`` of ``roots`` the row
-    ``coords . x = 1`` in ``pinned``, ``< 1`` in the rest of ``ideal``, else ``> 1``."""
+    ``coords . x = 1`` in ``pinned``, ``< 1`` in the rest of ``ideal``, else ``> 1``.
+    Over the walls of C it poses every construction question."""
     rows = list(walls)
     for label, coords in roots:
         if label in pinned:
@@ -237,12 +238,11 @@ def antichain_points(rs: RootSystem) -> AntichainPoints:
     For an antichain A of the root poset with order ideal J, the face
     point has a . x = 1 on A, b . x < 1 on J - A, c . x > 1 outside J
     and x > 0; the facet point of b in A has b . x = 1, the rest of J
-    below 1 and everything outside J above 1.  An antichain of a cone's
-    subposet is an antichain of the root poset, so one table serves every
-    cone: the facet point of (A, b) lies in a probe of
-    :func:`ceiling_oracle` for a region with ceiling A, and the face
-    point of A, moved by w with :func:`act_point`, lies on the flat of A
-    in wC, inside the cone and off every other hyperplane of the cone.
+    below 1 and everything outside J above 1.  An antichain A of a
+    deletion on the roots E is one of the root poset, with ideal J & E,
+    so the deletion's face and facet rows of A are the table's with the
+    rows outside E dropped: one table serves every deletion and every
+    cone, unmoved.
 
     The table only proposes: each user checks a point against the exact
     rows of its own question with :func:`check_witness` and asks the
@@ -343,52 +343,43 @@ def ceiling_oracle(rs: RootSystem, E: Iterable[int], region: ShiRegion) -> froze
     """Facet-defining level-1 hyperplanes of a dominant region, by one
     independent probe per root of its ideal.
 
-    A root b of the ideal is a ceiling exactly when pinning its
-    hyperplane to equality, ``b . x = 1``, while keeping every other
-    region row strict leaves a nonempty set.  Each probe is settled by
-    the first of three proofs that is accepted:
+    A root b of the ideal is a ceiling exactly when its probe, the
+    region's rows with ``b . x = 1`` pinned, is nonempty: the table's
+    facet question for b with the rows outside E dropped.  Each probe is
+    settled by the first of three proofs that is accepted:
 
-    * the table point ``antichain_points(rs).facet[region.ceiling, b]``,
-      which :func:`check_witness` must accept on the probe's rows (it
-      shows the set nonempty);
-    * a comparable-pair certificate that the set is empty, on n + 2 of
-      the probe's rows: for a root c > b of the ideal (``c - b >= 0``
+    * a comparable-pair certificate that the probe is empty, on n + 2 of
+      its rows: for a root c > b of the ideal (``c - b >= 0``
       coordinatewise), multipliers ``c - b`` on the positivity rows and
       1 on ``-c . x > -1`` and on the pinned row sum them to ``0 > 0``,
       which :func:`check_farkas` must accept;
-    * the kernel's answer.
+    * the table point ``antichain_points(rs).facet[region.ceiling, b]``,
+      which :func:`check_witness` must accept on the probe's rows (it
+      shows the probe nonempty);
+    * the kernel's answer on the probe.
 
     The table is keyed by the claimed ceiling, but a point only counts
     once it satisfies the probe's own rows, so a wrong claim costs
     kernel calls, not a wrong answer.
     """
     n = rs.rank
-    E = sorted(set(E))
-    base = region_rows(rs, E, region.ideal)
-    walls, pos = base[:n], {g: n + i for i, g in enumerate(E)}
-    ideal = sorted(region.ideal)
+    walls = _positivity_rows(n)
+    roots = [(g, rs.positive_roots[g]) for g in sorted(set(E))]
+    ideal = [(g, rs.positive_roots[g]) for g in sorted(region.ideal)]
     facets = antichain_points(rs).facet
     found = []
-    for b in ideal:
-        coords = rs.positive_roots[b]
-        pinned = (coords, 1, EQ)
-        rows = base.copy()
-        rows[pos[b]] = pinned
-        point = facets.get((region.ceiling, b))
-        if point is not None and check_witness(n, rows, point):
-            found.append(b)
-            continue
-        c = next(
-            (c for c in ideal if c != b and all(map(ge, rs.positive_roots[c], coords))),
-            None,
-        )
-        if c is not None and check_farkas(
+    for b, coords in ideal:
+        above = next((c for g, c in ideal if g != b and all(map(ge, c, coords))), None)
+        if above is not None and check_farkas(
             n,
-            [*walls, base[pos[c]], pinned],
-            [*(x - y for x, y in zip(rs.positive_roots[c], coords)), 1, 1],
+            [*walls, (tuple(-x for x in above), -1, GT), (coords, 1, EQ)],
+            [*(x - y for x, y in zip(above, coords)), 1, 1],
         ):
             continue
-        if feasible_rows(n, rows) is not None:
+        rows = _face_rows(walls, roots, region.ideal, {b})
+        point = facets.get((region.ceiling, b))
+        met = point is not None and check_witness(n, rows, point)
+        if met or feasible_rows(n, rows) is not None:
             found.append(b)
     return frozenset(found)
 
@@ -459,16 +450,19 @@ def flats_in_cone(rs: RootSystem, sub: FinitePoset, w: WeylElement) -> Intersect
     :class:`IntersectionPoset` requires, and the lower interval of a flat
     of codim k is the Boolean lattice of its antichain's 2^k subsets.
 
-    Both facts are shown by one point of the flat's face rows (A on its
-    hyperplanes, the rest of A's ideal below 1, the rest of ``sub`` above
-    1, inside wC): ``antichain_points(rs).face[A]`` moved by w, once
-    :func:`check_witness` accepts it, and otherwise the kernel's witness.
+    Both facts are proved in the dominant cone C by one point of the
+    face of A in the deletion to the roots of ``sub`` (A on its
+    hyperplanes, the rest of A's ideal below 1, the rest above 1, x > 0):
+    ``antichain_points(rs).face[A]`` once :func:`check_witness` accepts
+    it, and otherwise the kernel's witness.  w is an isometry that maps C
+    onto wC and the level-1 hyperplane of root i onto that of w(i), so it
+    maps that point onto the flat of w(A), inside wC and off every other
+    hyperplane of the cone.
     """
+    walls = _positivity_rows(rs.rank)
+    roots = [(i, rs.positive_roots[i]) for i in sorted(sub.elements)]
     image = {i: _positive_image(rs, w, i) for i in sub.elements}
-    cone = cone_rows(rs, w)
-    roots = [(i, rs.positive_roots[g]) for i, g in image.items()]
     faces = antichain_points(rs).face
-    winv = inverse_element(rs, w)
     entries = []
     for A, J in zip(sub.antichains(), sub.order_ideals()):
         gens = frozenset(image[i] for i in A)
@@ -478,9 +472,9 @@ def flats_in_cone(rs: RootSystem, sub: FinitePoset, w: WeylElement) -> Intersect
             raise RuntimeError(
                 "antichain hyperplanes are dependent; arrangement invariant violated"
             )
-        rows = _face_rows(cone, roots, J, A)
+        rows = _face_rows(walls, roots, J, A)
         point = faces.get(A)
-        met = point is not None and check_witness(rs.rank, rows, act_point(rs, winv, point))
+        met = point is not None and check_witness(rs.rank, rows, point)
         if not met and feasible_rows(rs.rank, rows) is None:
             raise RuntimeError(
                 "flat does not meet its cone off the other hyperplanes; "

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from conftest import RANK_LE_3, get_rs
+from shicone.poly import IntPolynomial
 from shicone.posets import FinitePoset, random_poset
 from shicone.rootsys import (
     inverse_element,
@@ -197,6 +198,29 @@ def test_antichains_enumerated_once_per_poset(monkeypatch):
     sub = poset.restrict([1, 3, 4])
     assert sub.antichains() == [frozenset(), frozenset({1}), frozenset({3}), frozenset({4})]
     assert calls == [poset, sub]
+
+
+def test_ideals_filters_and_polynomial_read_cached_antichains(monkeypatch):
+    # the derived lists read the cached antichains directly, not through
+    # antichains(), which copies them into a new list on every call
+    poset = FORK.restrict(FORK.elements)
+    antichains = poset.antichains()
+    expected = (
+        [poset.ideal_generated(A) for A in antichains],
+        [poset.filter_generated(A) for A in antichains],
+        IntPolynomial.from_sizes(map(len, antichains)),
+    )
+    calls = []
+    listed = FinitePoset.antichains
+
+    def counting(self):
+        calls.append(self)
+        return listed(self)
+
+    monkeypatch.setattr(FinitePoset, "antichains", counting)
+    got = (poset.order_ideals(), poset.order_filters(), poset.antichain_polynomial())
+    assert got == expected
+    assert calls == []
 
 
 @pytest.mark.parametrize("seed", range(12))

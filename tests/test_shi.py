@@ -175,6 +175,25 @@ def _cone_sample(name):
     return [W[0]] + random.Random(name).sample(W[1:], 8)
 
 
+def _deletion_rows(rs, E, A, pinned):
+    """Rows of a face of the antichain A in the dominant cone of the
+    deletion to the roots E, written out from the root poset: x > 0,
+    b . x = 1 for b in ``pinned``, below 1 on the rest of A's order ideal
+    J cut to E, and above 1 on the rest of E."""
+    n = rs.rank
+    J = shi.root_poset(rs).ideal_generated(A)
+    rows = [(tuple(int(i == j) for j in range(n)), 0, GT) for i in range(n)]
+    for g in sorted(E):
+        coords = rs.positive_roots[g]
+        if g in pinned:
+            rows.append((coords, 1, EQ))
+        elif g in J:
+            rows.append((tuple(-c for c in coords), -1, GT))
+        else:
+            rows.append((coords, 1, GT))
+    return rows
+
+
 @pytest.mark.parametrize("name", RANK_LE_3 + RANK_4)
 def test_ceiling_oracle_matches_max_elements_everywhere(name):
     rs = get_rs(name)
@@ -192,14 +211,16 @@ def test_ceiling_oracle_calls_kernel_only_for_ceilings(
 ):
     # every non-facet is settled by a checked certificate and every facet
     # by a checked table point, so the oracle never runs the kernel; with
-    # an empty table the kernel runs once per ceiling root and never on
-    # an infeasible probe
+    # an empty table the kernel runs once per ceiling root, never on an
+    # infeasible probe, and is asked the table's facet question with the
+    # rows outside E dropped
     rs = get_rs(name)
-    calls = []
+    calls, systems = [], []
 
     def counting(dim, rows):
         witness = feasible_rows(dim, rows)
         calls.append(witness is not None)
+        systems.append(rows)
         return witness
 
     antichain_points(rs)  # built before the kernel is counted
@@ -215,8 +236,13 @@ def test_ceiling_oracle_calls_kernel_only_for_ceilings(
             m.setattr(shi, "antichain_points", lambda rs: AntichainPoints({}, {}))
             for region in regions:
                 calls.clear()
+                systems.clear()
                 ceiling_oracle(rs, E, region)
                 assert len(calls) == len(region.ceiling) and all(calls)
+                assert systems == [
+                    _deletion_rows(rs, E, region.ceiling, {b})
+                    for b in sorted(region.ceiling)
+                ]
 
 
 @pytest.mark.parametrize("name", ["B3", "F4"])
@@ -574,8 +600,8 @@ def test_closure_asks_kernel_once_per_flat(monkeypatch, fresh_point_table):
 
 def _off_cone_and_no_kernel(rs):
     """Patches: the point table with the first coordinate of every face
-    point negated, which puts it outside the dominant cone (and so, moved
-    by w, outside wC), and a kernel that finds no point."""
+    point negated, which puts it outside the dominant cone, where the flat
+    builder checks it, and a kernel that finds no point."""
     table = antichain_points(rs)
     face = {A: ((-nums[0], *nums[1:]), den) for A, (nums, den) in table.face.items()}
     off_cone = AntichainPoints(face, table.facet)
@@ -669,20 +695,9 @@ POINT_TABLE_SIZES = {
 
 
 def _table_rows(rs, A, pinned):
-    """Rows of a table point of the antichain A, written out from the
-    root poset: x > 0, b . x = 1 for b in ``pinned``, below 1 on the rest
-    of A's order ideal J and above 1 outside J."""
-    n = rs.rank
-    J = shi.root_poset(rs).ideal_generated(A)
-    rows = [(tuple(int(i == j) for j in range(n)), 0, GT) for i in range(n)]
-    for g, coords in enumerate(rs.positive_roots):
-        if g in pinned:
-            rows.append((coords, 1, EQ))
-        elif g in J:
-            rows.append((tuple(-c for c in coords), -1, GT))
-        else:
-            rows.append((coords, 1, GT))
-    return rows
+    """Rows of a table point of the antichain A: its face rows in the
+    deletion to all of Phi+."""
+    return _deletion_rows(rs, range(len(rs.positive_roots)), A, pinned)
 
 
 @pytest.mark.parametrize("name", RANK_LE_3 + RANK_4)
@@ -722,9 +737,10 @@ def test_point_table_pinned(fresh_point_table):
 
 @pytest.mark.parametrize("name", RANK_LE_3 + RANK_4)
 def test_moved_face_points_lie_on_flats_in_cone(name, monkeypatch, fresh_point_table):
-    # the face point of each antichain, moved by w, lies on the flat the
-    # construction builds for it and inside wC; the posets built from the
-    # table equal those built by the kernel alone
+    # the transport argument the flat builder relies on, which proves each
+    # flat in C: the face point of each antichain, moved by w, lies on the
+    # flat the construction builds for it and inside wC; the posets built
+    # from the table equal those built by the kernel alone
     rs = get_rs(name)
     faces = antichain_points(rs).face
     cones = _cone_sample(name)
@@ -742,6 +758,36 @@ def test_moved_face_points_lie_on_flats_in_cone(name, monkeypatch, fresh_point_t
     assert [_flats(p) for p in built] == [
         _flats(flats_in_cone(rs, cone_poset(rs, w), w)) for w in cones
     ]
+
+
+@pytest.mark.parametrize("name", ["B3", *RANK_4])
+def test_cone_flats_are_proved_in_dominant_cone(name, monkeypatch, fresh_point_table):
+    # each flat of wC is proved in C, on the face rows of its antichain in
+    # the deletion to the cone's roots, so no point is moved: with
+    # act_point refused the flats do not change, and with an empty table
+    # the kernel is asked those rows, once per antichain
+    rs = get_rs(name)
+    cones = _cone_sample(name)
+    subs = [cone_poset(rs, w) for w in cones]
+    expected = [_flats(flats_in_cone(rs, sub, w)) for sub, w in zip(subs, cones)]
+
+    def refused(*args):
+        raise AssertionError("a flat proof moved a point")
+
+    monkeypatch.setattr(shi, "act_point", refused)
+    assert [_flats(flats_in_cone(rs, sub, w)) for sub, w in zip(subs, cones)] == expected
+    systems = []
+
+    def recording(dim, rows):
+        systems.append(rows)
+        return feasible_rows(dim, rows)
+
+    monkeypatch.setattr(shi, "antichain_points", lambda rs: AntichainPoints({}, {}))
+    monkeypatch.setattr(shi, "feasible_rows", recording)
+    for sub, w, flats in zip(subs, cones, expected):
+        systems.clear()
+        assert _flats(flats_in_cone(rs, sub, w)) == flats
+        assert systems == [_deletion_rows(rs, sub.elements, A, A) for A in sub.antichains()]
 
 
 @pytest.mark.parametrize("name", ["B3", "D4"])
