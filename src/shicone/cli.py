@@ -81,10 +81,55 @@ def _flatten(prefix: str, value, rows: list) -> None:
         rows.append([prefix, str(value)])
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(value, pad: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte,
+    with every line after the first indented by ``pad``.
+
+    With an indent the stdlib runs its pure-Python encoder, so this
+    writer walks dicts with ``str`` keys and lists itself, and writes a
+    list of plain ``int`` (never ``bool``) or of plain ``str`` with one
+    ``join``.  Other values (``bool``, ``None``, floats, tuples, dicts
+    with other keys) go to ``json.dumps``, re-indented.
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return str(value)
+    if (kind is dict or kind is list) and not value:
+        return "{}" if kind is dict else "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if kind is dict and all(type(k) is str for k in value):
+        body = sep.join(
+            _encode_str(k) + ": " + _dumps(value[k], inner) for k in sorted(value)
+        )
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if kind is list:
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            body = sep.join(map(str, value))
+        elif kinds == {str}:
+            body = sep.join(map(_encode_str, value))
+        else:
+            body = sep.join([_dumps(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+
+
 def render(command: str, cartan_type: str, payload: dict, fmt: str) -> str:
+    """The whole output text of a subcommand in ``fmt``.
+
+    The json form is ``json.dumps(record, sort_keys=True, indent=2) +
+    "\\n"`` byte for byte, where the record holds ``command``,
+    ``cartan_type`` and ``payload``.
+    """
     if fmt == "json":
         record = {"command": command, "cartan_type": cartan_type, "payload": payload}
-        return json.dumps(record, sort_keys=True, indent=2) + "\n"
+        return _dumps(record) + "\n"
     if fmt == "csv":
         rows: list = [["command", command], ["cartan_type", cartan_type]]
         _flatten("", payload, rows)
@@ -203,7 +248,7 @@ def cmd_orderring(args) -> int:
         "vertices": [list(v) for v in vertices],
         "generators": orderring.generator_strings(poset),
         "standard_monomials": [
-            sorted(m, key=lambda e: pos[e]) for m in monomials
+            sorted(m, key=pos.__getitem__) for m in monomials
         ],
         "hilbert": list(orderring.hilbert_series(poset)),
     }

@@ -87,13 +87,26 @@ def vg_heaviside(rs: RootSystem, E: Iterable[int], region: ShiRegion, b: int) ->
 # -- order polytope and presentation ------------------------------------------
 
 
+#: Maps the ASCII digits of a binary numeral to the byte values 0 and 1.
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def polytope_vertices(poset: FinitePoset) -> frozenset:
     """Vertices of the order polytope: 0/1 indicator vectors of order
     filters, over the poset's element sequence.  Their number equals the
-    number of antichains."""
-    filters = poset.order_filters()
-    verts = frozenset(tuple(int(e in F) for e in poset.elements) for F in filters)
-    assert len(verts) == len(filters)
+    number of antichains.
+
+    Reads each filter as its bitmask (bit i for element i) from
+    ``FinitePoset._closure_masks``, the one reader of that private
+    helper outside ``posets``."""
+    masks = poset._closure_masks(poset._up)
+    n = len(poset)
+    bits = f"0{n}b"
+    verts = frozenset(
+        tuple(format(m, bits)[::-1].encode().translate(_BIT_VALUES)) if n else ()
+        for m in masks
+    )
+    assert len(verts) == len(masks)
     return verts
 
 

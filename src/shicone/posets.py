@@ -240,12 +240,26 @@ class FinitePoset:
             level = nxt
         return tuple(results)
 
+    def _closure_masks(self, masks: list) -> list:
+        """For each cached antichain, in order, the union of ``masks``
+        (``self._down`` for its order ideal, ``self._up`` for its order
+        filter) over its elements.  Besides :meth:`order_ideals` and
+        :meth:`order_filters`, ``orderring.polytope_vertices`` reads it."""
+        pos = self._pos
+        out = []
+        for A in self._antichain_tuple():
+            m = 0
+            for e in A:
+                m |= masks[pos[e]]
+            out.append(m)
+        return out
+
     def order_ideals(self) -> list[frozenset]:
         """All order ideals, in bijection with (and ordered like) antichains."""
-        return [self._closure(self._down, A) for A in self._antichain_tuple()]
+        return list(map(self._set, self._closure_masks(self._down)))
 
     def order_filters(self) -> list[frozenset]:
-        return [self._closure(self._up, A) for A in self._antichain_tuple()]
+        return list(map(self._set, self._closure_masks(self._up)))
 
     def antichain_polynomial(self) -> IntPolynomial:
         """Generating polynomial of antichains by cardinality."""

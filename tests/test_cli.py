@@ -1,9 +1,12 @@
 import csv
+import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from shicone import cli
 from shicone.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -269,6 +272,38 @@ def test_orderring_empty_poset(tmp_path, capsys):
     assert data["payload"]["vertices"] == [[]]
 
 
+#: Elements with a comma, a quote, a non-ASCII letter and the empty string.
+PINNED_POSET = {
+    "elements": ["a,b", 'say "hi"', "\u00e9t\u00e9", "", "z"],
+    "covers": [[0, 1], [1, 2], [3, 2], [3, 4]],
+}
+
+
+@pytest.mark.parametrize(
+    "source, fmt, digest",
+    [
+        ("F4", "json", "d46f9ceef752597cd7d210672e311117c9c2fbfdedd280e0201d3001a0d2eae6"),
+        ("F4", "csv", "5a018e19a7f8c987418146e2340bad5c8bedf26dbc486df6000443f2ea6017fd"),
+        ("F4", "text", "c39b779505e4279fcd57a89bcf5d0aa76fc85048cefa94b0e6e44b892556b3d0"),
+        ("file", "json", "d5f1f6eec31918a37b25fe8606a20b7d4948a7affb09a16e8473cb2fc51cea22"),
+        ("file", "csv", "6327a602b7fcf29cd57799339e562093c1230c3ecd068a5b3b0de1e0d82017e3"),
+        ("file", "text", "e8a4962bfeb4523805c064729984a477d72c6dc2deda4f41d7a87158593ef5f3"),
+    ],
+)
+def test_orderring_bytes_pinned(tmp_path, capsys, source, fmt, digest):
+    """The digests were taken before the CLI had its own json writer; a
+    changed byte is a bug, never a re-pin."""
+    if source == "file":
+        path = tmp_path / "poset.json"
+        path.write_text(json.dumps(PINNED_POSET))
+        argv = ["--poset-file", str(path)]
+    else:
+        argv = ["--type", source]
+    code, out, _ = run_cli(capsys, "orderring", *argv, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -379,3 +414,106 @@ def test_out_file_unwritable(tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"error: cannot write {target}")
     assert not target.parent.exists()
+
+
+# -- the json writer -----------------------------------------------------------------
+
+
+def stdlib_json(payload, command="c", cartan_type="t") -> str:
+    """The json output as ``render`` promises it."""
+    record = {"command": command, "cartan_type": cartan_type, "payload": payload}
+    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+
+
+#: Characters for random strings: ASCII, quotes and backslashes, control
+#: characters, non-ASCII letters and an astral-plane character.
+ALPHABET = "ab Z09,\"\\/\n\t\r\x00\x1f\x7f\u00e9\u0416\u2028\ud83d\ude00\U0001f600"
+
+FLOATS = [-0.0, 0.0, 1e300, -1e-300, 0.5, float("inf"), float("-inf")]
+
+
+def random_string(rng) -> str:
+    return "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 6)))
+
+
+def random_value(rng, depth: int):
+    """A random JSON-able value: every kind the writer handles itself
+    and every kind it hands to ``json.dumps``, with empty containers
+    possible at every depth."""
+    scalars = [
+        lambda: rng.randint(-5, 5),
+        lambda: rng.choice([-1, 1]) * rng.randint(0, 10**40),
+        lambda: rng.choice([True, False, None]),
+        lambda: rng.choice(FLOATS + [rng.uniform(-1e6, 1e6)]),
+        lambda: random_string(rng),
+    ]
+    containers = [
+        lambda: [rng.randint(-(10**30), 10**30) for _ in range(rng.randint(0, 5))],
+        lambda: [rng.choice([0, 1, True, False]) for _ in range(rng.randint(0, 4))],
+        lambda: [random_string(rng) for _ in range(rng.randint(0, 5))],
+        lambda: [random_value(rng, depth - 1) for _ in range(rng.randint(0, 4))],
+        lambda: tuple(random_value(rng, depth - 1) for _ in range(rng.randint(0, 3))),
+        lambda: {
+            random_string(rng): random_value(rng, depth - 1)
+            for _ in range(rng.randint(0, 4))
+        },
+        lambda: {rng.randint(-9, 9): random_value(rng, depth - 1) for _ in range(2)},
+        lambda: {},
+        lambda: [],
+    ]
+    if depth <= 0:
+        return rng.choice(scalars + containers[-2:])()
+    return rng.choice(scalars + containers)()
+
+
+def test_writer_matches_json_dumps_on_random_payloads():
+    rng = random.Random(23)
+    for _ in range(5000):
+        payload = random_value(rng, rng.randint(0, 5))
+        assert cli.render("c", "t", payload, "json") == stdlib_json(payload)
+
+
+def captured_payloads(monkeypatch, capsys, *argv) -> list:
+    """The payloads ``main`` renders for ``argv``."""
+    seen = []
+    render = cli.render
+
+    def spy(command, cartan_type, payload, fmt):
+        seen.append(payload)
+        return render(command, cartan_type, payload, fmt)
+
+    monkeypatch.setattr(cli, "render", spy)
+    main(list(argv))
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "render", render)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--type", "B3"],
+        ["cone", "--type", "B3", "--word", "121"],
+        ["verify", "--type", "A2", "--theorem", "1"],
+        ["orderring", "--type", "B3"],
+    ],
+)
+def test_writer_matches_json_dumps_on_real_records(monkeypatch, capsys, argv):
+    (payload,) = captured_payloads(monkeypatch, capsys, *argv)
+    assert cli.render("c", "t", payload, "json") == stdlib_json(payload)
+
+
+def test_orderring_record_never_reaches_json_dumps(monkeypatch, capsys):
+    (payload,) = captured_payloads(monkeypatch, capsys, "orderring", "--type", "F4")
+    calls = []
+    dumps = json.dumps
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", counting)
+    text = cli.render("orderring", "F4", payload, "json")
+    monkeypatch.setattr(cli.json, "dumps", dumps)
+    assert calls == []
+    assert text == stdlib_json(payload, "orderring", "F4")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import deletion_poset, get_rs
+from conftest import RANK_4, RANK_LE_3, deletion_poset, get_rs
 from shicone.orderring import (
     filtered_hilbert,
     generator_strings,
@@ -65,6 +65,51 @@ def test_vertices_are_upward_closed():
                 for q in poset.elements:
                     if poset.leq(p, q):
                         assert q in members
+
+
+def string_poset(rng):
+    """A random poset on string ids whose element sequence is shuffled,
+    so it need not be a linear extension."""
+    base = random_poset(rng.randint(0, 9), rng)
+    names = [f"x{i}" for i in range(len(base))]
+    order = list(range(len(base)))
+    rng.shuffle(order)
+    rel = [(names[a], names[b]) for a, b in base.cover_pairs()]
+    return FinitePoset([names[i] for i in order], rel)
+
+
+def closures_by_sets(poset, up):
+    """Order filters (``up``) or ideals generated by each antichain,
+    one frozenset at a time from ``leq``."""
+    def related(p, q):
+        return poset.leq(p, q) if up else poset.leq(q, p)
+
+    return [
+        frozenset(q for q in poset.elements if any(related(p, q) for p in A))
+        for A in poset.antichains()
+    ]
+
+
+VERTEX_POSETS = {
+    **{name: root_poset(get_rs(name)) for name in RANK_LE_3 + RANK_4},
+    "empty": FinitePoset([]),
+    "fork": FORK,
+    **{f"strings{seed}": string_poset(random.Random(seed)) for seed in range(40)},
+}
+
+
+@pytest.mark.parametrize("poset", VERTEX_POSETS.values(), ids=VERTEX_POSETS)
+def test_vertices_are_filter_indicators_by_definition(poset):
+    expected = frozenset(
+        tuple(int(e in F) for e in poset.elements) for F in poset.order_filters()
+    )
+    assert polytope_vertices(poset) == expected
+
+
+@pytest.mark.parametrize("poset", VERTEX_POSETS.values(), ids=VERTEX_POSETS)
+def test_ideals_and_filters_match_set_build(poset):
+    assert poset.order_ideals() == closures_by_sets(poset, up=False)
+    assert poset.order_filters() == closures_by_sets(poset, up=True)
 
 
 # -- generators -------------------------------------------------------------------
