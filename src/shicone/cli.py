@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 
 from . import orderring, shi
@@ -38,13 +39,13 @@ class UsageError(Exception):
 
 
 def parse_word(text: str, rank: int) -> tuple:
-    """Generator word: letters ``"st"[:rank]`` in rank <= 2, digits
-    1..rank otherwise."""
+    """Generator word: letters ``"st"[:rank]`` in rank <= 2, ASCII
+    digits 1..rank (at most 9) otherwise."""
     out = []
     for ch in text.strip():
         if rank <= 2 and ch in "st"[:rank]:
             out.append("st".index(ch))
-        elif ch.isdigit() and 1 <= int(ch) <= rank:
+        elif ch in "123456789"[:rank]:
             out.append(int(ch) - 1)
         else:
             raise UsageError(f"invalid generator symbol {ch!r} for rank {rank}")
@@ -54,10 +55,10 @@ def parse_word(text: str, rank: int) -> tuple:
 def _parse_indices(text: str, bound: int) -> list:
     if not text.strip():
         return []
-    try:
-        idxs = [int(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"cannot parse index list {text!r}") from exc
+    parts = [part.strip() for part in text.split(",")]
+    if not all(re.fullmatch("[0-9]+", part) for part in parts):
+        raise UsageError(f"cannot parse index list {text!r}")
+    idxs = [int(part) for part in parts]
     for i in idxs:
         if not 0 <= i < bound:
             raise UsageError(f"root index {i} out of range 0..{bound - 1}")

@@ -98,7 +98,7 @@ def polytope_vertices(poset: FinitePoset) -> frozenset:
 
     Reads each filter as its bitmask (bit i for element i) from
     ``FinitePoset._closure_masks``, the one reader of that private
-    helper outside ``posets``."""
+    helper outside ``posets``, which walks ``poset.antichains()``."""
     masks = poset._closure_masks(poset._up)
     n = len(poset)
     bits = f"0{n}b"

@@ -203,15 +203,12 @@ class FinitePoset:
     def antichains(self) -> list[frozenset]:
         """All antichains exactly once, grouped by increasing cardinality.
 
-        Enumerated on the first call; every call returns a new list.
+        The one path into the antichain cache: enumerated on the first
+        call, and every call returns a new list.
         """
-        return list(self._antichain_tuple())
-
-    def _antichain_tuple(self) -> tuple:
-        """The cached antichains, enumerated on first use."""
         if self._antichains is None:
             self._antichains = self._enumerate_antichains()
-        return self._antichains
+        return list(self._antichains)
 
     def _enumerate_antichains(self) -> tuple:
         """Walks elements in natural-label order, extending each antichain
@@ -241,13 +238,13 @@ class FinitePoset:
         return tuple(results)
 
     def _closure_masks(self, masks: list) -> list:
-        """For each cached antichain, in order, the union of ``masks``
-        (``self._down`` for its order ideal, ``self._up`` for its order
-        filter) over its elements.  Besides :meth:`order_ideals` and
+        """For each antichain of :meth:`antichains`, in order, the union of
+        ``masks`` (``self._down`` for its order ideal, ``self._up`` for its
+        order filter) over its elements.  Besides :meth:`order_ideals` and
         :meth:`order_filters`, ``orderring.polytope_vertices`` reads it."""
         pos = self._pos
         out = []
-        for A in self._antichain_tuple():
+        for A in self.antichains():
             m = 0
             for e in A:
                 m |= masks[pos[e]]
@@ -263,7 +260,7 @@ class FinitePoset:
 
     def antichain_polynomial(self) -> IntPolynomial:
         """Generating polynomial of antichains by cardinality."""
-        return IntPolynomial.from_sizes(len(A) for A in self._antichain_tuple())
+        return IntPolynomial.from_sizes(map(len, self.antichains()))
 
     def delete_split(self, k: ElementId) -> tuple["FinitePoset", "FinitePoset"]:
         """Split along a maximal element ``k``.

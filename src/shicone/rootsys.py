@@ -69,7 +69,7 @@ class CartanType:
 
     @classmethod
     def parse(cls, text: str) -> "CartanType":
-        m = re.fullmatch(r"\s*([A-Za-z])\s*(\d+)\s*", text)
+        m = re.fullmatch(r"\s*([A-Za-z])\s*(\d+)\s*", text, re.ASCII)
         if not m:
             raise ValueError(f"cannot parse Cartan type {text!r} (expected e.g. 'B2')")
         return cls(m.group(1).upper(), int(m.group(2)))

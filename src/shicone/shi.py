@@ -54,7 +54,7 @@ from .exactgeom import (
     meet,
 )
 from .poly import IntPolynomial
-from .posets import FinitePoset
+from .posets import FinitePoset, _bits
 from .rootsys import (
     RootSystem,
     WeylElement,
@@ -113,7 +113,8 @@ class IntersectionPoset:
     flat i contains flat j exactly when the generators of i are a subset
     of those of j, so the order is read off the generator sets and no
     geometry is consulted.  ``flats[0]`` is the ambient space V, the
-    unique minimum.
+    unique minimum.  The flats are kept in codim order, a linear
+    extension, in which each row of Mobius values is one forward pass.
     """
 
     def __init__(self, flats: Sequence[tuple]):
@@ -126,7 +127,7 @@ class IntersectionPoset:
         self._leq = tuple(
             sum(1 << i for i in range(n) if gens[i] <= gj) for gj in gens
         )
-        self._interval_cache: dict = {}
+        self._mobius_rows: list = [None] * n
         self.flats = tuple(
             Flat(gens, geo, self.interval_mobius(0, j))
             for j, (gens, geo) in enumerate(entries)
@@ -140,24 +141,18 @@ class IntersectionPoset:
         return bool(self._leq[j] & (1 << i))
 
     def interval_mobius(self, i: int, j: int) -> int:
-        """Mobius function of the interval [X_i, X_j]."""
-        if not self.leq(i, j):
-            return 0
-        if i == j:
-            return 1
-        cached = self._interval_cache.get((i, j))
-        if cached is not None:
-            return cached
-        acc = 0
-        mm = self._leq[j] & ~(1 << j)
-        while mm:
-            low = mm & -mm
-            k = low.bit_length() - 1
-            mm ^= low
-            if self.leq(i, k):
-                acc += self.interval_mobius(i, k)
-        self._interval_cache[(i, j)] = -acc
-        return -acc
+        """Mobius function of the interval [X_i, X_j], 0 off the order.
+
+        Row i is filled on first use, forward in index order: 0 before i,
+        mu(i, i) = 1, then mu(i, k) = -sum of mu(i, h) over the h < k below k."""
+        row = self._mobius_rows[i]
+        if row is None:
+            row = self._mobius_rows[i] = [0] * i + [1]
+            for k in range(i + 1, len(self._leq)):
+                between = self._leq[k] >> i << i & ~(1 << k)
+                acc = sum(row[h] for h in _bits(between)) if between & 1 << i else 0
+                row.append(-acc)
+        return row[j]
 
     def poincare_polynomial(self) -> IntPolynomial:
         """Sum of |mobius| t^codim over all flats."""

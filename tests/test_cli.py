@@ -140,6 +140,41 @@ def test_cone_deletion_unparsable_index(capsys):
     assert err == "error: cannot parse index list '1,x'\n"
 
 
+@pytest.mark.parametrize(
+    "word, symbol",
+    [("\u0661\u0662", "\u0661"), ("\u00b2", "\u00b2"), ("1\uff12", "\uff12")],
+)
+def test_cone_non_ascii_digit_rejected(capsys, word, symbol):
+    # Arabic-Indic, superscript and fullwidth digits are not generators,
+    # though str.isdigit accepts them and int() reads the first as 1
+    code, out, err = run_cli(capsys, "cone", "--type", "A3", "--word", word)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: invalid generator symbol {symbol!r} for rank 3\n"
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0661", "0,\u00b3", "+1", "-0"])
+def test_cone_deletion_non_ascii_or_signed_index_rejected(capsys, text):
+    # int() would read 1_0 as 10, the Arabic-Indic one as 1, +1 as 1 and -0 as 0
+    code, out, err = run_cli(capsys, "cone", "--type", "B2", "--e", text)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot parse index list {text!r}\n"
+
+
+def test_cone_deletion_spaces_around_indices(capsys):
+    _, spaced = run_json(capsys, "cone", "--type", "B2", "--e", " 0 , 3 ")
+    _, plain = run_json(capsys, "cone", "--type", "B2", "--e", "0,3")
+    assert spaced == plain
+
+
+def test_cone_non_ascii_rank_rejected(capsys):
+    code, out, err = run_cli(capsys, "cone", "--type", "B\u0662")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot parse Cartan type 'B\u0662'")
+
+
 def test_cone_word_and_deletion_rejected(capsys):
     code, out, err = run_cli(capsys, "cone", "--type", "B2", "--word", "12", "--e", "0,3")
     assert code == 2

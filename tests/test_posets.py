@@ -1,9 +1,11 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
 
 from conftest import RANK_LE_3, get_rs
+from shicone.orderring import polytope_vertices
 from shicone.poly import IntPolynomial
 from shicone.posets import FinitePoset, random_poset
 from shicone.rootsys import (
@@ -201,8 +203,8 @@ def test_antichains_enumerated_once_per_poset(monkeypatch):
 
 
 def test_ideals_filters_and_polynomial_read_cached_antichains(monkeypatch):
-    # the derived lists read the cached antichains directly, not through
-    # antichains(), which copies them into a new list on every call
+    # the derived lists read the cached antichains through antichains(),
+    # the one path into the cache, so the benchmark's span sees each read
     poset = FORK.restrict(FORK.elements)
     antichains = poset.antichains()
     expected = (
@@ -218,9 +220,34 @@ def test_ideals_filters_and_polynomial_read_cached_antichains(monkeypatch):
         return listed(self)
 
     monkeypatch.setattr(FinitePoset, "antichains", counting)
-    got = (poset.order_ideals(), poset.order_filters(), poset.antichain_polynomial())
-    assert got == expected
-    assert calls == []
+    got = []
+    for derive in (poset.order_ideals, poset.order_filters, poset.antichain_polynomial):
+        got.append(derive())
+        assert calls == [poset], derive.__name__
+        calls.clear()
+    assert tuple(got) == expected
+
+
+def test_antichains_enumerated_inside_antichains(monkeypatch):
+    # whatever derives from the antichains, the enumeration runs inside
+    # antichains(), so its time is charged to that method and no other
+    callers = []
+    enumerate_antichains = FinitePoset._enumerate_antichains
+
+    def recording(self):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return enumerate_antichains(self)
+
+    monkeypatch.setattr(FinitePoset, "_enumerate_antichains", recording)
+    derived = (
+        polytope_vertices,
+        FinitePoset.order_ideals,
+        FinitePoset.order_filters,
+        FinitePoset.antichain_polynomial,
+    )
+    for derive in derived:
+        derive(FORK.restrict(FORK.elements))
+    assert callers == ["antichains"] * len(derived)
 
 
 @pytest.mark.parametrize("seed", range(12))

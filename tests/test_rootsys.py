@@ -40,7 +40,8 @@ def test_inadmissible_types_rejected(bad):
 
 
 def test_parse_garbage_rejected():
-    for bad in ["", "B", "22", "B-2", "Bx2"]:
+    # the rank is ASCII digits: Arabic-Indic and fullwidth ones are refused
+    for bad in ["", "B", "22", "B-2", "Bx2", "B\u0662", "F\uff14", "A1\u0663"]:
         with pytest.raises(ValueError):
             CartanType.parse(bad)
 

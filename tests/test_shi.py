@@ -441,6 +441,61 @@ def _level_planes(rs, levels):
     return {(i, k): (c, k) for i, c in enumerate(rs.positive_roots) for k in levels}
 
 
+def _hall_mobius_rows(poset):
+    """Philip Hall's theorem: mu(i, j) is the sum over k of (-1)^k c_k,
+    where c_k counts the chains i = x0 < ... < xk = j.  The chains are
+    counted from ``leq`` alone, growing them upward through the elements
+    taken by the size of their down-sets, a linear extension."""
+    m = len(poset)
+    below = {y: [x for x in range(m) if x != y and poset.leq(x, y)] for y in range(m)}
+    order = sorted(range(m), key=lambda y: len(below[y]))
+    rows = []
+    for i in range(m):
+        chains = {i: [1]}  # chains[x][k] = c_k for the chains from i to x
+        for y in order:
+            steps = [chains[x] for x in below[y] if x in chains]
+            if steps:
+                c = [0] * (1 + max(map(len, steps)))
+                for step in steps:
+                    for k, count in enumerate(step):
+                        c[k + 1] += count
+                chains[y] = c
+        rows.append(
+            [sum((-1) ** k * c for k, c in enumerate(chains.get(j, []))) for j in range(m)]
+        )
+    return rows
+
+
+def _hall_posets():
+    """Whole level-0/1 arrangements, level 1..m dominant closures, whose
+    intervals need not be Boolean, and the cone posets of B3."""
+    for name in ("A2", "B2", "G2"):
+        rs = get_rs(name)
+        yield shi._closure_poset(rs, _level_planes(rs, (0, 1)))
+    for name in ("A2", "B2"):
+        rs = get_rs(name)
+        for m in (2, 3):
+            yield shi._closure_poset(
+                rs,
+                _level_planes(rs, range(1, m + 1)),
+                inside_rows=shi._positivity_rows(rs.rank),
+            )
+    rs = get_rs("B3")
+    for w in weyl_group(rs):
+        yield flats_in_cone(rs, cone_poset(rs, w), w)
+
+
+def test_interval_mobius_is_halls_alternating_chain_count():
+    largest = 0
+    for poset in _hall_posets():
+        m = len(poset)
+        got = [[poset.interval_mobius(i, j) for j in range(m)] for i in range(m)]
+        assert got == _hall_mobius_rows(poset)
+        largest = max(largest, *map(abs, (v for row in got for v in row)))
+    # some interval is not Boolean, where |mu| is not 1
+    assert largest >= 2
+
+
 def _closure_posets(rs):
     """The whole level-0/1 arrangement, the level 1..3 dominant closure
     and the closure oracle on every cone, each with its hyperplanes."""

@@ -189,7 +189,7 @@ def test_wrong_flat_mobius_fails_eulerian_check():
     ctx = TypeContext(get_rs("B2"))
     poset = ctx.flats(ctx.W[0])
     j = next(k for k, f in enumerate(poset.flats) if f.geometry.codim == 2)
-    poset._interval_cache[(0, j)] = 5
+    poset._mobius_rows[0][j] = 5
     with pytest.raises(verify._Failure, match="interval Mobius is not Eulerian"):
         check_boolean_intervals(ctx)
 
