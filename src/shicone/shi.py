@@ -15,8 +15,11 @@ re-checking.
 
 Every "this set is nonempty" answer is an exact point accepted by
 :func:`~shicone.exactgeom.check_witness`, and every "empty" answer is a
-Farkas certificate accepted by :func:`~shicone.exactgeom.check_farkas`
-or the kernel's verdict.
+Farkas certificate accepted by :func:`~shicone.exactgeom.check_farkas`,
+except where the kernel's verdict is still trusted: the meets-the-region
+tests of :func:`_closure_poset`, the cell prunes of :func:`_cells` that
+no two-row certificate settles (none at m = 1), and the kernel fallbacks
+of the point table and of the ceiling oracle.
 
 Every construction question is a face of a deletion in the dominant
 cone C, posed by :func:`_face_rows`: a region pins no root, a facet
@@ -379,16 +382,41 @@ def ceiling_oracle(rs: RootSystem, E: Iterable[int], region: ShiRegion) -> froze
     return frozenset(found)
 
 
+def _pair_refutes(n: int, walls: list, rows: Sequence[tuple], extra: list) -> bool:
+    """Whether a row ``(a, s, GT)`` of ``extra`` and a row ``(c, t, GT)``
+    of ``rows`` with ``a + c <= 0`` coordinatewise and ``s + t >= 0`` have
+    a certificate that :func:`check_farkas` accepts: 1 on each of the
+    two rows and ``-(a + c)`` on the positivity ``walls`` sum to
+    ``0 > s + t``.  Compares row vectors only."""
+    for a, s, _ in extra:
+        for c, t, _ in rows:
+            if s + t >= 0:
+                lam = [-(x + y) for x, y in zip(a, c)]
+                if min(lam) >= 0 and check_farkas(
+                    n, [*walls, (c, t, GT), (a, s, GT)], [*lam, 1, 1]
+                ):
+                    return True
+    return False
+
+
 def _cells(rs: RootSystem, roots: Sequence[int], m: int) -> list:
     """Cells of the dominant cone cut by the level 1..m hyperplanes of
     ``roots``, built one root at a time in order.
 
     Root i takes interval j: its value lies in (j, j+1) for j < m and in
-    (m, oo) for j = m.  A cell is extended by each interval the kernel
-    finds feasible, so every kernel call after the first (on the bare
-    cone) extends a nonempty cell of a shorter prefix.  Returns the list
-    of ``(choices, witness)``, the witness being the kernel answer that
-    admitted the last root.
+    (m, oo) for j = m.  Each child of a cell, the cell's rows plus one
+    interval's, is settled by the first of three proofs that is accepted:
+
+    * the cell's point, once :func:`check_witness` accepts it on the
+      child's rows: the child is a cell and inherits the point;
+    * a two-row certificate of :func:`_pair_refutes` against a level row
+      of the cell: the child is empty;
+    * the kernel's answer on the child's rows.
+
+    So every kernel call after the first (on the bare cone) extends a
+    nonempty cell of a shorter prefix, and at m = 1 it only ever finds a
+    cell.  Returns the list of ``(choices, witness)``, the witness being
+    the point that admitted the cell, accepted on all of its rows.
     """
     n = rs.rank
     base = _positivity_rows(n)
@@ -401,12 +429,16 @@ def _cells(rs: RootSystem, roots: Sequence[int], m: int) -> list:
             for j in range(m + 1)
         ]
         grown = []
-        for choices, rows, _ in cells:
+        for choices, rows, point in cells:
             for j, extra in enumerate(intervals):
                 nxt = rows + extra
-                witness = feasible_rows(n, nxt)
-                if witness is not None:
-                    grown.append((choices + (j,), nxt, witness))
+                # the new rows first: a point outside the interval fails fast
+                if check_witness(n, extra + rows, point):
+                    grown.append((choices + (j,), nxt, point))
+                elif not _pair_refutes(n, base, rows[n:], extra):
+                    witness = feasible_rows(n, nxt)
+                    if witness is not None:
+                        grown.append((choices + (j,), nxt, witness))
         cells = grown
     return [(choices, witness) for choices, _, witness in cells]
 
@@ -414,10 +446,14 @@ def _cells(rs: RootSystem, roots: Sequence[int], m: int) -> list:
 def dominant_sign_oracle(rs: RootSystem, E: Iterable[int]) -> dict:
     """Dominant regions of a deletion by cell enumeration, rank <= 3 only.
 
-    Walks the level-1 hyperplanes of E inside the dominant cone, keeping
-    each side only while the kernel finds the prefix feasible, and
-    returns {below-set: witness} for the cells.  Independent of the
-    antichain route.
+    Walks the level-1 hyperplanes of E inside the dominant cone with
+    :func:`_cells` at m = 1, keeping each side only while the prefix is
+    shown nonempty, and returns {below-set: witness} for the cells, each
+    witness accepted by :func:`check_witness` on its cell's rows.  Every
+    side it drops has a two-row certificate that :func:`check_farkas`
+    accepts, so the kernel is never asked about an empty one.
+    Independent of the antichain route: it compares row vectors and
+    never reads the root poset.
     """
     if rs.rank > MAX_ORACLE_RANK:
         raise ValueError(f"sign oracle is limited to rank <= {MAX_ORACLE_RANK}")
@@ -590,7 +626,9 @@ def fuss_dominant(rs: RootSystem, m: int) -> FussDominant:
     levels cannot meet the dominant cone); comparability pruning is
     deliberately absent because distinct levels of comparable roots can
     meet inside the cone, and the Mobius recursion is run in full.
-    Regions are the cells of :func:`_cells` over all roots.
+    Regions are the cells of :func:`_cells` over all roots; an empty
+    child with no two-row certificate (only at m >= 2) is dropped on the
+    kernel's verdict.
     """
     if rs.rank > MAX_ORACLE_RANK:
         raise ValueError(

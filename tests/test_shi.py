@@ -98,27 +98,118 @@ def test_region_witness_predicates(rs_b2):
 
 
 def test_sign_oracle_extends_only_feasible_prefixes(monkeypatch, fresh_point_table):
-    # one kernel call for the bare dominant cone, then two per feasible
-    # proper prefix: the oracle never extends an empty prefix
+    # the first kernel call is the bare dominant cone; every later system,
+    # less its last interval (one row at m = 1), is satisfied by a point
+    # the enumeration held before the call: the oracle never extends an
+    # empty prefix, and at m = 1 the kernel never finds a child empty
     rs = get_rs("B3")
     kernel = shi.feasible_rows
-    answers = []
+    systems, answers = [], []
 
-    def counting(dim, rows):
+    def recording(dim, rows):
         witness = kernel(dim, rows)
-        answers.append(witness is not None)
+        systems.append(list(rows))
+        answers.append(witness)
         return witness
 
-    monkeypatch.setattr(shi, "feasible_rows", counting)
+    monkeypatch.setattr(shi, "feasible_rows", recording)
     for w in weyl_group(rs):
+        systems.clear()
         answers.clear()
-        oracle = dominant_sign_oracle(rs, complement_of_inversions(rs, w))
-        assert len(answers) == 1 + 2 * (sum(answers) - len(oracle))
+        dominant_sign_oracle(rs, complement_of_inversions(rs, w))
+        assert None not in answers
+        assert systems[0] == shi._positivity_rows(rs.rank)
+        for k, rows in enumerate(systems[1:], 1):
+            assert any(check_witness(rs.rank, rows[:-1], p) for p in answers[:k])
 
 
 def test_sign_oracle_rank_bound():
     with pytest.raises(ValueError):
         dominant_sign_oracle(get_rs("B4"), range(16))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_refused_cell_proofs_fall_back_to_kernel(m, monkeypatch):
+    # each child of a cell that is admitted without the kernel carries a
+    # point check_witness accepts on all of the child's rows, and each
+    # child dropped without it a certificate check_farkas accepts (the
+    # search proposes no other); with either check refused the kernel
+    # settles those children instead and the cells do not change
+    rs = get_rs("B3")
+    roots = range(len(rs.positive_roots))
+    walls = set(shi._positivity_rows(rs.rank))
+    answers, witnessed, certified = [], [], []
+
+    def counting(dim, rows):
+        witness = feasible_rows(dim, rows)
+        answers.append(witness)
+        return witness
+
+    def witnessing(dim, rows, point):
+        accepted = check_witness(dim, rows, point)
+        witnessed.append((accepted, walls <= set(rows)))
+        return accepted
+
+    def certifying(dim, rows, lam):
+        accepted = check_farkas(dim, rows, lam)
+        certified.append(accepted)
+        return accepted
+
+    monkeypatch.setattr(shi, "feasible_rows", counting)
+    with monkeypatch.context() as mp:
+        mp.setattr(shi, "check_witness", witnessing)
+        mp.setattr(shi, "check_farkas", certifying)
+        choices = [c for c, _ in shi._cells(rs, roots, m)]
+    calls, empty = len(answers), answers.count(None)
+    inherited = sum(accepted for accepted, _ in witnessed)
+    refuted = len(certified)
+    assert all(full for _, full in witnessed) and all(certified)
+    assert inherited > 0 and refuted > 0
+    if m == 1:
+        assert empty == 0
+
+    with monkeypatch.context() as mp:
+        mp.setattr(shi, "check_farkas", lambda dim, rows, lam: False)
+        answers.clear()
+        assert [c for c, _ in shi._cells(rs, roots, m)] == choices
+        assert len(answers) == calls + refuted
+        assert answers.count(None) == empty + refuted
+    with monkeypatch.context() as mp:
+        mp.setattr(shi, "check_witness", lambda dim, rows, point: False)
+        answers.clear()
+        assert [c for c, _ in shi._cells(rs, roots, m)] == choices
+        assert len(answers) == calls + inherited
+        assert answers.count(None) == empty
+
+
+@pytest.mark.parametrize("name", RANK_LE_3)
+def test_cells_at_level_one_never_ask_kernel_about_an_empty_child(name, monkeypatch):
+    # at m = 1 every empty child has a two-row certificate, so inside the
+    # cell enumeration the kernel only ever finds cells: for the sign
+    # oracle of every cone's deletion and the level-1 dominant regions
+    rs = get_rs(name)
+    cells, kernel = shi._cells, shi.feasible_rows
+    inside, answers = [], []
+
+    def enumerating(*args):
+        inside.append(True)
+        try:
+            return cells(*args)
+        finally:
+            inside.pop()
+
+    def recording(dim, rows):
+        witness = kernel(dim, rows)
+        if inside:
+            answers.append(witness)
+        return witness
+
+    monkeypatch.setattr(shi, "_cells", enumerating)
+    monkeypatch.setattr(shi, "feasible_rows", recording)
+    for w in weyl_group(rs):
+        dominant_sign_oracle(rs, complement_of_inversions(rs, w))
+    fuss_dominant(rs, 1)
+    assert answers and None not in answers
 
 
 # -- ceilings ----------------------------------------------------------------------
@@ -570,9 +661,12 @@ def test_closure_intersects_each_flat_once_per_later_hyperplane(
     assert len(calls) == expected
 
 
-# sha256 of repr() of the oracle outputs below: any change to a flat,
-# its generators or Mobius value, a cell or a witness changes it.
-ORACLE_DIGEST = "a87289a9f8b1666c4353cadb2ddf7f190bdbac186d07b8890962b52bcb7cdf4c"
+# sha256 of repr() of the oracle outputs below without their witnesses:
+# any change to a flat, its generators or Mobius value, a cell's choices
+# or a below-set changes it.
+ORACLE_DIGEST = "6b7b8b647b51ff71a9859402e4b40441fa6f0ffaae01acd53c507a7f13613331"
+# sha256 of repr() of the witnesses of those cells, in the same order.
+ORACLE_WITNESS_DIGEST = "9b2e3a1fea4590954fee19a6e66402c3710dda419cefa44db5ba1a41db81abbb"
 
 
 def _flats(poset):
@@ -582,22 +676,55 @@ def _flats(poset):
     ]
 
 
-def test_oracle_outputs_pinned():
-    data = []
+def _cell_rows(rs, roots, m, choices):
+    """The rows of the cell in which root roots[k] lies in (j, j + 1),
+    or above m for j = m, where j = choices[k]; and x > 0."""
+    rows = [(tuple(int(i == k) for i in range(rs.rank)), 0, GT) for k in range(rs.rank)]
+    for g, j in zip(roots, choices):
+        coords = rs.positive_roots[g]
+        rows += [(coords, j, GT)] if j > 0 else []
+        rows += [(tuple(-c for c in coords), -j - 1, GT)] if j < m else []
+    return rows
+
+
+def _oracle_outputs():
+    """The flats and cells of the oracles, and each cell's witness with
+    the rows of its cell rebuilt from its choices or below-set."""
+    data, witnessed = [], []
     for name in ("G2", "B3"):
         rs = get_rs(name)
+        roots = range(len(rs.positive_roots))
         data.append(_flats(shi._closure_poset(rs, _level_planes(rs, (0, 1)))))
         for m in (1, 2, 3):
             planes = _level_planes(rs, range(1, m + 1))
             inside = shi._positivity_rows(rs.rank)
             data.append(_flats(shi._closure_poset(rs, planes, inside_rows=inside)))
-            data.append(shi._cells(rs, range(len(rs.positive_roots)), m))
+            cells = shi._cells(rs, roots, m)
+            data.append([choices for choices, _ in cells])
+            witnessed += [
+                (rs, _cell_rows(rs, roots, m, choices), witness)
+                for choices, witness in cells
+            ]
     rs = get_rs("B3")
     for w in weyl_group(rs):
         data.append(_flats(flats_oracle(rs, w)))
-        oracle = dominant_sign_oracle(rs, complement_of_inversions(rs, w))
-        data.append([(sorted(below), witness) for below, witness in oracle.items()])
+        E = complement_of_inversions(rs, w)
+        oracle = dominant_sign_oracle(rs, E)
+        data.append([sorted(below) for below in oracle])
+        witnessed += [
+            (rs, _cell_rows(rs, E, 1, [int(g not in below) for g in E]), witness)
+            for below, witness in oracle.items()
+        ]
+    return data, witnessed
+
+
+def test_oracle_outputs_pinned():
+    data, witnessed = _oracle_outputs()
     assert hashlib.sha256(repr(data).encode()).hexdigest() == ORACLE_DIGEST
+    witnesses = [witness for _, _, witness in witnessed]
+    assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == ORACLE_WITNESS_DIGEST
+    for rs, rows, witness in witnessed:
+        assert check_witness(rs.rank, rows, witness)
 
 
 # sha256 of repr() of the construction outputs below: any change to a
