@@ -13,13 +13,15 @@ hyperplane lies above the region, plus an exact interior witness);
 their geometry is recomputed from that data whenever a claim needs
 re-checking.
 
-Every "this set is nonempty" answer is an exact point accepted by
-:func:`~shicone.exactgeom.check_witness`, and every "empty" answer is a
-Farkas certificate accepted by :func:`~shicone.exactgeom.check_farkas`,
-except where the kernel's verdict is still trusted: the meets-the-region
-tests of :func:`_closure_poset`, the cell prunes of :func:`_cells` that
-no two-row certificate settles (none at m = 1), and the kernel fallbacks
-of the point table and of the ceiling oracle.
+Every question, a system of rows, is settled by :func:`_settle` in one
+order: a held point (a table point, or a cell's parent point) once
+:func:`~shicone.exactgeom.check_witness` accepts it on the question's
+rows; then "empty" by a two-row certificate of :func:`_pair_refutes`
+that :func:`~shicone.exactgeom.check_farkas` accepts; then the kernel,
+whose "empty" is trusted (cell prunes at m >= 2, table and ceiling
+fallbacks).  Two exceptions: :func:`ceiling_oracle` seeks its pair
+certificate first, on n + 2 rows, and :func:`_closure_poset` trusts the
+kernel's meets-the-region tests.
 
 Every construction question is a face of a deletion in the dominant
 cone C, posed by :func:`_face_rows`: a region pins no root, a facet
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import ge
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exactgeom import (
@@ -220,6 +221,38 @@ def act_point(rs: RootSystem, winv: WeylElement, point: tuple) -> tuple:
     )
 
 
+def _settle(n: int, rows: list, extra: list, hint=None) -> Optional[tuple]:
+    """A point of ``rows + extra``, or None when that system is empty, by
+    the first accepted proof: ``hint``, checked on ``extra + rows`` (new
+    rows first, so a point outside them fails fast); a certificate of
+    :func:`_pair_refutes` for a row of ``extra`` and one of ``rows`` past
+    its n walls; else the kernel."""
+    if hint is not None and check_witness(n, extra + rows, hint):
+        return hint
+    if _pair_refutes(n, rows[:n], rows[n:], extra):
+        return None
+    return feasible_rows(n, rows + extra)
+
+
+def _pair_refutes(n: int, walls: list, rows: Sequence[tuple], extra: list) -> bool:
+    """Whether a row ``(a, s, kind)`` of ``extra`` and a row ``(c, t, k)``
+    of ``rows`` with ``a + c <= 0`` coordinatewise and ``s + t >= 0`` have
+    a certificate that :func:`check_farkas` accepts: 1 on each of the
+    two rows and ``-(a + c)`` on the positivity ``walls`` sum to
+    ``0 > s + t``.  Each row keeps its kind, so an extra row may be an EQ
+    (a pinned root) and the certificate is made of the question's own
+    rows.  Compares row vectors only."""
+    for a, s, kind in extra:
+        for c, t, k in rows:
+            if s + t >= 0:
+                lam = [-(x + y) for x, y in zip(a, c)]
+                if min(lam) >= 0 and check_farkas(
+                    n, [*walls, (c, t, k), (a, s, kind)], [*lam, 1, 1]
+                ):
+                    return True
+    return False
+
+
 class AntichainPoints(NamedTuple):
     """Dominant-cone points of one type, keyed by antichains of its root
     poset: ``face[A]`` and ``facet[A, b]`` for b in A are exact points
@@ -242,9 +275,9 @@ def antichain_points(rs: RootSystem) -> AntichainPoints:
     rows outside E dropped: one table serves every deletion and every
     cone, unmoved.
 
-    The table only proposes: each user checks a point against the exact
-    rows of its own question with :func:`check_witness` and asks the
-    kernel when the point is missing or refused.
+    The table only proposes: each user passes a point as the hint of
+    :func:`_settle` on the rows of its own question, which checks it and
+    asks the kernel when the point is missing or refused.
     """
     rp = root_poset(rs)
     n = rs.rank
@@ -253,10 +286,10 @@ def antichain_points(rs: RootSystem) -> AntichainPoints:
     face, facet = {}, {}
     for A, J in zip(rp.antichains(), rp.order_ideals()):
         for b in A:
-            point = feasible_rows(n, _face_rows(walls, roots, J, {b}))
+            point = _settle(n, _face_rows(walls, roots, J, {b}), [])
             if point is not None:
                 facet[A, b] = point
-        point = feasible_rows(n, _face_rows(walls, roots, J, A))
+        point = _settle(n, _face_rows(walls, roots, J, A), [])
         if point is not None:
             face[A] = point
     return AntichainPoints(face, facet)
@@ -299,7 +332,7 @@ def regions_in_dominant(rs: RootSystem, sub: FinitePoset) -> list:
     roots = [(g, rs.positive_roots[g]) for g in sorted(sub.elements)]
     out = []
     for ideal, A in zip(sub.order_ideals(), sub.antichains()):
-        witness = feasible_rows(rs.rank, _face_rows(walls, roots, ideal, ()))
+        witness = _settle(rs.rank, _face_rows(walls, roots, ideal, ()), [])
         if witness is None:
             raise RuntimeError(
                 "region construction produced an empty region; "
@@ -343,18 +376,14 @@ def ceiling_oracle(rs: RootSystem, E: Iterable[int], region: ShiRegion) -> froze
 
     A root b of the ideal is a ceiling exactly when its probe, the
     region's rows with ``b . x = 1`` pinned, is nonempty: the table's
-    facet question for b with the rows outside E dropped.  Each probe is
-    settled by the first of three proofs that is accepted:
-
-    * a comparable-pair certificate that the probe is empty, on n + 2 of
-      its rows: for a root c > b of the ideal (``c - b >= 0``
-      coordinatewise), multipliers ``c - b`` on the positivity rows and
-      1 on ``-c . x > -1`` and on the pinned row sum them to ``0 > 0``,
-      which :func:`check_farkas` must accept;
-    * the table point ``antichain_points(rs).facet[region.ceiling, b]``,
-      which :func:`check_witness` must accept on the probe's rows (it
-      shows the probe nonempty);
-    * the kernel's answer on the probe.
+    facet question for b with the rows outside E dropped.  Each probe
+    first seeks the cells' two-row certificate of :func:`_pair_refutes`
+    on n + 2 of its rows: the pinned row (EQ) and the row ``-c . x > -1``
+    of a root c of the ideal above b, so that ``c - b >= 0`` goes on the
+    walls and s + t = 0.  Roots are sorted by height, so only the rows of
+    the ideal's roots after b are offered.  Otherwise :func:`_settle`
+    answers the probe, with the table point
+    ``antichain_points(rs).facet[region.ceiling, b]`` as its hint.
 
     The table is keyed by the claimed ceiling, but a point only counts
     once it satisfies the probe's own rows, so a wrong claim costs
@@ -364,39 +393,16 @@ def ceiling_oracle(rs: RootSystem, E: Iterable[int], region: ShiRegion) -> froze
     walls = _positivity_rows(n)
     roots = [(g, rs.positive_roots[g]) for g in sorted(set(E))]
     ideal = [(g, rs.positive_roots[g]) for g in sorted(region.ideal)]
+    below = _face_rows([], ideal, region.ideal, ())
     facets = antichain_points(rs).facet
     found = []
-    for b, coords in ideal:
-        above = next((c for g, c in ideal if g != b and all(map(ge, c, coords))), None)
-        if above is not None and check_farkas(
-            n,
-            [*walls, (tuple(-x for x in above), -1, GT), (coords, 1, EQ)],
-            [*(x - y for x, y in zip(above, coords)), 1, 1],
-        ):
+    for i, (b, coords) in enumerate(ideal):
+        if _pair_refutes(n, walls, below[i + 1:], [(coords, 1, EQ)]):
             continue
         rows = _face_rows(walls, roots, region.ideal, {b})
-        point = facets.get((region.ceiling, b))
-        met = point is not None and check_witness(n, rows, point)
-        if met or feasible_rows(n, rows) is not None:
+        if _settle(n, rows, [], facets.get((region.ceiling, b))) is not None:
             found.append(b)
     return frozenset(found)
-
-
-def _pair_refutes(n: int, walls: list, rows: Sequence[tuple], extra: list) -> bool:
-    """Whether a row ``(a, s, GT)`` of ``extra`` and a row ``(c, t, GT)``
-    of ``rows`` with ``a + c <= 0`` coordinatewise and ``s + t >= 0`` have
-    a certificate that :func:`check_farkas` accepts: 1 on each of the
-    two rows and ``-(a + c)`` on the positivity ``walls`` sum to
-    ``0 > s + t``.  Compares row vectors only."""
-    for a, s, _ in extra:
-        for c, t, _ in rows:
-            if s + t >= 0:
-                lam = [-(x + y) for x, y in zip(a, c)]
-                if min(lam) >= 0 and check_farkas(
-                    n, [*walls, (c, t, GT), (a, s, GT)], [*lam, 1, 1]
-                ):
-                    return True
-    return False
 
 
 def _cells(rs: RootSystem, roots: Sequence[int], m: int) -> list:
@@ -405,13 +411,10 @@ def _cells(rs: RootSystem, roots: Sequence[int], m: int) -> list:
 
     Root i takes interval j: its value lies in (j, j+1) for j < m and in
     (m, oo) for j = m.  Each child of a cell, the cell's rows plus one
-    interval's, is settled by the first of three proofs that is accepted:
-
-    * the cell's point, once :func:`check_witness` accepts it on the
-      child's rows: the child is a cell and inherits the point;
-    * a two-row certificate of :func:`_pair_refutes` against a level row
-      of the cell: the child is empty;
-    * the kernel's answer on the child's rows.
+    interval's, goes to :func:`_settle` with the cell's point as the
+    hint: the child inherits the point once it is accepted, is empty
+    once a new row and a level row of the cell have a two-row
+    certificate, and is otherwise the kernel's to answer.
 
     So every kernel call after the first (on the bare cone) extends a
     nonempty cell of a shorter prefix, and at m = 1 it only ever finds a
@@ -420,7 +423,7 @@ def _cells(rs: RootSystem, roots: Sequence[int], m: int) -> list:
     """
     n = rs.rank
     base = _positivity_rows(n)
-    cells = [((), base, feasible_rows(n, base))]
+    cells = [((), base, _settle(n, base, []))]
     for i in roots:
         coords = rs.positive_roots[i]
         neg = tuple(-c for c in coords)
@@ -431,14 +434,9 @@ def _cells(rs: RootSystem, roots: Sequence[int], m: int) -> list:
         grown = []
         for choices, rows, point in cells:
             for j, extra in enumerate(intervals):
-                nxt = rows + extra
-                # the new rows first: a point outside the interval fails fast
-                if check_witness(n, extra + rows, point):
-                    grown.append((choices + (j,), nxt, point))
-                elif not _pair_refutes(n, base, rows[n:], extra):
-                    witness = feasible_rows(n, nxt)
-                    if witness is not None:
-                        grown.append((choices + (j,), nxt, witness))
+                witness = _settle(n, rows, extra, point)
+                if witness is not None:
+                    grown.append((choices + (j,), rows + extra, witness))
         cells = grown
     return [(choices, witness) for choices, _, witness in cells]
 
@@ -503,10 +501,7 @@ def flats_in_cone(rs: RootSystem, sub: FinitePoset, w: WeylElement) -> Intersect
             raise RuntimeError(
                 "antichain hyperplanes are dependent; arrangement invariant violated"
             )
-        rows = _face_rows(walls, roots, J, A)
-        point = faces.get(A)
-        met = point is not None and check_witness(rs.rank, rows, point)
-        if not met and feasible_rows(rs.rank, rows) is None:
+        if _settle(rs.rank, _face_rows(walls, roots, J, A), [], faces.get(A)) is None:
             raise RuntimeError(
                 "flat does not meet its cone off the other hyperplanes; "
                 "arrangement invariant violated"

@@ -376,6 +376,55 @@ def test_refused_certificate_falls_back_to_kernel(name, monkeypatch, fresh_point
                 assert calls == [None] * len(region.ideal - region.ceiling)
 
 
+def test_certificates_are_made_of_their_questions_rows(monkeypatch):
+    # every certificate check_farkas is offered is made of rows of the
+    # question it settles, walls included, each with that row's kind: a
+    # ceiling probe, whose pinned row stays EQ, written out from the root
+    # poset; or a child of a cell, one of those rebuilt from the choices
+    # of the cells of each prefix
+    pair_refutes = shi._pair_refutes
+    questions, offered = [], []
+
+    def posing(n, walls, rows, extra):
+        questions.append(frozenset([*walls, *rows, *extra]))
+        return pair_refutes(n, walls, rows, extra)
+
+    def recording(dim, rows, lam):
+        offered.append((questions[-1] if questions else None, set(rows)))
+        return check_farkas(dim, rows, lam)
+
+    monkeypatch.setattr(shi, "check_farkas", recording)
+    for name in ("B3", "F4"):
+        rs = get_rs(name)
+        for w in _cone_sample(name):
+            E = complement_of_inversions(rs, w)
+            for region in regions_in_dominant(rs, cone_poset(rs, w)):
+                offered.clear()
+                ceiling_oracle(rs, E, region)
+                assert len(offered) == len(region.ideal - region.ceiling)
+                probes = [
+                    set(_deletion_rows(rs, E, region.ceiling, {b})) for b in region.ideal
+                ]
+                for _, rows in offered:
+                    assert any(rows <= probe for probe in probes)
+                    assert [kind for *_, kind in rows].count(EQ) == 1
+    rs = get_rs("B3")
+    roots = range(len(rs.positive_roots))
+    monkeypatch.setattr(shi, "_pair_refutes", posing)
+    for m in (1, 2, 3):
+        children = {
+            frozenset(_cell_rows(rs, roots[: k + 1], m, choices + (j,)))
+            for k in range(len(roots))
+            for choices, _ in shi._cells(rs, roots[:k], m)
+            for j in range(m + 1)
+        }
+        offered.clear()
+        shi._cells(rs, roots, m)
+        assert offered
+        for question, rows in offered:
+            assert question in children and rows <= question
+
+
 # -- cone subposets ----------------------------------------------------------------
 
 
