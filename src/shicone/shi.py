@@ -13,19 +13,30 @@ hyperplane lies above the region, plus an exact interior witness);
 their geometry is recomputed from that data whenever a claim needs
 re-checking.
 
-Every question, a system of rows, is settled by :func:`_settle` in one
-order: a held point (a table point, or a cell's parent point) once
-:func:`~shicone.exactgeom.check_witness` accepts it on the question's
-rows; then "empty" by a two-row certificate of :func:`_pair_refutes`
-that :func:`~shicone.exactgeom.check_farkas` accepts; then the kernel,
-whose "empty" is trusted (cell prunes at m >= 2, table and ceiling
-fallbacks).  Two exceptions: :func:`ceiling_oracle` seeks its pair
-certificate first, on n + 2 rows, and :func:`_closure_poset` trusts the
-kernel's meets-the-region tests.
+Every question is settled by the first proof accepted, in one order:
+
+- a face question (below) whose caller holds a table point asks the
+  point's sign vector, :func:`_sign_vector`: the point lies on the face
+  exactly when it lies in C, on 1 at the pinned roots, below 1 on the
+  rest of the ideal and above 1 on the rest of E, which is
+  :func:`~shicone.exactgeom.check_witness` on the face's rows;
+- a root b of a region's ideal is no ceiling once a root c of the ideal
+  lies above b in :func:`_pair_proofs`, whose comparable-pair
+  certificates :func:`~shicone.exactgeom.check_farkas` accepts once per
+  type;
+- a child cell of :func:`_cells` takes its parent's point once
+  check_witness accepts it on the child's rows, and is empty once a
+  two-row certificate of :func:`_pair_refutes` is accepted;
+- then the kernel, :func:`_settle`'s last step, whose "empty" is trusted
+  (cell prunes at m >= 2, table and ceiling fallbacks).
+
+:func:`_closure_poset` asks the kernel directly and trusts its
+meets-the-region tests.
 
 Every construction question is a face of a deletion in the dominant
-cone C, posed by :func:`_face_rows`: a region pins no root, a facet
-probe one, a flat its antichain; wC is w applied to the deletion to the
+cone C, posed by :func:`_face` as bitmasks of root indices (E, ideal,
+pinned): a region pins no root, a facet probe one, a flat its
+antichain; wC is w applied to the deletion to the
 roots that w keeps positive.  An antichain's ideal in a deletion is its
 ideal in the root poset cut to the deletion's roots, so the per-type
 table :func:`antichain_points` answers every face and facet unmoved
@@ -44,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exactgeom import (
@@ -170,22 +182,33 @@ class IntersectionPoset:
 # -- constraint assembly ----------------------------------------------------
 
 
-def _positivity_rows(rank: int) -> list:
-    return [
+@lru_cache(maxsize=None)
+def _positivity_rows(rank: int) -> tuple:
+    """The walls x_i > 0 of C, one tuple per rank; a caller that extends
+    them copies them."""
+    return tuple(
         (tuple(1 if j == i else 0 for j in range(rank)), 0, GT)
         for i in range(rank)
-    ]
+    )
 
 
-def _face_rows(walls: list, roots: Iterable[tuple], ideal, pinned) -> list:
-    """``walls``, then for each ``(label, coords)`` of ``roots`` the row
-    ``coords . x = 1`` in ``pinned``, ``< 1`` in the rest of ``ideal``, else ``> 1``.
-    Over the walls of C it poses every construction question."""
-    rows = list(walls)
-    for label, coords in roots:
-        if label in pinned:
+def _mask(labels: Iterable[int]) -> int:
+    m = 0
+    for g in labels:
+        m |= 1 << g
+    return m
+
+
+def _face_rows(rs: RootSystem, E: int, ideal: int, pinned: int) -> list:
+    """The walls of C, then for each root g of the bitmask ``E``, in index
+    order, the row ``coords . x = 1`` when g is in ``pinned``, ``< 1`` in
+    the rest of ``ideal``, else ``> 1``: the rows of a face question."""
+    rows = list(_positivity_rows(rs.rank))
+    for g in _bits(E):
+        coords = rs.positive_roots[g]
+        if pinned >> g & 1:
             rows.append((coords, 1, EQ))
-        elif label in ideal:
+        elif ideal >> g & 1:
             rows.append((tuple(-c for c in coords), -1, GT))
         else:
             rows.append((coords, 1, GT))
@@ -194,8 +217,7 @@ def _face_rows(walls: list, roots: Iterable[tuple], ideal, pinned) -> list:
 
 def region_rows(rs: RootSystem, E: Iterable[int], ideal: Iterable[int]) -> list:
     """Kernel rows cutting out a dominant region of the deletion to E."""
-    roots = [(g, rs.positive_roots[g]) for g in sorted(set(E))]
-    return _face_rows(_positivity_rows(rs.rank), roots, frozenset(ideal), ())
+    return _face_rows(rs, _mask(E), _mask(ideal), 0)
 
 
 def cone_rows(rs: RootSystem, w: WeylElement) -> list:
@@ -226,7 +248,14 @@ def _settle(n: int, rows: list, extra: list, hint=None) -> Optional[tuple]:
     the first accepted proof: ``hint``, checked on ``extra + rows`` (new
     rows first, so a point outside them fails fast); a certificate of
     :func:`_pair_refutes` for a row of ``extra`` and one of ``rows`` past
-    its n walls; else the kernel."""
+    its n walls; else the kernel.  A cell passes its parent's point and
+    its new interval; a face question comes from :func:`_face` with no
+    hint, its table point missing or refused by its mask.
+
+    Proof order, as everywhere in this module: the sign-vector mask of a
+    table point for a face question; the per-type pair proofs for a
+    ceiling; check_witness on the parent's point and a two-row certificate
+    for a cell; then the kernel."""
     if hint is not None and check_witness(n, extra + rows, hint):
         return hint
     if _pair_refutes(n, rows[:n], rows[n:], extra):
@@ -253,6 +282,71 @@ def _pair_refutes(n: int, walls: list, rows: Sequence[tuple], extra: list) -> bo
     return False
 
 
+@lru_cache(maxsize=None)
+def _sign_vector(rs: RootSystem, point: tuple) -> tuple:
+    """``(below, on, above, inside)`` of an exact point ``(nums, den)``:
+    bitmasks of the roots of Phi+ whose value there is below, on and
+    above 1, and whether the point lies in C (n coordinates, all > 0,
+    and den > 0).  Memoized per type and computed from the point itself,
+    so a patched table is judged by its own points."""
+    nums, den = point
+    below = on = above = 0
+    for g, coords in enumerate(rs.positive_roots):
+        d = sum(map(mul, coords, nums)) - den
+        if d < 0:
+            below |= 1 << g
+        elif d:
+            above |= 1 << g
+        else:
+            on |= 1 << g
+    inside = len(nums) == rs.rank and den > 0 and all(x > 0 for x in nums)
+    return below, on, above, inside
+
+
+def _on_face(signs: tuple, E: int, ideal: int, pinned: int) -> bool:
+    """Whether a point of sign vector ``signs`` satisfies
+    ``_face_rows(rs, E, ideal, pinned)``: it lies in C, on 1 at the
+    pinned roots of E, below 1 on the rest of the ideal and above 1 on
+    the rest of E."""
+    below, on, above, inside = signs
+    rest = E & ~pinned
+    return inside and not (
+        E & pinned & ~on or rest & ideal & ~below or rest & ~ideal & ~above
+    )
+
+
+def _face(rs: RootSystem, E: int, ideal: int, pinned: int, hint=None) -> Optional[tuple]:
+    """A point of the face of the deletion to E in C, or None when it is
+    empty; E, ``ideal`` and ``pinned`` are bitmasks of root indices.  The
+    hint is returned once its sign vector places it on the face;
+    otherwise :func:`_settle` answers the face's rows."""
+    if hint is not None and _on_face(_sign_vector(rs, hint), E, ideal, pinned):
+        return hint
+    return _settle(rs.rank, _face_rows(rs, E, ideal, pinned), [])
+
+
+@lru_cache(maxsize=None)
+def _pair_proofs(rs: RootSystem) -> tuple:
+    """``above[b]``, for each root index b, the bitmask of the roots c != b
+    with ``c - b >= 0`` coordinatewise whose certificate
+    :func:`check_farkas` accepts: the walls times ``c - b``, ``-c . x > -1``
+    and ``b . x = 1`` sum to ``0 > 0``, so no point of C has b on its
+    hyperplane and c below 1.  A root b of a region's ideal is then no
+    ceiling once ``above[b]`` meets the ideal.  Proved once per type,
+    by :func:`_pair_refutes` on coordinate vectors, never from the poset."""
+    n, roots = rs.rank, rs.positive_roots
+    walls = _positivity_rows(n)
+    return tuple(
+        _mask(
+            g
+            for g, c in enumerate(roots)
+            if c != b
+            and _pair_refutes(n, walls, [(tuple(-x for x in c), -1, GT)], [(b, 1, EQ)])
+        )
+        for b in roots
+    )
+
+
 class AntichainPoints(NamedTuple):
     """Dominant-cone points of one type, keyed by antichains of its root
     poset: ``face[A]`` and ``facet[A, b]`` for b in A are exact points
@@ -276,20 +370,26 @@ def antichain_points(rs: RootSystem) -> AntichainPoints:
     cone, unmoved.
 
     The table only proposes: each user passes a point as the hint of
-    :func:`_settle` on the rows of its own question, which checks it and
-    asks the kernel when the point is missing or refused.
+    :func:`_face` for its own question, which judges it by its sign
+    vector (the same test as check_witness on the question's rows) and
+    settles the rows, two-row certificate then kernel, when the point is
+    missing or refused.
+
+    Proof order, as everywhere in this module: the sign-vector mask of a
+    table point for a face question; the per-type pair proofs for a
+    ceiling; check_witness on the parent's point and a two-row certificate
+    for a cell; then the kernel.
     """
     rp = root_poset(rs)
-    n = rs.rank
-    walls = _positivity_rows(n)
-    roots = list(enumerate(rs.positive_roots))
+    everything = (1 << len(rs.positive_roots)) - 1
     face, facet = {}, {}
     for A, J in zip(rp.antichains(), rp.order_ideals()):
+        ideal = _mask(J)
         for b in A:
-            point = _settle(n, _face_rows(walls, roots, J, {b}), [])
+            point = _face(rs, everything, ideal, 1 << b)
             if point is not None:
                 facet[A, b] = point
-        point = _settle(n, _face_rows(walls, roots, J, A), [])
+        point = _face(rs, everything, ideal, _mask(A))
         if point is not None:
             face[A] = point
     return AntichainPoints(face, facet)
@@ -328,11 +428,10 @@ def regions_in_dominant(rs: RootSystem, sub: FinitePoset) -> list:
     ``antichains``); the witness comes from exact feasibility and
     certifies the region is nonempty.
     """
-    walls = _positivity_rows(rs.rank)
-    roots = [(g, rs.positive_roots[g]) for g in sorted(sub.elements)]
+    E = _mask(sub.elements)
     out = []
     for ideal, A in zip(sub.order_ideals(), sub.antichains()):
-        witness = _settle(rs.rank, _face_rows(walls, roots, ideal, ()), [])
+        witness = _face(rs, E, _mask(ideal), 0)
         if witness is None:
             raise RuntimeError(
                 "region construction produced an empty region; "
@@ -376,33 +475,32 @@ def ceiling_oracle(rs: RootSystem, E: Iterable[int], region: ShiRegion) -> froze
 
     A root b of the ideal is a ceiling exactly when its probe, the
     region's rows with ``b . x = 1`` pinned, is nonempty: the table's
-    facet question for b with the rows outside E dropped.  Each probe
-    first seeks the cells' two-row certificate of :func:`_pair_refutes`
-    on n + 2 of its rows: the pinned row (EQ) and the row ``-c . x > -1``
-    of a root c of the ideal above b, so that ``c - b >= 0`` goes on the
-    walls and s + t = 0.  Roots are sorted by height, so only the rows of
-    the ideal's roots after b are offered.  Otherwise :func:`_settle`
-    answers the probe, with the table point
-    ``antichain_points(rs).facet[region.ceiling, b]`` as its hint.
+    facet question for b with the rows outside E dropped.  The proofs
+    come in order: b is no ceiling once :func:`_pair_proofs` puts a root
+    of the ideal above b, a comparable-pair certificate proved once per
+    type; b is a ceiling once the table point
+    ``antichain_points(rs).facet[region.ceiling, b]`` lies on the probe's
+    face by its sign vector; otherwise :func:`_settle` answers the
+    probe's rows, two-row certificate then kernel.
 
     The table is keyed by the claimed ceiling, but a point only counts
-    once it satisfies the probe's own rows, so a wrong claim costs
-    kernel calls, not a wrong answer.
+    once it lies on the probe's own face, so a wrong claim costs kernel
+    calls, not a wrong answer.
+
+    Proof order, as everywhere in this module: the sign-vector mask of a
+    table point for a face question; the per-type pair proofs for a
+    ceiling; check_witness on the parent's point and a two-row certificate
+    for a cell; then the kernel.
     """
-    n = rs.rank
-    walls = _positivity_rows(n)
-    roots = [(g, rs.positive_roots[g]) for g in sorted(set(E))]
-    ideal = [(g, rs.positive_roots[g]) for g in sorted(region.ideal)]
-    below = _face_rows([], ideal, region.ideal, ())
+    E, ideal = _mask(E), _mask(region.ideal)
+    above = _pair_proofs(rs)
     facets = antichain_points(rs).facet
-    found = []
-    for i, (b, coords) in enumerate(ideal):
-        if _pair_refutes(n, walls, below[i + 1:], [(coords, 1, EQ)]):
-            continue
-        rows = _face_rows(walls, roots, region.ideal, {b})
-        if _settle(n, rows, [], facets.get((region.ceiling, b))) is not None:
-            found.append(b)
-    return frozenset(found)
+    return frozenset(
+        b
+        for b in _bits(ideal)
+        if not above[b] & ideal
+        and _face(rs, E, ideal, 1 << b, facets.get((region.ceiling, b))) is not None
+    )
 
 
 def _cells(rs: RootSystem, roots: Sequence[int], m: int) -> list:
@@ -422,7 +520,7 @@ def _cells(rs: RootSystem, roots: Sequence[int], m: int) -> list:
     the point that admitted the cell, accepted on all of its rows.
     """
     n = rs.rank
-    base = _positivity_rows(n)
+    base = list(_positivity_rows(n))
     cells = [((), base, _settle(n, base, []))]
     for i in roots:
         coords = rs.positive_roots[i]
@@ -482,14 +580,20 @@ def flats_in_cone(rs: RootSystem, sub: FinitePoset, w: WeylElement) -> Intersect
     Both facts are proved in the dominant cone C by one point of the
     face of A in the deletion to the roots of ``sub`` (A on its
     hyperplanes, the rest of A's ideal below 1, the rest above 1, x > 0):
-    ``antichain_points(rs).face[A]`` once :func:`check_witness` accepts
-    it, and otherwise the kernel's witness.  w is an isometry that maps C
+    ``antichain_points(rs).face[A]`` once its sign vector places it on
+    that face (the mask test of :func:`_face`, equal to check_witness on
+    the face's rows), and otherwise :func:`_settle` on those rows, which
+    ends with the kernel's witness.  w is an isometry that maps C
     onto wC and the level-1 hyperplane of root i onto that of w(i), so it
     maps that point onto the flat of w(A), inside wC and off every other
     hyperplane of the cone.
+
+    Proof order, as everywhere in this module: the sign-vector mask of a
+    table point for a face question; the per-type pair proofs for a
+    ceiling; check_witness on the parent's point and a two-row certificate
+    for a cell; then the kernel.
     """
-    walls = _positivity_rows(rs.rank)
-    roots = [(i, rs.positive_roots[i]) for i in sorted(sub.elements)]
+    E = _mask(sub.elements)
     image = {i: _positive_image(rs, w, i) for i in sub.elements}
     faces = antichain_points(rs).face
     entries = []
@@ -501,7 +605,7 @@ def flats_in_cone(rs: RootSystem, sub: FinitePoset, w: WeylElement) -> Intersect
             raise RuntimeError(
                 "antichain hyperplanes are dependent; arrangement invariant violated"
             )
-        if _settle(rs.rank, _face_rows(walls, roots, J, A), [], faces.get(A)) is None:
+        if _face(rs, E, _mask(J), _mask(A), faces.get(A)) is None:
             raise RuntimeError(
                 "flat does not meet its cone off the other hyperplanes; "
                 "arrangement invariant violated"
@@ -577,7 +681,7 @@ def _closure_poset(
                 continue
             if inside_rows is not None:
                 eqs = [(r[:-1], r[-1], EQ) for r in y.rref]
-                if feasible_rows(rs.rank, eqs + inside_rows) is None:
+                if feasible_rows(rs.rank, [*eqs, *inside_rows]) is None:
                     found[y.rref] = None
                     continue
             found[y.rref] = (xgens | {label}, y)

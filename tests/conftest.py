@@ -5,6 +5,7 @@ from functools import lru_cache
 
 import pytest
 
+from shicone import shi
 from shicone.exactgeom import EQ, GE, GT
 from shicone.rootsys import CartanType, build_root_system, root_poset
 from shicone.shi import AntichainPoints, antichain_points
@@ -33,12 +34,15 @@ def rs_a3():
 
 @pytest.fixture
 def fresh_point_table():
-    """Empties the per-type point table cache before and after a test that
-    patches the kernel's entry, so that no table built under the patch
-    outlives the test and no count depends on which test built it first."""
+    """Empties the per-type point table and pair-proof caches before and
+    after a test that patches the kernel's entry or the certificate
+    checker, so that nothing built under the patch outlives the test and
+    no count depends on which test built it first."""
     antichain_points.cache_clear()
+    shi._pair_proofs.cache_clear()
     yield
     antichain_points.cache_clear()
+    shi._pair_proofs.cache_clear()
 
 
 def mat_vec(m, v) -> tuple:

@@ -118,7 +118,7 @@ def test_sign_oracle_extends_only_feasible_prefixes(monkeypatch, fresh_point_tab
         answers.clear()
         dominant_sign_oracle(rs, complement_of_inversions(rs, w))
         assert None not in answers
-        assert systems[0] == shi._positivity_rows(rs.rank)
+        assert systems[0] == list(shi._positivity_rows(rs.rank))
         for k, rows in enumerate(systems[1:], 1):
             assert any(check_witness(rs.rank, rows[:-1], p) for p in answers[:k])
 
@@ -338,12 +338,18 @@ def test_ceiling_oracle_calls_kernel_only_for_ceilings(
 
 @pytest.mark.parametrize("name", ["B3", "F4"])
 def test_refused_certificate_falls_back_to_kernel(name, monkeypatch, fresh_point_table):
-    # each root of a region's ideal that is no facet is proved by one
+    # each root of a region's ideal that is no facet is proved by a
     # comparable-pair certificate on rank + 2 rows, with no kernel call;
-    # with every certificate refused the kernel settles each of them, and
-    # finds it infeasible, and the ceilings do not change
+    # the certificates are checked once per type, one per pair (b, c)
+    # with c - b >= 0, and never again per region; with every certificate
+    # refused the kernel settles each non-facet exactly once, finds it
+    # infeasible, and the ceilings do not change
     rs = get_rs(name)
     certificates, calls = [], []
+    roots = rs.positive_roots
+    comparable = sum(
+        b != c and all(x <= y for x, y in zip(b, c)) for b in roots for c in roots
+    )
 
     def checking(dim, rows, lam):
         accepted = check_farkas(dim, rows, lam)
@@ -356,32 +362,37 @@ def test_refused_certificate_falls_back_to_kernel(name, monkeypatch, fresh_point
         return witness
 
     antichain_points(rs)  # built before the kernel is counted
-    for w in _cone_sample(name):
-        E = complement_of_inversions(rs, w)
-        regions = regions_in_dominant(rs, cone_poset(rs, w))
-        with monkeypatch.context() as m:
-            m.setattr(shi, "feasible_rows", counting)
-            m.setattr(shi, "check_farkas", checking)
-            calls.clear()
+    cones = [
+        (complement_of_inversions(rs, w), regions_in_dominant(rs, cone_poset(rs, w)))
+        for w in _cone_sample(name)
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(shi, "feasible_rows", counting)
+        m.setattr(shi, "check_farkas", checking)
+        for E, regions in cones:
             for region in regions:
-                certificates.clear()
                 assert ceiling_oracle(rs, E, region) == region.ceiling
-                non_facets = len(region.ideal - region.ceiling)
-                assert certificates == [(rs.rank + 2, True)] * non_facets
-            assert calls == []
-            m.setattr(shi, "check_farkas", lambda dim, rows, lam: False)
+        assert calls == []
+        assert certificates == [(rs.rank + 2, True)] * comparable
+    shi._pair_proofs.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(shi, "feasible_rows", counting)
+        m.setattr(shi, "check_farkas", lambda dim, rows, lam: False)
+        for E, regions in cones:
             for region in regions:
                 calls.clear()
                 assert ceiling_oracle(rs, E, region) == region.ceiling
                 assert calls == [None] * len(region.ideal - region.ceiling)
 
 
-def test_certificates_are_made_of_their_questions_rows(monkeypatch):
+def test_certificates_are_made_of_their_questions_rows(monkeypatch, fresh_point_table):
     # every certificate check_farkas is offered is made of rows of the
     # question it settles, walls included, each with that row's kind: a
-    # ceiling probe, whose pinned row stays EQ, written out from the root
-    # poset; or a child of a cell, one of those rebuilt from the choices
-    # of the cells of each prefix
+    # ceiling probe, written out from the root poset, whose pinned row
+    # stays the certificate's one EQ row (the per-type certificates of
+    # the pairs (b, c) that settle a non-facet b, and only those); or a
+    # child of a cell, one of those rebuilt from the choices of the cells
+    # of each prefix
     pair_refutes = shi._pair_refutes
     questions, offered = [], []
 
@@ -390,24 +401,38 @@ def test_certificates_are_made_of_their_questions_rows(monkeypatch):
         return pair_refutes(n, walls, rows, extra)
 
     def recording(dim, rows, lam):
-        offered.append((questions[-1] if questions else None, set(rows)))
-        return check_farkas(dim, rows, lam)
+        accepted = check_farkas(dim, rows, lam)
+        offered.append((questions[-1] if questions else None, set(rows), accepted))
+        return accepted
 
     monkeypatch.setattr(shi, "check_farkas", recording)
     for name in ("B3", "F4"):
         rs = get_rs(name)
+        idx = root_index(rs)
+        offered.clear()
+        above = shi._pair_proofs(rs)
+        certificate = {}
+        for _, rows, accepted in offered:
+            pinned = [coords for coords, _, kind in rows if kind == EQ]
+            (c,) = [tuple(-x for x in coords) for coords, rhs, _ in rows if rhs == -1]
+            assert len(pinned) == 1 and accepted
+            certificate[idx[pinned[0]], idx[c]] = rows
+        assert set(certificate) == {
+            (b, c) for b in range(len(above)) for c in range(len(above)) if above[b] >> c & 1
+        }
         for w in _cone_sample(name):
             E = complement_of_inversions(rs, w)
             for region in regions_in_dominant(rs, cone_poset(rs, w)):
                 offered.clear()
                 ceiling_oracle(rs, E, region)
-                assert len(offered) == len(region.ideal - region.ceiling)
-                probes = [
-                    set(_deletion_rows(rs, E, region.ceiling, {b})) for b in region.ideal
-                ]
-                for _, rows in offered:
-                    assert any(rows <= probe for probe in probes)
-                    assert [kind for *_, kind in rows].count(EQ) == 1
+                assert offered == []
+                settled = set()
+                for b, c in certificate:
+                    if b in region.ideal and c in region.ideal:
+                        probe = set(_deletion_rows(rs, E, region.ceiling, {b}))
+                        assert certificate[b, c] <= probe
+                        settled.add(b)
+                assert settled == region.ideal - region.ceiling
     rs = get_rs("B3")
     roots = range(len(rs.positive_roots))
     monkeypatch.setattr(shi, "_pair_refutes", posing)
@@ -421,7 +446,7 @@ def test_certificates_are_made_of_their_questions_rows(monkeypatch):
         offered.clear()
         shi._cells(rs, roots, m)
         assert offered
-        for question, rows in offered:
+        for question, rows, _ in offered:
             assert question in children and rows <= question
 
 
@@ -964,6 +989,77 @@ def test_point_table_pinned(fresh_point_table):
             )
         )
     assert hashlib.sha256(repr(data).encode()).hexdigest() == POINT_TABLE_DIGEST
+
+
+def _face_questions(rs, deletions):
+    """Every face question ``(E, ideal, pinned)`` of the given deletions,
+    as bitmasks: each antichain A of the deletion poset with its order
+    ideal, pinning A or a single root of A."""
+    questions = set()
+    for E in deletions:
+        sub = shi.root_poset(rs).restrict(E)
+        for A, J in zip(sub.antichains(), sub.order_ideals()):
+            for pinned in [A, *({b} for b in A)]:
+                questions.add((shi._mask(E), shi._mask(J), shi._mask(pinned)))
+    return sorted(questions)
+
+
+@pytest.mark.parametrize("name", RANK_LE_3 + RANK_4)
+def test_sign_vectors_answer_face_questions_as_check_witness(name):
+    # the mask answer of a face question equals check_witness on the
+    # face's rows, for every table point and the same point moved out of
+    # C, over every deletion of a rank <= 3 type and a seeded sample of
+    # questions at rank 4
+    rs = get_rs(name)
+    N = len(rs.positive_roots)
+    if name in RANK_LE_3:
+        questions = _face_questions(
+            rs, [[g for g in range(N) if E >> g & 1] for E in range(1 << N)]
+        )
+    else:
+        rng = random.Random(name)
+        deletions = [sorted(rng.sample(range(N), rng.randint(0, N))) for _ in range(8)]
+        questions = rng.sample(_face_questions(rs, deletions), 120)
+    table = antichain_points(rs)
+    points = [*table.face.values(), *table.facet.values()]
+    points += [((-nums[0], *nums[1:]), den) for nums, den in points]
+    answers = set()
+    for E, ideal, pinned in questions:
+        rows = shi._face_rows(rs, E, ideal, pinned)
+        for point in points:
+            signs = shi._sign_vector(rs, point)
+            answer = shi._on_face(signs, E, ideal, pinned)
+            assert answer == check_witness(rs.rank, rows, point), (E, ideal, pinned, point)
+            answers.add(answer)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("name", RANK_LE_3 + RANK_4)
+def test_pair_proofs_are_the_comparable_pairs(name, monkeypatch, fresh_point_table):
+    # above[b] holds exactly the roots c != b with c - b >= 0, read from
+    # coordinate vectors, and each of those pairs was proved by one
+    # certificate that check_farkas accepted
+    rs = get_rs(name)
+    roots = rs.positive_roots
+    verdicts = []
+
+    def recording(dim, rows, lam):
+        accepted = check_farkas(dim, rows, lam)
+        verdicts.append(accepted)
+        return accepted
+
+    monkeypatch.setattr(shi, "check_farkas", recording)
+    above = shi._pair_proofs(rs)
+    comparable = tuple(
+        sum(
+            1 << g
+            for g, c in enumerate(roots)
+            if c != b and all(x <= y for x, y in zip(b, c))
+        )
+        for b in roots
+    )
+    assert above == comparable
+    assert verdicts == [True] * sum(bin(mask).count("1") for mask in comparable)
 
 
 @pytest.mark.parametrize("name", RANK_LE_3 + RANK_4)
