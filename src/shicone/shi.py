@@ -24,11 +24,16 @@ Every question is settled by the first proof accepted, in one order:
   lies above b in :func:`_pair_proofs`, whose comparable-pair
   certificates :func:`~shicone.exactgeom.check_farkas` accepts once per
   type;
-- a child cell of :func:`_cells` takes its parent's point once
-  check_witness accepts it on the child's rows, and is empty once a
-  two-row certificate of :func:`_pair_refutes` is accepted;
-- then the kernel, :func:`_settle`'s last step, whose "empty" is trusted
-  (cell prunes at m >= 2, table and ceiling fallbacks).
+- a child cell of :func:`_cells` takes its parent's point once the
+  point's level vector, :func:`_level_vector`, places it in the child
+  (in C, and each root of the prefix strictly inside its interval, the
+  test check_witness makes on the child's rows), and is empty once
+  :func:`_interval_proofs` refutes its new interval against one the
+  cell holds, two-row certificates that check_farkas accepts once per
+  (type, m);
+- then the kernel, :func:`~shicone.exactgeom.feasible_rows`, whose
+  "empty" is trusted (cell prunes at m >= 2, table and ceiling
+  fallbacks).
 
 :func:`_closure_poset` asks the kernel directly and trusts its
 meets-the-region tests.
@@ -64,7 +69,6 @@ from .exactgeom import (
     AffineFlat,
     as_fractions,
     check_farkas,
-    check_witness,
     feasible_rows,
     intersect_hyperplanes,
     meet,
@@ -243,26 +247,6 @@ def act_point(rs: RootSystem, winv: WeylElement, point: tuple) -> tuple:
     )
 
 
-def _settle(n: int, rows: list, extra: list, hint=None) -> Optional[tuple]:
-    """A point of ``rows + extra``, or None when that system is empty, by
-    the first accepted proof: ``hint``, checked on ``extra + rows`` (new
-    rows first, so a point outside them fails fast); a certificate of
-    :func:`_pair_refutes` for a row of ``extra`` and one of ``rows`` past
-    its n walls; else the kernel.  A cell passes its parent's point and
-    its new interval; a face question comes from :func:`_face` with no
-    hint, its table point missing or refused by its mask.
-
-    Proof order, as everywhere in this module: the sign-vector mask of a
-    table point for a face question; the per-type pair proofs for a
-    ceiling; check_witness on the parent's point and a two-row certificate
-    for a cell; then the kernel."""
-    if hint is not None and check_witness(n, extra + rows, hint):
-        return hint
-    if _pair_refutes(n, rows[:n], rows[n:], extra):
-        return None
-    return feasible_rows(n, rows + extra)
-
-
 def _pair_refutes(n: int, walls: list, rows: Sequence[tuple], extra: list) -> bool:
     """Whether a row ``(a, s, kind)`` of ``extra`` and a row ``(c, t, k)``
     of ``rows`` with ``a + c <= 0`` coordinatewise and ``s + t >= 0`` have
@@ -270,7 +254,14 @@ def _pair_refutes(n: int, walls: list, rows: Sequence[tuple], extra: list) -> bo
     two rows and ``-(a + c)`` on the positivity ``walls`` sum to
     ``0 > s + t``.  Each row keeps its kind, so an extra row may be an EQ
     (a pinned root) and the certificate is made of the question's own
-    rows.  Compares row vectors only."""
+    rows.  Compares row vectors only.
+
+    Proof order, as everywhere in this module: the sign-vector mask of a
+    table point for a face question; the per-type pair proofs for a
+    ceiling; the parent's level vector and the per-(type, m) interval
+    proofs for a cell; then the kernel.  This is the prover of the
+    second and third steps, run once per pair and type, never per
+    question: :func:`_pair_proofs` and :func:`_interval_proofs` call it."""
     for a, s, kind in extra:
         for c, t, k in rows:
             if s + t >= 0:
@@ -299,8 +290,14 @@ def _sign_vector(rs: RootSystem, point: tuple) -> tuple:
             above |= 1 << g
         else:
             on |= 1 << g
-    inside = len(nums) == rs.rank and den > 0 and all(x > 0 for x in nums)
-    return below, on, above, inside
+    return below, on, above, _in_cone(rs, point)
+
+
+def _in_cone(rs: RootSystem, point: tuple) -> bool:
+    """Whether an exact point ``(nums, den)`` lies in C: n coordinates,
+    all > 0, and den > 0."""
+    nums, den = point
+    return len(nums) == rs.rank and den > 0 and all(x > 0 for x in nums)
 
 
 def _on_face(signs: tuple, E: int, ideal: int, pinned: int) -> bool:
@@ -319,10 +316,16 @@ def _face(rs: RootSystem, E: int, ideal: int, pinned: int, hint=None) -> Optiona
     """A point of the face of the deletion to E in C, or None when it is
     empty; E, ``ideal`` and ``pinned`` are bitmasks of root indices.  The
     hint is returned once its sign vector places it on the face;
-    otherwise :func:`_settle` answers the face's rows."""
+    otherwise the kernel answers the face's rows.
+
+    Proof order, as everywhere in this module: the sign-vector mask of a
+    table point for a face question; the per-type pair proofs for a
+    ceiling; the parent's level vector and the per-(type, m) interval
+    proofs for a cell; then the kernel.  A face question takes the first
+    step and, failing it, the last."""
     if hint is not None and _on_face(_sign_vector(rs, hint), E, ideal, pinned):
         return hint
-    return _settle(rs.rank, _face_rows(rs, E, ideal, pinned), [])
+    return feasible_rows(rs.rank, _face_rows(rs, E, ideal, pinned))
 
 
 @lru_cache(maxsize=None)
@@ -372,13 +375,12 @@ def antichain_points(rs: RootSystem) -> AntichainPoints:
     The table only proposes: each user passes a point as the hint of
     :func:`_face` for its own question, which judges it by its sign
     vector (the same test as check_witness on the question's rows) and
-    settles the rows, two-row certificate then kernel, when the point is
-    missing or refused.
+    asks the kernel when the point is missing or refused.
 
     Proof order, as everywhere in this module: the sign-vector mask of a
     table point for a face question; the per-type pair proofs for a
-    ceiling; check_witness on the parent's point and a two-row certificate
-    for a cell; then the kernel.
+    ceiling; the parent's level vector and the per-(type, m) interval
+    proofs for a cell; then the kernel.
     """
     rp = root_poset(rs)
     everything = (1 << len(rs.positive_roots)) - 1
@@ -480,8 +482,8 @@ def ceiling_oracle(rs: RootSystem, E: Iterable[int], region: ShiRegion) -> froze
     of the ideal above b, a comparable-pair certificate proved once per
     type; b is a ceiling once the table point
     ``antichain_points(rs).facet[region.ceiling, b]`` lies on the probe's
-    face by its sign vector; otherwise :func:`_settle` answers the
-    probe's rows, two-row certificate then kernel.
+    face by its sign vector; otherwise the kernel answers the probe's
+    rows.
 
     The table is keyed by the claimed ceiling, but a point only counts
     once it lies on the probe's own face, so a wrong claim costs kernel
@@ -489,8 +491,8 @@ def ceiling_oracle(rs: RootSystem, E: Iterable[int], region: ShiRegion) -> froze
 
     Proof order, as everywhere in this module: the sign-vector mask of a
     table point for a face question; the per-type pair proofs for a
-    ceiling; check_witness on the parent's point and a two-row certificate
-    for a cell; then the kernel.
+    ceiling; the parent's level vector and the per-(type, m) interval
+    proofs for a cell; then the kernel.
     """
     E, ideal = _mask(E), _mask(region.ideal)
     above = _pair_proofs(rs)
@@ -503,40 +505,122 @@ def ceiling_oracle(rs: RootSystem, E: Iterable[int], region: ShiRegion) -> froze
     )
 
 
+@lru_cache(maxsize=None)
+def _interval_rows(rs: RootSystem, m: int) -> tuple:
+    """``rows[i][j]``, the rows that put root i in interval j: its value
+    lies in (j, j+1) for j < m and in (m, oo) for j = m."""
+    out = []
+    for coords in rs.positive_roots:
+        neg = tuple(-c for c in coords)
+        out.append(
+            tuple(
+                (((coords, j, GT),) if j else ())
+                + (((neg, -j - 1, GT),) if j < m else ())
+                for j in range(m + 1)
+            )
+        )
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _interval_proofs(rs: RootSystem, m: int) -> tuple:
+    """``proofs[i][j]``, for root i in interval j, the bitmask of the
+    (root g, interval jg), at bit ``g * (m + 1) + jg``, whose rows and
+    those of (i, j) have a two-row certificate of :func:`_pair_refutes`,
+    which :func:`check_farkas` accepts once per (type, m).  A cell
+    holding some (g, jg) of ``proofs[i][j]`` has no child with root i in
+    interval j."""
+    n, rows = rs.rank, _interval_rows(rs, m)
+    walls = _positivity_rows(n)
+    everything = [other for per_root in rows for other in per_root]
+    return tuple(
+        tuple(
+            _mask(
+                b
+                for b, other in enumerate(everything)
+                if _pair_refutes(n, walls, other, extra)
+            )
+            for extra in per_root
+        )
+        for per_root in rows
+    )
+
+
+def _level_vector(rs: RootSystem, m: int, point: tuple) -> Optional[tuple]:
+    """The interval of each root of Phi+ at an exact point ``(nums, den)``:
+    j when its value lies in (j, j+1), j < m, and m when it exceeds m;
+    None for a root whose value is exactly k in 1..m, in no interval.
+    The whole vector is None when the point is not in C.  Computed from
+    the point itself; :func:`_cells` computes it once per point and
+    passes it on with the point."""
+    if not _in_cone(rs, point):
+        return None
+    nums, den = point
+    levels = []
+    for coords in rs.positive_roots:
+        q, r = divmod(sum(map(mul, coords, nums)), den)
+        levels.append(min(q, m) if r or q > m else None)
+    return tuple(levels)
+
+
+def _in_cell(levels: Optional[tuple], prefix: Sequence[int], choices: tuple) -> bool:
+    """Whether a point of level vector ``levels`` lies in the cell where
+    root ``prefix[k]`` takes interval ``choices[k]`` for every k, the
+    test :func:`~shicone.exactgeom.check_witness` makes on its rows."""
+    return levels is not None and tuple(levels[g] for g in prefix) == choices
+
+
 def _cells(rs: RootSystem, roots: Sequence[int], m: int) -> list:
     """Cells of the dominant cone cut by the level 1..m hyperplanes of
     ``roots``, built one root at a time in order.
 
     Root i takes interval j: its value lies in (j, j+1) for j < m and in
-    (m, oo) for j = m.  Each child of a cell, the cell's rows plus one
-    interval's, goes to :func:`_settle` with the cell's point as the
-    hint: the child inherits the point once it is accepted, is empty
-    once a new row and a level row of the cell have a two-row
-    certificate, and is otherwise the kernel's to answer.
+    (m, oo) for j = m.  A child of a cell, the cell's rows plus one
+    interval's, takes the cell's point once its level vector places it
+    in the child (:func:`_in_cell` on the whole prefix; the vector is
+    computed once per point, when the kernel returns it); is empty once
+    :func:`_interval_proofs` refutes its interval against one the cell
+    holds, a bitmask test; and is otherwise the kernel's to answer.
 
     So every kernel call after the first (on the bare cone) extends a
     nonempty cell of a shorter prefix, and at m = 1 it only ever finds a
     cell.  Returns the list of ``(choices, witness)``, the witness being
-    the point that admitted the cell, accepted on all of its rows.
+    the point that admitted the cell, inside all of its rows.
+
+    Proof order, as everywhere in this module: the sign-vector mask of a
+    table point for a face question; the per-type pair proofs for a
+    ceiling; the parent's level vector and the per-(type, m) interval
+    proofs for a cell; then the kernel.
     """
     n = rs.rank
+    intervals, proofs = _interval_rows(rs, m), _interval_proofs(rs, m)
     base = list(_positivity_rows(n))
-    cells = [((), base, _settle(n, base, []))]
+    point = feasible_rows(n, base)
+    cells = [((), base, 0, point, _level_vector(rs, m, point))]
+    prefix = []
     for i in roots:
-        coords = rs.positive_roots[i]
-        neg = tuple(-c for c in coords)
-        intervals = [
-            ([(coords, j, GT)] if j else []) + ([(neg, -j - 1, GT)] if j < m else [])
-            for j in range(m + 1)
-        ]
+        prefix.append(i)
         grown = []
-        for choices, rows, point in cells:
-            for j, extra in enumerate(intervals):
-                witness = _settle(n, rows, extra, point)
-                if witness is not None:
-                    grown.append((choices + (j,), rows + extra, witness))
+        for choices, rows, held, point, levels in cells:
+            # the point lies in at most one child: the interval of root i
+            # its level vector names, once the whole prefix agrees
+            home = levels and levels[i]
+            if home is not None and not _in_cell(levels, prefix, choices + (home,)):
+                home = None
+            for j, extra in enumerate(intervals[i]):
+                if j == home:
+                    witness, found = point, levels
+                elif proofs[i][j] & held:
+                    continue
+                else:
+                    witness = feasible_rows(n, [*rows, *extra])
+                    if witness is None:
+                        continue
+                    found = _level_vector(rs, m, witness)
+                bit = 1 << i * (m + 1) + j
+                grown.append((choices + (j,), [*rows, *extra], held | bit, witness, found))
         cells = grown
-    return [(choices, witness) for choices, _, witness in cells]
+    return [(choices, witness) for choices, _, _, witness, _ in cells]
 
 
 def dominant_sign_oracle(rs: RootSystem, E: Iterable[int]) -> dict:
@@ -545,11 +629,17 @@ def dominant_sign_oracle(rs: RootSystem, E: Iterable[int]) -> dict:
     Walks the level-1 hyperplanes of E inside the dominant cone with
     :func:`_cells` at m = 1, keeping each side only while the prefix is
     shown nonempty, and returns {below-set: witness} for the cells, each
-    witness accepted by :func:`check_witness` on its cell's rows.  Every
-    side it drops has a two-row certificate that :func:`check_farkas`
-    accepts, so the kernel is never asked about an empty one.
+    witness inside its cell's rows.  Every side it drops holds a
+    (root, interval) pair of the cell that :func:`_interval_proofs`
+    refutes, a two-row certificate that :func:`check_farkas` accepted
+    once per type, so the kernel is never asked about an empty one.
     Independent of the antichain route: it compares row vectors and
     never reads the root poset.
+
+    Proof order, as everywhere in this module: the sign-vector mask of a
+    table point for a face question; the per-type pair proofs for a
+    ceiling; the parent's level vector and the per-(type, m) interval
+    proofs for a cell; then the kernel.
     """
     if rs.rank > MAX_ORACLE_RANK:
         raise ValueError(f"sign oracle is limited to rank <= {MAX_ORACLE_RANK}")
@@ -582,16 +672,15 @@ def flats_in_cone(rs: RootSystem, sub: FinitePoset, w: WeylElement) -> Intersect
     hyperplanes, the rest of A's ideal below 1, the rest above 1, x > 0):
     ``antichain_points(rs).face[A]`` once its sign vector places it on
     that face (the mask test of :func:`_face`, equal to check_witness on
-    the face's rows), and otherwise :func:`_settle` on those rows, which
-    ends with the kernel's witness.  w is an isometry that maps C
-    onto wC and the level-1 hyperplane of root i onto that of w(i), so it
-    maps that point onto the flat of w(A), inside wC and off every other
-    hyperplane of the cone.
+    the face's rows), and otherwise the kernel's witness of those rows.
+    w is an isometry that maps C onto wC and the level-1 hyperplane of
+    root i onto that of w(i), so it maps that point onto the flat of
+    w(A), inside wC and off every other hyperplane of the cone.
 
     Proof order, as everywhere in this module: the sign-vector mask of a
     table point for a face question; the per-type pair proofs for a
-    ceiling; check_witness on the parent's point and a two-row certificate
-    for a cell; then the kernel.
+    ceiling; the parent's level vector and the per-(type, m) interval
+    proofs for a cell; then the kernel.
     """
     E = _mask(sub.elements)
     image = {i: _positive_image(rs, w, i) for i in sub.elements}
@@ -726,8 +815,13 @@ def fuss_dominant(rs: RootSystem, m: int) -> FussDominant:
     deliberately absent because distinct levels of comparable roots can
     meet inside the cone, and the Mobius recursion is run in full.
     Regions are the cells of :func:`_cells` over all roots; an empty
-    child with no two-row certificate (only at m >= 2) is dropped on the
-    kernel's verdict.
+    child that no interval proof of :func:`_interval_proofs` refutes
+    (only at m >= 2) is dropped on the kernel's verdict.
+
+    Proof order, as everywhere in this module: the sign-vector mask of a
+    table point for a face question; the per-type pair proofs for a
+    ceiling; the parent's level vector and the per-(type, m) interval
+    proofs for a cell; then the kernel.
     """
     if rs.rank > MAX_ORACLE_RANK:
         raise ValueError(

@@ -8,7 +8,7 @@ import pytest
 from shicone import shi
 from shicone.exactgeom import EQ, GE, GT
 from shicone.rootsys import CartanType, build_root_system, root_poset
-from shicone.shi import AntichainPoints, antichain_points
+from shicone.shi import AntichainPoints
 
 
 @lru_cache(maxsize=None)
@@ -32,17 +32,24 @@ def rs_a3():
     return get_rs("A3")
 
 
+def clear_shi_caches():
+    """Empties every ``lru_cache`` defined in :mod:`shicone.shi`, found by
+    its ``cache_clear`` attribute, so that a cache added there is cleared
+    without being named here."""
+    for value in vars(shi).values():
+        if hasattr(value, "cache_clear") and value.__module__ == shi.__name__:
+            value.cache_clear()
+
+
 @pytest.fixture
 def fresh_point_table():
-    """Empties the per-type point table and pair-proof caches before and
-    after a test that patches the kernel's entry or the certificate
-    checker, so that nothing built under the patch outlives the test and
-    no count depends on which test built it first."""
-    antichain_points.cache_clear()
-    shi._pair_proofs.cache_clear()
+    """Empties the caches of :mod:`shicone.shi` before and after a test
+    that patches the kernel's entry or the certificate checker, so that
+    nothing built under the patch outlives the test and no count depends
+    on which test built it first."""
+    clear_shi_caches()
     yield
-    antichain_points.cache_clear()
-    shi._pair_proofs.cache_clear()
+    clear_shi_caches()
 
 
 def mat_vec(m, v) -> tuple:

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -129,57 +131,53 @@ def test_sign_oracle_rank_bound():
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_refused_cell_proofs_fall_back_to_kernel(m, monkeypatch):
-    # each child of a cell that is admitted without the kernel carries a
-    # point check_witness accepts on all of the child's rows, and each
-    # child dropped without it a certificate check_farkas accepts (the
-    # search proposes no other); with either check refused the kernel
-    # settles those children instead and the cells do not change
+def test_refused_cell_proofs_fall_back_to_kernel(m, monkeypatch, fresh_point_table):
+    # a child admitted without the kernel is one whose rows its parent's
+    # point satisfies by check_witness, and a child dropped without it is
+    # one an interval proof refutes; with the level test refused exactly
+    # the inherited children reach the kernel, and with the table cleared
+    # and check_farkas refused exactly the refuted ones, each found
+    # empty; the cells do not change
     rs = get_rs("B3")
     roots = range(len(rs.positive_roots))
-    walls = set(shi._positivity_rows(rs.rank))
-    answers, witnessed, certified = [], [], []
+    proofs = shi._interval_proofs(rs, m)
+    inherited, refuted = Counter(), Counter()
+    for k, choices, point, j, rows in _children(rs, roots, m):
+        if check_witness(rs.rank, rows, point):
+            inherited[tuple(rows)] += 1
+        elif proofs[roots[k]][j] & _held(roots, choices, m):
+            refuted[tuple(rows)] += 1
+    systems, answers = [], []
 
-    def counting(dim, rows):
+    def recording(dim, rows):
         witness = feasible_rows(dim, rows)
+        systems.append(tuple(rows))
         answers.append(witness)
         return witness
 
-    def witnessing(dim, rows, point):
-        accepted = check_witness(dim, rows, point)
-        witnessed.append((accepted, walls <= set(rows)))
-        return accepted
-
-    def certifying(dim, rows, lam):
-        accepted = check_farkas(dim, rows, lam)
-        certified.append(accepted)
-        return accepted
-
-    monkeypatch.setattr(shi, "feasible_rows", counting)
-    with monkeypatch.context() as mp:
-        mp.setattr(shi, "check_witness", witnessing)
-        mp.setattr(shi, "check_farkas", certifying)
-        choices = [c for c, _ in shi._cells(rs, roots, m)]
-    calls, empty = len(answers), answers.count(None)
-    inherited = sum(accepted for accepted, _ in witnessed)
-    refuted = len(certified)
-    assert all(full for _, full in witnessed) and all(certified)
-    assert inherited > 0 and refuted > 0
+    monkeypatch.setattr(shi, "feasible_rows", recording)
+    choices = [c for c, _ in shi._cells(rs, roots, m)]
+    asked, empty = Counter(systems), answers.count(None)
+    assert inherited and refuted
+    assert not asked & (inherited + refuted)
     if m == 1:
         assert empty == 0
 
     with monkeypatch.context() as mp:
-        mp.setattr(shi, "check_farkas", lambda dim, rows, lam: False)
+        mp.setattr(shi, "_in_cell", lambda levels, prefix, choices: False)
+        systems.clear()
         answers.clear()
         assert [c for c, _ in shi._cells(rs, roots, m)] == choices
-        assert len(answers) == calls + refuted
-        assert answers.count(None) == empty + refuted
-    with monkeypatch.context() as mp:
-        mp.setattr(shi, "check_witness", lambda dim, rows, point: False)
-        answers.clear()
-        assert [c for c, _ in shi._cells(rs, roots, m)] == choices
-        assert len(answers) == calls + inherited
+        assert Counter(systems) == asked + inherited
         assert answers.count(None) == empty
+    shi._interval_proofs.cache_clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(shi, "check_farkas", lambda dim, rows, lam: False)
+        systems.clear()
+        answers.clear()
+        assert [c for c, _ in shi._cells(rs, roots, m)] == choices
+        assert Counter(systems) == asked + refuted
+        assert answers.count(None) == empty + sum(refuted.values())
 
 
 @pytest.mark.parametrize("name", RANK_LE_3)
@@ -391,13 +389,15 @@ def test_certificates_are_made_of_their_questions_rows(monkeypatch, fresh_point_
     # ceiling probe, written out from the root poset, whose pinned row
     # stays the certificate's one EQ row (the per-type certificates of
     # the pairs (b, c) that settle a non-facet b, and only those); or a
-    # child of a cell, one of those rebuilt from the choices of the cells
-    # of each prefix
+    # child of a cell that the per-(type, m) certificate of its interval
+    # and one its cell holds empties, the child rebuilt from the choices
+    # of the cells of each prefix; no certificate is offered per region
+    # or per child
     pair_refutes = shi._pair_refutes
     questions, offered = [], []
 
     def posing(n, walls, rows, extra):
-        questions.append(frozenset([*walls, *rows, *extra]))
+        questions.append((tuple(rows), tuple(extra)))
         return pair_refutes(n, walls, rows, extra)
 
     def recording(dim, rows, lam):
@@ -437,17 +437,29 @@ def test_certificates_are_made_of_their_questions_rows(monkeypatch, fresh_point_
     roots = range(len(rs.positive_roots))
     monkeypatch.setattr(shi, "_pair_refutes", posing)
     for m in (1, 2, 3):
-        children = {
-            frozenset(_cell_rows(rs, roots[: k + 1], m, choices + (j,)))
-            for k in range(len(roots))
-            for choices, _ in shi._cells(rs, roots[:k], m)
+        interval = {
+            tuple(_cell_rows(rs, [g], m, [j])[rs.rank :]): (g, j)
+            for g in roots
             for j in range(m + 1)
         }
         offered.clear()
+        proofs = shi._interval_proofs(rs, m)
+        certificate = {}
+        for (rows, extra), used, accepted in offered:
+            assert accepted
+            certificate[interval[extra], interval[rows]] = used
+        emptied = 0
+        for k, choices, _, j, rows in _children(rs, roots, m):
+            held = zip(roots, choices)
+            i = roots[k]
+            pairs = [(g, jg) for g, jg in held if proofs[i][j] >> g * (m + 1) + jg & 1]
+            for pair in pairs:
+                assert certificate[(i, j), pair] <= set(rows)
+            emptied += bool(pairs)
+        assert emptied
+        offered.clear()
         shi._cells(rs, roots, m)
-        assert offered
-        for question, rows, _ in offered:
-            assert question in children and rows <= question
+        assert offered == []
 
 
 # -- cone subposets ----------------------------------------------------------------
@@ -761,6 +773,23 @@ def _cell_rows(rs, roots, m, choices):
     return rows
 
 
+def _held(roots, choices, m):
+    """The bitmask of the (root, interval) pairs a cell holds, at bit
+    ``g * (m + 1) + j`` for root g in interval j."""
+    return sum(1 << g * (m + 1) + j for g, j in zip(roots, choices))
+
+
+def _children(rs, roots, m):
+    """Every child question of the cell enumeration over ``roots``, as
+    ``(k, choices, point, j, rows)``: a cell of the prefix ``roots[:k]``
+    with its point, and root ``roots[k]`` in interval j, the child's rows
+    written out by :func:`_cell_rows`."""
+    for k in range(len(roots)):
+        for choices, point in shi._cells(rs, roots[:k], m):
+            for j in range(m + 1):
+                yield k, choices, point, j, _cell_rows(rs, roots[: k + 1], m, choices + (j,))
+
+
 def _oracle_outputs():
     """The flats and cells of the oracles, and each cell's witness with
     the rows of its cell rebuilt from its choices or below-set."""
@@ -1032,6 +1061,194 @@ def test_sign_vectors_answer_face_questions_as_check_witness(name):
             assert answer == check_witness(rs.rank, rows, point), (E, ideal, pinned, point)
             answers.add(answer)
     assert answers == {True, False}
+
+
+def _intervals_near(rs, point, prefix, m):
+    """Every choice of intervals for the roots of ``prefix`` that the
+    point's exact values, read as Fractions, sit in or next to: both
+    neighbours of a value that is exactly k in 1..m, interval 0 for a
+    value <= 0 and interval m above m."""
+    nums, den = point
+    options = []
+    for g in prefix:
+        value = Fraction(sum(c * x for c, x in zip(rs.positive_roots[g], nums)), den)
+        if value <= 0:
+            options.append([0])
+        elif value > m:
+            options.append([m])
+        elif value.denominator == 1:
+            options.append([int(value) - 1, int(value)])
+        else:
+            options.append([int(value)])
+    return set(itertools.product(*options))
+
+
+def _off_cone(point):
+    """The point with its first, then its last, coordinate negated, both
+    outside C.  The roots that are 0 in the negated coordinate keep their
+    values, so only the walls tell such a point from the original; which
+    roots those are depends on the type and the root order, hence both."""
+    nums, den = point
+    return [((-nums[0], *nums[1:]), den), ((*nums[:-1], -nums[-1]), den)]
+
+
+def _exact_on(rs, point, g, m):
+    """For each k in 1..m the point scaled, inside C, so that root g
+    takes the value k exactly."""
+    nums, den = point
+    value = sum(c * x for c, x in zip(rs.positive_roots[g], nums))
+    return [(tuple(k * x for x in nums), value) for k in range(1, m + 1)]
+
+
+@pytest.mark.parametrize("name", RANK_LE_3)
+def test_level_vectors_answer_cell_questions_as_check_witness(name):
+    # the level test of a child equals check_witness on the child's rows
+    # written out by _cell_rows, for m = 1, 2, 3 and every prefix: on the
+    # point of each cell, of the next cell and of the cell's nonempty
+    # children, each also moved out of C (first or last coordinate
+    # negated), and the cell's point made exactly k <= m on the new root;
+    # over every child j of the cell and of the next cell, and the
+    # children the point sits in or next to
+    rs = get_rs(name)
+    roots = range(len(rs.positive_roots))
+    answers = set()
+    for m in (1, 2, 3):
+        by_prefix = [shi._cells(rs, roots[:k], m) for k in range(len(roots) + 1)]
+        for k, cells in enumerate(by_prefix[:-1]):
+            prefix = roots[: k + 1]
+            grown = dict(by_prefix[k + 1])
+            rows_of = {}
+            for c, (choices, point) in enumerate(cells):
+                after, next_point = cells[(c + 1) % len(cells)]
+                children = {cell + (j,) for cell in (choices, after) for j in range(m + 1)}
+                points = [point, next_point]
+                points += [grown[child] for child in children if child in grown]
+                points += [q for p in points for q in _off_cone(p)]
+                for p in points + _exact_on(rs, point, roots[k], m):
+                    levels = shi._level_vector(rs, m, p)
+                    for child in children | _intervals_near(rs, p, prefix, m):
+                        answer = shi._in_cell(levels, list(prefix), child)
+                        if child not in rows_of:
+                            rows_of[child] = _cell_rows(rs, prefix, m, child)
+                        rows = rows_of[child]
+                        assert answer == check_witness(rs.rank, rows, p), (m, child, p)
+                        answers.add(answer)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("name", RANK_LE_3)
+def test_interval_proofs_are_the_refutable_interval_pairs(
+    name, monkeypatch, fresh_point_table
+):
+    # proofs[i][j] holds exactly the (g, jg) whose interval rows and those
+    # of (i, j) have a row pair (a, s), (c, t) with a + c <= 0 and
+    # s + t >= 0 whose certificate (the walls times -(a + c), then 1, 1)
+    # check_farkas accepts, searched over all row pairs; these are the
+    # pairs with i <= g coordinatewise and j > jg, or g <= i and jg > j.
+    # check_farkas accepted one certificate per pair it proves, and no
+    # interval refutes itself
+    rs = get_rs(name)
+    n, roots = rs.rank, rs.positive_roots
+    walls = _cell_rows(rs, [], 1, [])
+    verdicts = []
+
+    def recording(dim, rows, lam):
+        accepted = check_farkas(dim, rows, lam)
+        verdicts.append(accepted)
+        return accepted
+
+    def refutes(rows, other):
+        return any(
+            s + t >= 0
+            and all(x + y <= 0 for x, y in zip(a, c))
+            and check_farkas(
+                n,
+                [*walls, (c, t, k), (a, s, kind)],
+                [-(x + y) for x, y in zip(a, c)] + [1, 1],
+            )
+            for a, s, kind in rows
+            for c, t, k in other
+        )
+
+    def below(b, c):
+        return all(x <= y for x, y in zip(b, c))
+
+    monkeypatch.setattr(shi, "check_farkas", recording)
+    for m in (1, 2, 3):
+        verdicts.clear()
+        proofs = shi._interval_proofs(rs, m)
+        pairs = [(g, j) for g in range(len(roots)) for j in range(m + 1)]
+        rows = {(g, j): _cell_rows(rs, [g], m, [j])[n:] for g, j in pairs}
+        searched = tuple(
+            tuple(
+                sum(
+                    1 << b
+                    for b, other in enumerate(pairs)
+                    if refutes(rows[i, j], rows[other])
+                )
+                for j in range(m + 1)
+            )
+            for i in range(len(roots))
+        )
+        ordered = tuple(
+            tuple(
+                sum(
+                    1 << b
+                    for b, (g, jg) in enumerate(pairs)
+                    if below(roots[i], roots[g]) and j > jg
+                    or below(roots[g], roots[i]) and jg > j
+                )
+                for j in range(m + 1)
+            )
+            for i in range(len(roots))
+        )
+        assert proofs == searched == ordered
+        proved = sum(bin(mask).count("1") for row in proofs for mask in row)
+        assert verdicts == [True] * proved
+        assert not any(proofs[i][j] >> pairs.index((i, j)) & 1 for i, j in pairs)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("name", ["B3", "G2"])
+def test_fuss_cells_ask_kernel_only_about_unsettled_children(name, m, monkeypatch):
+    # the claim of test_sign_oracle_extends_only_feasible_prefixes at
+    # m >= 2: inside the cell enumeration of fuss_dominant the first
+    # kernel system is the bare cone, and every later one is a child whose
+    # parent's point is outside its rows and that no interval proof of
+    # its cell refutes; only these children can be empty
+    rs = get_rs(name)
+    roots = range(len(rs.positive_roots))
+    proofs = shi._interval_proofs(rs, m)
+    children = {
+        tuple(rows): (point, roots[k], j, _held(roots, choices, m))
+        for k, choices, point, j, rows in _children(rs, roots, m)
+    }
+    cells, kernel = shi._cells, shi.feasible_rows
+    inside, systems, answers = [], [], []
+
+    def enumerating(*args):
+        inside.append(True)
+        try:
+            return cells(*args)
+        finally:
+            inside.pop()
+
+    def recording(dim, rows):
+        witness = kernel(dim, rows)
+        if inside:
+            systems.append(tuple(rows))
+            answers.append(witness)
+        return witness
+
+    monkeypatch.setattr(shi, "_cells", enumerating)
+    monkeypatch.setattr(shi, "feasible_rows", recording)
+    fuss_dominant(rs, m)
+    assert systems[0] == tuple(_cell_rows(rs, [], m, []))
+    assert len(systems) > 1 and None in answers
+    for rows in systems[1:]:
+        point, i, j, held = children[rows]
+        assert not check_witness(rs.rank, rows, point)
+        assert not proofs[i][j] & held
 
 
 @pytest.mark.parametrize("name", RANK_LE_3 + RANK_4)
