@@ -13,39 +13,38 @@ hyperplane lies above the region, plus an exact interior witness);
 their geometry is recomputed from that data whenever a claim needs
 re-checking.
 
-Every question is settled by the first proof accepted, in one order:
+Every question asks, of some roots, which *state* each takes at level
+m inside the dominant cone C.  State s <= m is an interval: the root's
+value lies in (s, s + 1) for s < m and in (m, oo) for s = m.  State
+s > m is the exact level s - m.  At m = 1 the three states are below,
+above and on 1.  A question is a tuple ``held`` of bitmasks of root
+indices, ``held[s]`` the roots it puts in state s, and its rows are the
+walls of C plus :func:`_state_rows` of each held root.  It is settled
+by the first proof accepted, in one order:
 
-- a face question (below) whose caller holds a table point asks the
-  point's sign vector, :func:`_sign_vector`: the point lies on the face
-  exactly when it lies in C, on 1 at the pinned roots, below 1 on the
-  rest of the ideal and above 1 on the rest of E, which is
-  :func:`~shicone.exactgeom.check_witness` on the face's rows;
-- a root b of a region's ideal is no ceiling once a root c of the ideal
-  lies above b in :func:`_pair_proofs`, whose comparable-pair
-  certificates :func:`~shicone.exactgeom.check_farkas` accepts once per
-  type;
-- a child cell of :func:`_cells` takes its parent's point once the
-  point's level vector, :func:`_level_vector`, places it in the child
-  (in C, and each root of the prefix strictly inside its interval, the
-  test check_witness makes on the child's rows), and is empty once
-  :func:`_interval_proofs` refutes its new interval against one the
-  cell holds, two-row certificates that check_farkas accepts once per
-  (type, m);
-- then the kernel, :func:`~shicone.exactgeom.feasible_rows`, whose
-  "empty" is trusted (cell prunes at m >= 2, table and ceiling
-  fallbacks).
+- a point the caller holds answers it once :func:`_holds` accepts the
+  point's :func:`_signature`, the same masks read off the point (None
+  outside C); this is the test
+  :func:`~shicone.exactgeom.check_witness` makes on the question's rows;
+- it is empty once :func:`_state_proofs` refutes two of its (root,
+  state) pairs, by two-row certificates that
+  :func:`~shicone.exactgeom.check_farkas` accepts once per (type, m);
+- otherwise the kernel, :func:`~shicone.exactgeom.feasible_rows`,
+  answers its rows, and its "empty" is trusted (cell prunes at m >= 2,
+  table and ceiling fallbacks).
 
 :func:`_closure_poset` asks the kernel directly and trusts its
 meets-the-region tests.
 
-Every construction question is a face of a deletion in the dominant
-cone C, posed by :func:`_face` as bitmasks of root indices (E, ideal,
+Every construction question is a face of a deletion in C, asked at
+m = 1 by :func:`_face` from bitmasks of root indices (E, ideal,
 pinned): a region pins no root, a facet probe one, a flat its
-antichain; wC is w applied to the deletion to the
-roots that w keeps positive.  An antichain's ideal in a deletion is its
-ideal in the root poset cut to the deletion's roots, so the per-type
-table :func:`antichain_points` answers every face and facet unmoved
-(the cone-cut check of :mod:`shicone.verify` moves its points into wC).
+antichain; wC is w applied to the deletion to the roots that w keeps
+positive.  The cells of :func:`_cells` ask at level m.  An antichain's
+ideal in a deletion is its ideal in the root poset cut to the
+deletion's roots, so the per-type table :func:`antichain_points`
+answers every face and facet unmoved (the cone-cut check of
+:mod:`shicone.verify` moves its points into wC).
 The kernel, :func:`~shicone.exactgeom.feasible_rows`, gives the region
 witnesses, the rank <= 3 oracles and any table point that is missing or
 refused, so a wrong table costs kernel calls, never a wrong answer.
@@ -203,19 +202,38 @@ def _mask(labels: Iterable[int]) -> int:
     return m
 
 
+#: The states at m = 1: below, above and on 1.
+_BELOW, _ABOVE, _ON = 0, 1, 2
+
+
+@lru_cache(maxsize=None)
+def _state_rows(rs: RootSystem, m: int) -> tuple:
+    """``rows[g][s]``, the rows that put root g in state s at level m:
+    ``coords . x > s`` for 0 < s <= m and ``-coords . x > -s - 1`` for
+    s < m (the interval s), ``coords . x = s - m`` for s > m."""
+    out = []
+    for coords in rs.positive_roots:
+        neg = tuple(-c for c in coords)
+        out.append(
+            tuple(
+                (((coords, s, GT),) if s else ())
+                + (((neg, -s - 1, GT),) if s < m else ())
+                for s in range(m + 1)
+            )
+            + tuple(((coords, k, EQ),) for k in range(1, m + 1))
+        )
+    return tuple(out)
+
+
 def _face_rows(rs: RootSystem, E: int, ideal: int, pinned: int) -> list:
     """The walls of C, then for each root g of the bitmask ``E``, in index
-    order, the row ``coords . x = 1`` when g is in ``pinned``, ``< 1`` in
-    the rest of ``ideal``, else ``> 1``: the rows of a face question."""
+    order, the row of its state at m = 1: on 1 when g is in ``pinned``,
+    below 1 in the rest of ``ideal``, else above 1."""
+    states = _state_rows(rs, 1)
     rows = list(_positivity_rows(rs.rank))
     for g in _bits(E):
-        coords = rs.positive_roots[g]
-        if pinned >> g & 1:
-            rows.append((coords, 1, EQ))
-        elif ideal >> g & 1:
-            rows.append((tuple(-c for c in coords), -1, GT))
-        else:
-            rows.append((coords, 1, GT))
+        s = _ON if pinned >> g & 1 else _BELOW if ideal >> g & 1 else _ABOVE
+        rows += states[g][s]
     return rows
 
 
@@ -247,21 +265,42 @@ def act_point(rs: RootSystem, winv: WeylElement, point: tuple) -> tuple:
     )
 
 
+@lru_cache(maxsize=None)
+def _signature(rs: RootSystem, m: int, point: tuple) -> Optional[tuple]:
+    """The question an exact point ``(nums, den)`` answers at level m:
+    ``masks[s]``, for each state s, the roots of Phi+ in state s there;
+    None when the point is not in C (n coordinates, all > 0, den > 0).
+    Memoized per (type, m, point) and computed from the point itself, so
+    a patched table is judged by its own points."""
+    nums, den = point
+    if len(nums) != rs.rank or den <= 0 or min(nums) <= 0:
+        return None
+    masks = [0] * (2 * m + 1)
+    for g, coords in enumerate(rs.positive_roots):
+        q, r = divmod(sum(map(mul, coords, nums)), den)
+        masks[m + q if not r and q <= m else min(q, m)] |= 1 << g
+    return tuple(masks)
+
+
+def _holds(signature: Optional[tuple], held: tuple) -> bool:
+    """Whether a point of ``signature`` answers the question ``held``: it
+    lies in C and each root of ``held[s]`` is in state s there, the test
+    :func:`~shicone.exactgeom.check_witness` makes on the question's
+    rows."""
+    return signature is not None and not any(
+        h & ~s for h, s in zip(held, signature)
+    )
+
+
 def _pair_refutes(n: int, walls: list, rows: Sequence[tuple], extra: list) -> bool:
     """Whether a row ``(a, s, kind)`` of ``extra`` and a row ``(c, t, k)``
     of ``rows`` with ``a + c <= 0`` coordinatewise and ``s + t >= 0`` have
     a certificate that :func:`check_farkas` accepts: 1 on each of the
     two rows and ``-(a + c)`` on the positivity ``walls`` sum to
-    ``0 > s + t``.  Each row keeps its kind, so an extra row may be an EQ
-    (a pinned root) and the certificate is made of the question's own
-    rows.  Compares row vectors only.
-
-    Proof order, as everywhere in this module: the sign-vector mask of a
-    table point for a face question; the per-type pair proofs for a
-    ceiling; the parent's level vector and the per-(type, m) interval
-    proofs for a cell; then the kernel.  This is the prover of the
-    second and third steps, run once per pair and type, never per
-    question: :func:`_pair_proofs` and :func:`_interval_proofs` call it."""
+    ``0 > s + t``.  Each row keeps its kind, so an exact state's row
+    stays an EQ and the certificate is made of the question's own rows.
+    Compares row vectors only; :func:`_state_proofs` runs it once per
+    pair of states and type, never per question."""
     for a, s, kind in extra:
         for c, t, k in rows:
             if s + t >= 0:
@@ -274,80 +313,46 @@ def _pair_refutes(n: int, walls: list, rows: Sequence[tuple], extra: list) -> bo
 
 
 @lru_cache(maxsize=None)
-def _sign_vector(rs: RootSystem, point: tuple) -> tuple:
-    """``(below, on, above, inside)`` of an exact point ``(nums, den)``:
-    bitmasks of the roots of Phi+ whose value there is below, on and
-    above 1, and whether the point lies in C (n coordinates, all > 0,
-    and den > 0).  Memoized per type and computed from the point itself,
-    so a patched table is judged by its own points."""
-    nums, den = point
-    below = on = above = 0
-    for g, coords in enumerate(rs.positive_roots):
-        d = sum(map(mul, coords, nums)) - den
-        if d < 0:
-            below |= 1 << g
-        elif d:
-            above |= 1 << g
-        else:
-            on |= 1 << g
-    return below, on, above, _in_cone(rs, point)
-
-
-def _in_cone(rs: RootSystem, point: tuple) -> bool:
-    """Whether an exact point ``(nums, den)`` lies in C: n coordinates,
-    all > 0, and den > 0."""
-    nums, den = point
-    return len(nums) == rs.rank and den > 0 and all(x > 0 for x in nums)
-
-
-def _on_face(signs: tuple, E: int, ideal: int, pinned: int) -> bool:
-    """Whether a point of sign vector ``signs`` satisfies
-    ``_face_rows(rs, E, ideal, pinned)``: it lies in C, on 1 at the
-    pinned roots of E, below 1 on the rest of the ideal and above 1 on
-    the rest of E."""
-    below, on, above, inside = signs
-    rest = E & ~pinned
-    return inside and not (
-        E & pinned & ~on or rest & ideal & ~below or rest & ~ideal & ~above
+def _state_proofs(rs: RootSystem, m: int) -> tuple:
+    """``proofs[g][s][t]``, the bitmask of the roots c such that root g
+    in state s and root c in state t have a two-row certificate of
+    :func:`_pair_refutes`, which :func:`check_farkas` accepts once per
+    (type, m).  No question holding both pairs has a point.  The
+    certificates come from coordinate vectors, never from the poset: g
+    with a lower bound l (interval l or level l) and c - g >= 0 with an
+    upper bound u <= l (interval u - 1 < m), or the same with g and c
+    swapped.  So ``proofs[b][_ON][_BELOW]`` at m = 1 holds b and the
+    roots above it."""
+    n, rows = rs.rank, _state_rows(rs, m)
+    walls = _positivity_rows(n)
+    return tuple(
+        tuple(
+            tuple(
+                _mask(
+                    c
+                    for c, other in enumerate(rows)
+                    if _pair_refutes(n, walls, other[t], extra)
+                )
+                for t in range(2 * m + 1)
+            )
+            for extra in per_root
+        )
+        for per_root in rows
     )
 
 
 def _face(rs: RootSystem, E: int, ideal: int, pinned: int, hint=None) -> Optional[tuple]:
     """A point of the face of the deletion to E in C, or None when it is
     empty; E, ``ideal`` and ``pinned`` are bitmasks of root indices.  The
-    hint is returned once its sign vector places it on the face;
-    otherwise the kernel answers the face's rows.
-
-    Proof order, as everywhere in this module: the sign-vector mask of a
-    table point for a face question; the per-type pair proofs for a
-    ceiling; the parent's level vector and the per-(type, m) interval
-    proofs for a cell; then the kernel.  A face question takes the first
-    step and, failing it, the last."""
-    if hint is not None and _on_face(_sign_vector(rs, hint), E, ideal, pinned):
+    question at m = 1 puts the pinned roots of E on 1, the rest of the
+    ideal below and the rest of E above; the hint is returned once it
+    holds the question, and otherwise the kernel answers the face's
+    rows."""
+    rest = E & ~pinned
+    held = (rest & ideal, rest & ~ideal, E & pinned)
+    if hint is not None and _holds(_signature(rs, 1, hint), held):
         return hint
     return feasible_rows(rs.rank, _face_rows(rs, E, ideal, pinned))
-
-
-@lru_cache(maxsize=None)
-def _pair_proofs(rs: RootSystem) -> tuple:
-    """``above[b]``, for each root index b, the bitmask of the roots c != b
-    with ``c - b >= 0`` coordinatewise whose certificate
-    :func:`check_farkas` accepts: the walls times ``c - b``, ``-c . x > -1``
-    and ``b . x = 1`` sum to ``0 > 0``, so no point of C has b on its
-    hyperplane and c below 1.  A root b of a region's ideal is then no
-    ceiling once ``above[b]`` meets the ideal.  Proved once per type,
-    by :func:`_pair_refutes` on coordinate vectors, never from the poset."""
-    n, roots = rs.rank, rs.positive_roots
-    walls = _positivity_rows(n)
-    return tuple(
-        _mask(
-            g
-            for g, c in enumerate(roots)
-            if c != b
-            and _pair_refutes(n, walls, [(tuple(-x for x in c), -1, GT)], [(b, 1, EQ)])
-        )
-        for b in roots
-    )
 
 
 class AntichainPoints(NamedTuple):
@@ -373,14 +378,9 @@ def antichain_points(rs: RootSystem) -> AntichainPoints:
     cone, unmoved.
 
     The table only proposes: each user passes a point as the hint of
-    :func:`_face` for its own question, which judges it by its sign
-    vector (the same test as check_witness on the question's rows) and
-    asks the kernel when the point is missing or refused.
-
-    Proof order, as everywhere in this module: the sign-vector mask of a
-    table point for a face question; the per-type pair proofs for a
-    ceiling; the parent's level vector and the per-(type, m) interval
-    proofs for a cell; then the kernel.
+    :func:`_face` for its own question, which judges it by its signature
+    (the same test as check_witness on the question's rows) and asks the
+    kernel when the point is missing or refused.
     """
     rp = root_poset(rs)
     everything = (1 << len(rs.positive_roots)) - 1
@@ -477,150 +477,67 @@ def ceiling_oracle(rs: RootSystem, E: Iterable[int], region: ShiRegion) -> froze
 
     A root b of the ideal is a ceiling exactly when its probe, the
     region's rows with ``b . x = 1`` pinned, is nonempty: the table's
-    facet question for b with the rows outside E dropped.  The proofs
-    come in order: b is no ceiling once :func:`_pair_proofs` puts a root
-    of the ideal above b, a comparable-pair certificate proved once per
-    type; b is a ceiling once the table point
-    ``antichain_points(rs).facet[region.ceiling, b]`` lies on the probe's
-    face by its sign vector; otherwise the kernel answers the probe's
-    rows.
+    facet question for b with the rows outside E dropped.  b is no
+    ceiling once :func:`_state_proofs` refutes b on 1 against another
+    root of the ideal below 1 (a root above b, whose certificate keeps
+    b's EQ row, so it is made of the probe's rows); otherwise the probe
+    goes to :func:`_face` with the table point
+    ``antichain_points(rs).facet[region.ceiling, b]`` as its hint.
 
     The table is keyed by the claimed ceiling, but a point only counts
-    once it lies on the probe's own face, so a wrong claim costs kernel
-    calls, not a wrong answer.
-
-    Proof order, as everywhere in this module: the sign-vector mask of a
-    table point for a face question; the per-type pair proofs for a
-    ceiling; the parent's level vector and the per-(type, m) interval
-    proofs for a cell; then the kernel.
+    once it holds the probe's own question, so a wrong claim costs
+    kernel calls, not a wrong answer.
     """
     E, ideal = _mask(E), _mask(region.ideal)
-    above = _pair_proofs(rs)
+    proofs = _state_proofs(rs, 1)
     facets = antichain_points(rs).facet
     return frozenset(
         b
         for b in _bits(ideal)
-        if not above[b] & ideal
+        if not proofs[b][_ON][_BELOW] & ideal & ~(1 << b)
         and _face(rs, E, ideal, 1 << b, facets.get((region.ceiling, b))) is not None
     )
-
-
-@lru_cache(maxsize=None)
-def _interval_rows(rs: RootSystem, m: int) -> tuple:
-    """``rows[i][j]``, the rows that put root i in interval j: its value
-    lies in (j, j+1) for j < m and in (m, oo) for j = m."""
-    out = []
-    for coords in rs.positive_roots:
-        neg = tuple(-c for c in coords)
-        out.append(
-            tuple(
-                (((coords, j, GT),) if j else ())
-                + (((neg, -j - 1, GT),) if j < m else ())
-                for j in range(m + 1)
-            )
-        )
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _interval_proofs(rs: RootSystem, m: int) -> tuple:
-    """``proofs[i][j]``, for root i in interval j, the bitmask of the
-    (root g, interval jg), at bit ``g * (m + 1) + jg``, whose rows and
-    those of (i, j) have a two-row certificate of :func:`_pair_refutes`,
-    which :func:`check_farkas` accepts once per (type, m).  A cell
-    holding some (g, jg) of ``proofs[i][j]`` has no child with root i in
-    interval j."""
-    n, rows = rs.rank, _interval_rows(rs, m)
-    walls = _positivity_rows(n)
-    everything = [other for per_root in rows for other in per_root]
-    return tuple(
-        tuple(
-            _mask(
-                b
-                for b, other in enumerate(everything)
-                if _pair_refutes(n, walls, other, extra)
-            )
-            for extra in per_root
-        )
-        for per_root in rows
-    )
-
-
-def _level_vector(rs: RootSystem, m: int, point: tuple) -> Optional[tuple]:
-    """The interval of each root of Phi+ at an exact point ``(nums, den)``:
-    j when its value lies in (j, j+1), j < m, and m when it exceeds m;
-    None for a root whose value is exactly k in 1..m, in no interval.
-    The whole vector is None when the point is not in C.  Computed from
-    the point itself; :func:`_cells` computes it once per point and
-    passes it on with the point."""
-    if not _in_cone(rs, point):
-        return None
-    nums, den = point
-    levels = []
-    for coords in rs.positive_roots:
-        q, r = divmod(sum(map(mul, coords, nums)), den)
-        levels.append(min(q, m) if r or q > m else None)
-    return tuple(levels)
-
-
-def _in_cell(levels: Optional[tuple], prefix: Sequence[int], choices: tuple) -> bool:
-    """Whether a point of level vector ``levels`` lies in the cell where
-    root ``prefix[k]`` takes interval ``choices[k]`` for every k, the
-    test :func:`~shicone.exactgeom.check_witness` makes on its rows."""
-    return levels is not None and tuple(levels[g] for g in prefix) == choices
 
 
 def _cells(rs: RootSystem, roots: Sequence[int], m: int) -> list:
     """Cells of the dominant cone cut by the level 1..m hyperplanes of
     ``roots``, built one root at a time in order.
 
-    Root i takes interval j: its value lies in (j, j+1) for j < m and in
-    (m, oo) for j = m.  A child of a cell, the cell's rows plus one
-    interval's, takes the cell's point once its level vector places it
-    in the child (:func:`_in_cell` on the whole prefix; the vector is
-    computed once per point, when the kernel returns it); is empty once
-    :func:`_interval_proofs` refutes its interval against one the cell
-    holds, a bitmask test; and is otherwise the kernel's to answer.
+    A cell puts each root of its prefix in an interval state: root i in
+    state j lies in (j, j+1) for j < m and in (m, oo) for j = m.  Each
+    cell carries its question ``held`` (m + 1 masks) and a point that
+    holds it, so the point holds a child, the cell's rows plus root i's
+    state j, exactly when its :func:`_signature` puts i in state j: that
+    child takes the point.  Any other child is empty once
+    :func:`_state_proofs` refutes (i, j) against a pair the cell holds,
+    and is otherwise the kernel's to answer.
 
     So every kernel call after the first (on the bare cone) extends a
     nonempty cell of a shorter prefix, and at m = 1 it only ever finds a
     cell.  Returns the list of ``(choices, witness)``, the witness being
     the point that admitted the cell, inside all of its rows.
-
-    Proof order, as everywhere in this module: the sign-vector mask of a
-    table point for a face question; the per-type pair proofs for a
-    ceiling; the parent's level vector and the per-(type, m) interval
-    proofs for a cell; then the kernel.
     """
     n = rs.rank
-    intervals, proofs = _interval_rows(rs, m), _interval_proofs(rs, m)
+    states, proofs = _state_rows(rs, m), _state_proofs(rs, m)
     base = list(_positivity_rows(n))
-    point = feasible_rows(n, base)
-    cells = [((), base, 0, point, _level_vector(rs, m, point))]
-    prefix = []
+    cells = [((), base, (0,) * (m + 1), feasible_rows(n, base))]
     for i in roots:
-        prefix.append(i)
         grown = []
-        for choices, rows, held, point, levels in cells:
-            # the point lies in at most one child: the interval of root i
-            # its level vector names, once the whole prefix agrees
-            home = levels and levels[i]
-            if home is not None and not _in_cell(levels, prefix, choices + (home,)):
-                home = None
-            for j, extra in enumerate(intervals[i]):
-                if j == home:
-                    witness, found = point, levels
-                elif proofs[i][j] & held:
+        for choices, rows, held, point in cells:
+            signature = _signature(rs, m, point)
+            for j, extra in enumerate(states[i][: m + 1]):
+                if signature[j] >> i & 1:
+                    witness = point
+                elif any(p & h for p, h in zip(proofs[i][j], held)):
                     continue
                 else:
                     witness = feasible_rows(n, [*rows, *extra])
                     if witness is None:
                         continue
-                    found = _level_vector(rs, m, witness)
-                bit = 1 << i * (m + 1) + j
-                grown.append((choices + (j,), [*rows, *extra], held | bit, witness, found))
+                child = held[:j] + (held[j] | 1 << i,) + held[j + 1 :]
+                grown.append((choices + (j,), [*rows, *extra], child, witness))
         cells = grown
-    return [(choices, witness) for choices, _, _, witness, _ in cells]
+    return [(choices, witness) for choices, _, _, witness in cells]
 
 
 def dominant_sign_oracle(rs: RootSystem, E: Iterable[int]) -> dict:
@@ -629,17 +546,10 @@ def dominant_sign_oracle(rs: RootSystem, E: Iterable[int]) -> dict:
     Walks the level-1 hyperplanes of E inside the dominant cone with
     :func:`_cells` at m = 1, keeping each side only while the prefix is
     shown nonempty, and returns {below-set: witness} for the cells, each
-    witness inside its cell's rows.  Every side it drops holds a
-    (root, interval) pair of the cell that :func:`_interval_proofs`
-    refutes, a two-row certificate that :func:`check_farkas` accepted
-    once per type, so the kernel is never asked about an empty one.
-    Independent of the antichain route: it compares row vectors and
-    never reads the root poset.
-
-    Proof order, as everywhere in this module: the sign-vector mask of a
-    table point for a face question; the per-type pair proofs for a
-    ceiling; the parent's level vector and the per-(type, m) interval
-    proofs for a cell; then the kernel.
+    witness inside its cell's rows.  Every side it drops is refuted by
+    :func:`_state_proofs` against a state the cell holds, so the kernel
+    is never asked about an empty one.  Independent of the antichain
+    route: it compares row vectors and never reads the root poset.
     """
     if rs.rank > MAX_ORACLE_RANK:
         raise ValueError(f"sign oracle is limited to rank <= {MAX_ORACLE_RANK}")
@@ -670,17 +580,11 @@ def flats_in_cone(rs: RootSystem, sub: FinitePoset, w: WeylElement) -> Intersect
     Both facts are proved in the dominant cone C by one point of the
     face of A in the deletion to the roots of ``sub`` (A on its
     hyperplanes, the rest of A's ideal below 1, the rest above 1, x > 0):
-    ``antichain_points(rs).face[A]`` once its sign vector places it on
-    that face (the mask test of :func:`_face`, equal to check_witness on
-    the face's rows), and otherwise the kernel's witness of those rows.
+    ``antichain_points(rs).face[A]`` once it holds that face's question
+    (:func:`_face`), and otherwise the kernel's witness of its rows.
     w is an isometry that maps C onto wC and the level-1 hyperplane of
     root i onto that of w(i), so it maps that point onto the flat of
     w(A), inside wC and off every other hyperplane of the cone.
-
-    Proof order, as everywhere in this module: the sign-vector mask of a
-    table point for a face question; the per-type pair proofs for a
-    ceiling; the parent's level vector and the per-(type, m) interval
-    proofs for a cell; then the kernel.
     """
     E = _mask(sub.elements)
     image = {i: _positive_image(rs, w, i) for i in sub.elements}
@@ -815,13 +719,8 @@ def fuss_dominant(rs: RootSystem, m: int) -> FussDominant:
     deliberately absent because distinct levels of comparable roots can
     meet inside the cone, and the Mobius recursion is run in full.
     Regions are the cells of :func:`_cells` over all roots; an empty
-    child that no interval proof of :func:`_interval_proofs` refutes
-    (only at m >= 2) is dropped on the kernel's verdict.
-
-    Proof order, as everywhere in this module: the sign-vector mask of a
-    table point for a face question; the per-type pair proofs for a
-    ceiling; the parent's level vector and the per-(type, m) interval
-    proofs for a cell; then the kernel.
+    child that :func:`_state_proofs` does not refute (only at m >= 2) is
+    dropped on the kernel's verdict.
     """
     if rs.rank > MAX_ORACLE_RANK:
         raise ValueError(

@@ -134,18 +134,19 @@ def test_sign_oracle_rank_bound():
 def test_refused_cell_proofs_fall_back_to_kernel(m, monkeypatch, fresh_point_table):
     # a child admitted without the kernel is one whose rows its parent's
     # point satisfies by check_witness, and a child dropped without it is
-    # one an interval proof refutes; with the level test refused exactly
-    # the inherited children reach the kernel, and with the table cleared
+    # one a state proof refutes; with every signature emptied exactly the
+    # inherited children reach the kernel, and with the table cleared
     # and check_farkas refused exactly the refuted ones, each found
-    # empty; the cells do not change
+    # empty, while each of the per-(type, m) certificates is offered
+    # once; the cells do not change
     rs = get_rs("B3")
     roots = range(len(rs.positive_roots))
-    proofs = shi._interval_proofs(rs, m)
+    proofs = shi._state_proofs(rs, m)
     inherited, refuted = Counter(), Counter()
     for k, choices, point, j, rows in _children(rs, roots, m):
         if check_witness(rs.rank, rows, point):
             inherited[tuple(rows)] += 1
-        elif proofs[roots[k]][j] & _held(roots, choices, m):
+        elif _refuted(proofs, roots[k], j, _held(roots, choices, m)):
             refuted[tuple(rows)] += 1
     systems, answers = [], []
 
@@ -164,20 +165,27 @@ def test_refused_cell_proofs_fall_back_to_kernel(m, monkeypatch, fresh_point_tab
         assert empty == 0
 
     with monkeypatch.context() as mp:
-        mp.setattr(shi, "_in_cell", lambda levels, prefix, choices: False)
+        mp.setattr(shi, "_signature", lambda rs, m, point: (0,) * (2 * m + 1))
         systems.clear()
         answers.clear()
         assert [c for c, _ in shi._cells(rs, roots, m)] == choices
         assert Counter(systems) == asked + inherited
         assert answers.count(None) == empty
-    shi._interval_proofs.cache_clear()
+    shi._state_proofs.cache_clear()
+    offered = []
+
+    def refusing(dim, rows, lam):
+        offered.append(lam)
+        return False
+
     with monkeypatch.context() as mp:
-        mp.setattr(shi, "check_farkas", lambda dim, rows, lam: False)
+        mp.setattr(shi, "check_farkas", refusing)
         systems.clear()
         answers.clear()
         assert [c for c, _ in shi._cells(rs, roots, m)] == choices
         assert Counter(systems) == asked + refuted
         assert answers.count(None) == empty + sum(refuted.values())
+    assert len(offered) == STATE_CERTIFICATES["B3", m] == _proved(proofs)
 
 
 @pytest.mark.parametrize("name", RANK_LE_3)
@@ -338,16 +346,13 @@ def test_ceiling_oracle_calls_kernel_only_for_ceilings(
 def test_refused_certificate_falls_back_to_kernel(name, monkeypatch, fresh_point_table):
     # each root of a region's ideal that is no facet is proved by a
     # comparable-pair certificate on rank + 2 rows, with no kernel call;
-    # the certificates are checked once per type, one per pair (b, c)
-    # with c - b >= 0, and never again per region; with every certificate
-    # refused the kernel settles each non-facet exactly once, finds it
-    # infeasible, and the ceilings do not change
+    # the certificates are checked once per type, one per pair of states
+    # that _state_proofs proves at m = 1 (those of b on 1 against c below
+    # 1, c - b >= 0, among them), and never again per region; with every
+    # certificate refused the kernel settles each non-facet exactly once,
+    # finds it infeasible, and the ceilings do not change
     rs = get_rs(name)
     certificates, calls = [], []
-    roots = rs.positive_roots
-    comparable = sum(
-        b != c and all(x <= y for x, y in zip(b, c)) for b in roots for c in roots
-    )
 
     def checking(dim, rows, lam):
         accepted = check_farkas(dim, rows, lam)
@@ -371,8 +376,8 @@ def test_refused_certificate_falls_back_to_kernel(name, monkeypatch, fresh_point
             for region in regions:
                 assert ceiling_oracle(rs, E, region) == region.ceiling
         assert calls == []
-        assert certificates == [(rs.rank + 2, True)] * comparable
-    shi._pair_proofs.cache_clear()
+        assert certificates == [(rs.rank + 2, True)] * STATE_CERTIFICATES[name, 1]
+    shi._state_proofs.cache_clear()
     with monkeypatch.context() as m:
         m.setattr(shi, "feasible_rows", counting)
         m.setattr(shi, "check_farkas", lambda dim, rows, lam: False)
@@ -385,14 +390,14 @@ def test_refused_certificate_falls_back_to_kernel(name, monkeypatch, fresh_point
 
 def test_certificates_are_made_of_their_questions_rows(monkeypatch, fresh_point_table):
     # every certificate check_farkas is offered is made of rows of the
-    # question it settles, walls included, each with that row's kind: a
-    # ceiling probe, written out from the root poset, whose pinned row
-    # stays the certificate's one EQ row (the per-type certificates of
-    # the pairs (b, c) that settle a non-facet b, and only those); or a
-    # child of a cell that the per-(type, m) certificate of its interval
-    # and one its cell holds empties, the child rebuilt from the choices
-    # of the cells of each prefix; no certificate is offered per region
-    # or per child
+    # question it settles, walls included, each with that row's kind.
+    # Each is offered once per (type, m), for one pair of states, whose
+    # rows are written out here.  A ceiling probe, written out from the
+    # root poset, is settled by the certificates of b on 1 against c below
+    # 1, c != b, whose one EQ row is the pinned row of b, and by no others;
+    # a child of a cell is emptied by the certificate of its interval and
+    # one its cell holds, the child rebuilt from the choices of the cells
+    # of each prefix; no certificate is offered per region or per child
     pair_refutes = shi._pair_refutes
     questions, offered = [], []
 
@@ -402,64 +407,68 @@ def test_certificates_are_made_of_their_questions_rows(monkeypatch, fresh_point_
 
     def recording(dim, rows, lam):
         accepted = check_farkas(dim, rows, lam)
-        offered.append((questions[-1] if questions else None, set(rows), accepted))
+        offered.append((questions[-1], set(rows), accepted))
         return accepted
 
     monkeypatch.setattr(shi, "check_farkas", recording)
-    for name in ("B3", "F4"):
-        rs = get_rs(name)
-        idx = root_index(rs)
-        offered.clear()
-        above = shi._pair_proofs(rs)
-        certificate = {}
-        for _, rows, accepted in offered:
-            pinned = [coords for coords, _, kind in rows if kind == EQ]
-            (c,) = [tuple(-x for x in coords) for coords, rhs, _ in rows if rhs == -1]
-            assert len(pinned) == 1 and accepted
-            certificate[idx[pinned[0]], idx[c]] = rows
-        assert set(certificate) == {
-            (b, c) for b in range(len(above)) for c in range(len(above)) if above[b] >> c & 1
-        }
-        for w in _cone_sample(name):
-            E = complement_of_inversions(rs, w)
-            for region in regions_in_dominant(rs, cone_poset(rs, w)):
-                offered.clear()
-                ceiling_oracle(rs, E, region)
-                assert offered == []
-                settled = set()
-                for b, c in certificate:
-                    if b in region.ideal and c in region.ideal:
-                        probe = set(_deletion_rows(rs, E, region.ceiling, {b}))
-                        assert certificate[b, c] <= probe
-                        settled.add(b)
-                assert settled == region.ideal - region.ceiling
-    rs = get_rs("B3")
-    roots = range(len(rs.positive_roots))
     monkeypatch.setattr(shi, "_pair_refutes", posing)
-    for m in (1, 2, 3):
-        interval = {
-            tuple(_cell_rows(rs, [g], m, [j])[rs.rank :]): (g, j)
-            for g in roots
-            for j in range(m + 1)
-        }
-        offered.clear()
-        proofs = shi._interval_proofs(rs, m)
-        certificate = {}
-        for (rows, extra), used, accepted in offered:
-            assert accepted
-            certificate[interval[extra], interval[rows]] = used
-        emptied = 0
-        for k, choices, _, j, rows in _children(rs, roots, m):
-            held = zip(roots, choices)
-            i = roots[k]
-            pairs = [(g, jg) for g, jg in held if proofs[i][j] >> g * (m + 1) + jg & 1]
-            for pair in pairs:
-                assert certificate[(i, j), pair] <= set(rows)
-            emptied += bool(pairs)
-        assert emptied
-        offered.clear()
-        shi._cells(rs, roots, m)
-        assert offered == []
+    for name, levels in (("B3", (1, 2, 3)), ("F4", (1,))):
+        rs = get_rs(name)
+        roots = range(len(rs.positive_roots))
+        for m in levels:
+            state = {
+                tuple(_written_state(rs, g, m, s)): (g, s)
+                for g in roots
+                for s in range(2 * m + 1)
+            }
+            offered.clear()
+            proofs = shi._state_proofs(rs, m)
+            certificate = {}
+            for (rows, extra), used, accepted in offered:
+                assert accepted
+                certificate[state[extra], state[rows]] = used
+            assert len(offered) == len(certificate) == STATE_CERTIFICATES[name, m]
+            if m == 1:
+                ceiling = {
+                    (b, c): used
+                    for ((b, sb), (c, sc)), used in certificate.items()
+                    if (sb, sc) == (shi._ON, shi._BELOW) and b != c
+                }
+                assert set(ceiling) == {
+                    (b, c)
+                    for b in roots
+                    for c in roots
+                    if c != b and proofs[b][shi._ON][shi._BELOW] >> c & 1
+                }
+                for (b, _), used in ceiling.items():
+                    pinned = [row for row in used if row[2] == EQ]
+                    assert pinned == [(rs.positive_roots[b], 1, EQ)]
+                for w in _cone_sample(name):
+                    E = complement_of_inversions(rs, w)
+                    for region in regions_in_dominant(rs, cone_poset(rs, w)):
+                        offered.clear()
+                        ceiling_oracle(rs, E, region)
+                        assert offered == []
+                        settled = set()
+                        for b, c in ceiling:
+                            if b in region.ideal and c in region.ideal:
+                                probe = set(_deletion_rows(rs, E, region.ceiling, {b}))
+                                assert ceiling[b, c] <= probe
+                                settled.add(b)
+                        assert settled == region.ideal - region.ceiling
+            if name == "B3":
+                emptied = 0
+                for k, choices, _, j, rows in _children(rs, roots, m):
+                    i = roots[k]
+                    held = zip(roots, choices)
+                    pairs = [(g, jg) for g, jg in held if proofs[i][j][jg] >> g & 1]
+                    for pair in pairs:
+                        assert certificate[(i, j), pair] <= set(rows)
+                    emptied += bool(pairs)
+                assert emptied
+                offered.clear()
+                shi._cells(rs, roots, m)
+                assert offered == []
 
 
 # -- cone subposets ----------------------------------------------------------------
@@ -774,9 +783,47 @@ def _cell_rows(rs, roots, m, choices):
 
 
 def _held(roots, choices, m):
-    """The bitmask of the (root, interval) pairs a cell holds, at bit
-    ``g * (m + 1) + j`` for root g in interval j."""
-    return sum(1 << g * (m + 1) + j for g, j in zip(roots, choices))
+    """The question of a cell: ``held[j]``, the bitmask of the roots
+    ``roots[k]`` with ``choices[k] == j``, for each interval j <= m."""
+    held = [0] * (m + 1)
+    for g, j in zip(roots, choices):
+        held[j] |= 1 << g
+    return tuple(held)
+
+
+def _refuted(proofs, i, j, held):
+    """Whether ``proofs`` refutes root i in state j against a state of
+    the question ``held``."""
+    return any(p & h for p, h in zip(proofs[i][j], held))
+
+
+def _proved(proofs):
+    """The number of (root, state) pairs that ``proofs`` refutes, each
+    counted from both of its sides."""
+    return sum(
+        bin(mask).count("1") for per_root in proofs for row in per_root for mask in row
+    )
+
+
+def _written_state(rs, g, m, s):
+    """The rows that put root g in state s at level m, written out: the
+    interval's rows from :func:`_cell_rows` for s <= m, else
+    ``coords . x = s - m``."""
+    if s <= m:
+        return _cell_rows(rs, [g], m, [s])[rs.rank :]
+    return [(rs.positive_roots[g], s - m, EQ)]
+
+
+#: certificates check_farkas accepts in building _state_proofs(rs, m):
+#: one per proved pair, 2 m (m + 1) per pair of roots b <= c
+STATE_CERTIFICATES = {
+    ("B3", 1): 144,
+    ("B3", 2): 432,
+    ("B3", 3): 864,
+    ("G2", 2): 240,
+    ("G2", 3): 480,
+    ("F4", 1): 980,
+}
 
 
 def _children(rs, roots, m):
@@ -1033,36 +1080,6 @@ def _face_questions(rs, deletions):
     return sorted(questions)
 
 
-@pytest.mark.parametrize("name", RANK_LE_3 + RANK_4)
-def test_sign_vectors_answer_face_questions_as_check_witness(name):
-    # the mask answer of a face question equals check_witness on the
-    # face's rows, for every table point and the same point moved out of
-    # C, over every deletion of a rank <= 3 type and a seeded sample of
-    # questions at rank 4
-    rs = get_rs(name)
-    N = len(rs.positive_roots)
-    if name in RANK_LE_3:
-        questions = _face_questions(
-            rs, [[g for g in range(N) if E >> g & 1] for E in range(1 << N)]
-        )
-    else:
-        rng = random.Random(name)
-        deletions = [sorted(rng.sample(range(N), rng.randint(0, N))) for _ in range(8)]
-        questions = rng.sample(_face_questions(rs, deletions), 120)
-    table = antichain_points(rs)
-    points = [*table.face.values(), *table.facet.values()]
-    points += [((-nums[0], *nums[1:]), den) for nums, den in points]
-    answers = set()
-    for E, ideal, pinned in questions:
-        rows = shi._face_rows(rs, E, ideal, pinned)
-        for point in points:
-            signs = shi._sign_vector(rs, point)
-            answer = shi._on_face(signs, E, ideal, pinned)
-            assert answer == check_witness(rs.rank, rows, point), (E, ideal, pinned, point)
-            answers.add(answer)
-    assert answers == {True, False}
-
-
 def _intervals_near(rs, point, prefix, m):
     """Every choice of intervals for the roots of ``prefix`` that the
     point's exact values, read as Fractions, sit in or next to: both
@@ -1100,125 +1117,151 @@ def _exact_on(rs, point, g, m):
     return [(tuple(k * x for x in nums), value) for k in range(1, m + 1)]
 
 
-@pytest.mark.parametrize("name", RANK_LE_3)
-def test_level_vectors_answer_cell_questions_as_check_witness(name):
-    # the level test of a child equals check_witness on the child's rows
-    # written out by _cell_rows, for m = 1, 2, 3 and every prefix: on the
-    # point of each cell, of the next cell and of the cell's nonempty
-    # children, each also moved out of C (first or last coordinate
-    # negated), and the cell's point made exactly k <= m on the new root;
-    # over every child j of the cell and of the next cell, and the
-    # children the point sits in or next to
+@pytest.mark.parametrize("name", RANK_LE_3 + RANK_4)
+def test_state_rows_are_the_written_states(name):
+    # the rows of each (root, state) pair at m = 1, 2, 3 are those written
+    # out here, and a face question's rows are the walls, then for each
+    # root of E in index order its row at m = 1: on 1 when pinned, below
+    # 1 in the rest of the ideal, else above 1
     rs = get_rs(name)
-    roots = range(len(rs.positive_roots))
+    N = len(rs.positive_roots)
+    for m in (1, 2, 3):
+        assert shi._state_rows(rs, m) == tuple(
+            tuple(tuple(_written_state(rs, g, m, s)) for s in range(2 * m + 1))
+            for g in range(N)
+        )
+    rng = random.Random(name)
+    for _ in range(40):
+        E, ideal, pinned = (rng.getrandbits(N) for _ in range(3))
+        rows = _cell_rows(rs, [], 1, [])
+        for g, coords in enumerate(rs.positive_roots):
+            if not E >> g & 1:
+                continue
+            if pinned >> g & 1:
+                rows.append((coords, 1, EQ))
+            elif ideal >> g & 1:
+                rows.append((tuple(-c for c in coords), -1, GT))
+            else:
+                rows.append((coords, 1, GT))
+        assert shi._face_rows(rs, E, ideal, pinned) == rows
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_signature_reads_each_roots_state(m):
+    # the signature puts each root in the state of its value, read as a
+    # Fraction: its level when the value is exactly 1..m, else the
+    # interval holding it; and it is None for a point outside C (a
+    # coordinate <= 0), of the wrong length or with den <= 0
+    for name in ("B3", "G2", "F4"):
+        rs = get_rs(name)
+        rng = random.Random(f"{name}-{m}")
+        for _ in range(200):
+            den = rng.randint(1, 6)
+            nums = tuple(rng.randint(1, 4 * den) for _ in range(rs.rank))
+            expected = [0] * (2 * m + 1)
+            for g, coords in enumerate(rs.positive_roots):
+                value = Fraction(sum(c * x for c, x in zip(coords, nums)), den)
+                exact = value.denominator == 1 and value <= m
+                expected[m + int(value) if exact else min(int(value), m)] |= 1 << g
+            assert shi._signature(rs, m, (nums, den)) == tuple(expected)
+            outside = [
+                ((0, *nums[1:]), den),
+                ((*nums[:-1], -nums[-1]), den),
+                (nums[:-1], den),
+                (nums, 0),
+                (nums, -den),
+            ]
+            assert all(shi._signature(rs, m, point) is None for point in outside)
+
+
+@pytest.mark.parametrize("name", RANK_LE_3 + RANK_4)
+def test_sign_vectors_answer_face_questions_as_check_witness(name, monkeypatch):
+    # a point answers a question, _holds on its signature, exactly when
+    # check_witness accepts it on the question's rows.  Cell questions of
+    # a rank <= 3 type, against the child's rows written out by
+    # _cell_rows, for m = 1, 2, 3 and every prefix: on the point of each
+    # cell, of the next cell and of the cell's nonempty children, each
+    # also moved out of C (first or last coordinate negated), and the
+    # cell's point made exactly k <= m on the new root; over every child
+    # j of the cell and of the next cell, and the children the point sits
+    # in or next to.  Face questions, asked through _face with the kernel
+    # refused (and the rows it would be asked left unbuilt), so that the
+    # question _face builds is tested too: every table point and each
+    # point moved out of C, over every deletion of a rank <= 3 type and a
+    # seeded sample of questions at rank 4
+    rs = get_rs(name)
+    N = len(rs.positive_roots)
+    if name in RANK_LE_3:
+        roots = range(N)
+        answers = set()
+        for m in (1, 2, 3):
+            by_prefix = [shi._cells(rs, roots[:k], m) for k in range(len(roots) + 1)]
+            for k, cells in enumerate(by_prefix[:-1]):
+                prefix = roots[: k + 1]
+                grown = dict(by_prefix[k + 1])
+                rows_of = {}
+                for c, (choices, point) in enumerate(cells):
+                    after, next_point = cells[(c + 1) % len(cells)]
+                    children = {cell + (j,) for cell in (choices, after) for j in range(m + 1)}
+                    points = [point, next_point]
+                    points += [grown[child] for child in children if child in grown]
+                    points += [q for p in points for q in _off_cone(p)]
+                    for p in points + _exact_on(rs, point, roots[k], m):
+                        signature = shi._signature(rs, m, p)
+                        for child in children | _intervals_near(rs, p, prefix, m):
+                            answer = shi._holds(signature, _held(prefix, child, m))
+                            if child not in rows_of:
+                                rows_of[child] = _cell_rows(rs, prefix, m, child)
+                            rows = rows_of[child]
+                            assert answer == check_witness(rs.rank, rows, p), (m, child, p)
+                            answers.add(answer)
+        assert answers == {True, False}
+        questions = _face_questions(
+            rs, [[g for g in range(N) if E >> g & 1] for E in range(1 << N)]
+        )
+    else:
+        rng = random.Random(name)
+        deletions = [sorted(rng.sample(range(N), rng.randint(0, N))) for _ in range(8)]
+        questions = rng.sample(_face_questions(rs, deletions), 120)
+    table = antichain_points(rs)
+    points = [*table.face.values(), *table.facet.values()]
+    points += [q for p in points for q in _off_cone(p)]
+    rows_of = {question: shi._face_rows(rs, *question) for question in questions}
+    monkeypatch.setattr(shi, "_face_rows", lambda *question: None)
+    monkeypatch.setattr(shi, "feasible_rows", lambda dim, rows: None)
     answers = set()
-    for m in (1, 2, 3):
-        by_prefix = [shi._cells(rs, roots[:k], m) for k in range(len(roots) + 1)]
-        for k, cells in enumerate(by_prefix[:-1]):
-            prefix = roots[: k + 1]
-            grown = dict(by_prefix[k + 1])
-            rows_of = {}
-            for c, (choices, point) in enumerate(cells):
-                after, next_point = cells[(c + 1) % len(cells)]
-                children = {cell + (j,) for cell in (choices, after) for j in range(m + 1)}
-                points = [point, next_point]
-                points += [grown[child] for child in children if child in grown]
-                points += [q for p in points for q in _off_cone(p)]
-                for p in points + _exact_on(rs, point, roots[k], m):
-                    levels = shi._level_vector(rs, m, p)
-                    for child in children | _intervals_near(rs, p, prefix, m):
-                        answer = shi._in_cell(levels, list(prefix), child)
-                        if child not in rows_of:
-                            rows_of[child] = _cell_rows(rs, prefix, m, child)
-                        rows = rows_of[child]
-                        assert answer == check_witness(rs.rank, rows, p), (m, child, p)
-                        answers.add(answer)
+    for E, ideal, pinned in questions:
+        rows = rows_of[E, ideal, pinned]
+        for point in points:
+            answer = shi._face(rs, E, ideal, pinned, point) is not None
+            assert answer == check_witness(rs.rank, rows, point), (E, ideal, pinned, point)
+            answers.add(answer)
     assert answers == {True, False}
-
-
-@pytest.mark.parametrize("name", RANK_LE_3)
-def test_interval_proofs_are_the_refutable_interval_pairs(
-    name, monkeypatch, fresh_point_table
-):
-    # proofs[i][j] holds exactly the (g, jg) whose interval rows and those
-    # of (i, j) have a row pair (a, s), (c, t) with a + c <= 0 and
-    # s + t >= 0 whose certificate (the walls times -(a + c), then 1, 1)
-    # check_farkas accepts, searched over all row pairs; these are the
-    # pairs with i <= g coordinatewise and j > jg, or g <= i and jg > j.
-    # check_farkas accepted one certificate per pair it proves, and no
-    # interval refutes itself
-    rs = get_rs(name)
-    n, roots = rs.rank, rs.positive_roots
-    walls = _cell_rows(rs, [], 1, [])
-    verdicts = []
-
-    def recording(dim, rows, lam):
-        accepted = check_farkas(dim, rows, lam)
-        verdicts.append(accepted)
-        return accepted
-
-    def refutes(rows, other):
-        return any(
-            s + t >= 0
-            and all(x + y <= 0 for x, y in zip(a, c))
-            and check_farkas(
-                n,
-                [*walls, (c, t, k), (a, s, kind)],
-                [-(x + y) for x, y in zip(a, c)] + [1, 1],
-            )
-            for a, s, kind in rows
-            for c, t, k in other
-        )
-
-    def below(b, c):
-        return all(x <= y for x, y in zip(b, c))
-
-    monkeypatch.setattr(shi, "check_farkas", recording)
-    for m in (1, 2, 3):
-        verdicts.clear()
-        proofs = shi._interval_proofs(rs, m)
-        pairs = [(g, j) for g in range(len(roots)) for j in range(m + 1)]
-        rows = {(g, j): _cell_rows(rs, [g], m, [j])[n:] for g, j in pairs}
-        searched = tuple(
-            tuple(
-                sum(
-                    1 << b
-                    for b, other in enumerate(pairs)
-                    if refutes(rows[i, j], rows[other])
-                )
-                for j in range(m + 1)
-            )
-            for i in range(len(roots))
-        )
-        ordered = tuple(
-            tuple(
-                sum(
-                    1 << b
-                    for b, (g, jg) in enumerate(pairs)
-                    if below(roots[i], roots[g]) and j > jg
-                    or below(roots[g], roots[i]) and jg > j
-                )
-                for j in range(m + 1)
-            )
-            for i in range(len(roots))
-        )
-        assert proofs == searched == ordered
-        proved = sum(bin(mask).count("1") for row in proofs for mask in row)
-        assert verdicts == [True] * proved
-        assert not any(proofs[i][j] >> pairs.index((i, j)) & 1 for i, j in pairs)
 
 
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("name", ["B3", "G2"])
-def test_fuss_cells_ask_kernel_only_about_unsettled_children(name, m, monkeypatch):
+def test_fuss_cells_ask_kernel_only_about_unsettled_children(
+    name, m, monkeypatch, fresh_point_table
+):
     # the claim of test_sign_oracle_extends_only_feasible_prefixes at
     # m >= 2: inside the cell enumeration of fuss_dominant the first
     # kernel system is the bare cone, and every later one is a child whose
-    # parent's point is outside its rows and that no interval proof of
-    # its cell refutes; only these children can be empty
+    # parent's point is outside its rows and that no state proof refutes
+    # against its cell; only these children can be empty.  The proofs
+    # rest on their per-(type, m) certificates, each accepted once
     rs = get_rs(name)
     roots = range(len(rs.positive_roots))
-    proofs = shi._interval_proofs(rs, m)
+    verdicts = []
+
+    def checking(dim, rows, lam):
+        verdicts.append(check_farkas(dim, rows, lam))
+        return verdicts[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(shi, "check_farkas", checking)
+        proofs = shi._state_proofs(rs, m)
+    assert verdicts == [True] * STATE_CERTIFICATES[name, m]
     children = {
         tuple(rows): (point, roots[k], j, _held(roots, choices, m))
         for k, choices, point, j, rows in _children(rs, roots, m)
@@ -1248,16 +1291,27 @@ def test_fuss_cells_ask_kernel_only_about_unsettled_children(name, m, monkeypatc
     for rows in systems[1:]:
         point, i, j, held = children[rows]
         assert not check_witness(rs.rank, rows, point)
-        assert not proofs[i][j] & held
+        assert not _refuted(proofs, i, j, held)
 
 
 @pytest.mark.parametrize("name", RANK_LE_3 + RANK_4)
 def test_pair_proofs_are_the_comparable_pairs(name, monkeypatch, fresh_point_table):
-    # above[b] holds exactly the roots c != b with c - b >= 0, read from
-    # coordinate vectors, and each of those pairs was proved by one
-    # certificate that check_farkas accepted
+    # proofs[g][s][t] holds exactly the roots c such that the rows of root
+    # g in state s and of root c in state t, written out, have a row pair
+    # (a, s'), (c', t') with a + c' <= 0 and s' + t' >= 0 whose
+    # certificate (the walls times -(a + c'), then 1, 1) check_farkas
+    # accepts, searched over all row pairs and every pair of states, exact
+    # states included, at m = 1, 2, 3 for rank <= 3 and m = 1 for rank 4.
+    # These are the comparable pairs: g <= c coordinatewise and a lower
+    # bound of g's state (interval l or level l) at least the upper bound
+    # of c's (interval u - 1 < m), or the same with g and c swapped.  At
+    # m = 1 the column of b on 1 against c below 1 is {c : c - b >= 0}.
+    # check_farkas accepted one certificate per proved pair, 2 m (m + 1)
+    # per pair of roots b <= c, and no state refutes itself
     rs = get_rs(name)
-    roots = rs.positive_roots
+    n, roots = rs.rank, rs.positive_roots
+    N = len(roots)
+    walls = _cell_rows(rs, [], 1, [])
     verdicts = []
 
     def recording(dim, rows, lam):
@@ -1265,18 +1319,63 @@ def test_pair_proofs_are_the_comparable_pairs(name, monkeypatch, fresh_point_tab
         verdicts.append(accepted)
         return accepted
 
-    monkeypatch.setattr(shi, "check_farkas", recording)
-    above = shi._pair_proofs(rs)
-    comparable = tuple(
-        sum(
-            1 << g
-            for g, c in enumerate(roots)
-            if c != b and all(x <= y for x, y in zip(b, c))
+    def refutes(rows, other):
+        return any(
+            s + t >= 0
+            and all(x + y <= 0 for x, y in zip(a, c))
+            and check_farkas(
+                n,
+                [*walls, (c, t, k), (a, s, kind)],
+                [-(x + y) for x, y in zip(a, c)] + [1, 1],
+            )
+            for a, s, kind in rows
+            for c, t, k in other
         )
-        for b in roots
-    )
-    assert above == comparable
-    assert verdicts == [True] * sum(bin(mask).count("1") for mask in comparable)
+
+    def below(b, c):
+        return all(x <= y for x, y in zip(b, c))
+
+    ordered_pairs = sum(below(b, c) for b in roots for c in roots)
+    monkeypatch.setattr(shi, "check_farkas", recording)
+    for m in (1, 2, 3) if name in RANK_LE_3 else (1,):
+        verdicts.clear()
+        proofs = shi._state_proofs(rs, m)
+        states = range(2 * m + 1)
+        rows = {(g, s): _written_state(rs, g, m, s) for g in range(N) for s in states}
+        low = [s if s <= m else s - m for s in states]
+        up = [s + 1 if s < m else float("inf") for s in states]
+        searched = tuple(
+            tuple(
+                tuple(
+                    sum(1 << c for c in range(N) if refutes(rows[g, s], rows[c, t]))
+                    for t in states
+                )
+                for s in states
+            )
+            for g in range(N)
+        )
+        ordered = tuple(
+            tuple(
+                tuple(
+                    sum(
+                        1 << c
+                        for c in range(N)
+                        if below(roots[g], roots[c]) and low[s] >= up[t]
+                        or below(roots[c], roots[g]) and low[t] >= up[s]
+                    )
+                    for t in states
+                )
+                for s in states
+            )
+            for g in range(N)
+        )
+        assert proofs == searched == ordered
+        assert verdicts == [True] * _proved(proofs)
+        assert _proved(proofs) == 2 * m * (m + 1) * ordered_pairs
+        assert not any(proofs[g][s][s] >> g & 1 for g in range(N) for s in states)
+    proofs = shi._state_proofs(rs, 1)
+    above = tuple(sum(1 << c for c in range(N) if below(b, roots[c])) for b in roots)
+    assert tuple(proofs[b][shi._ON][shi._BELOW] for b in range(N)) == above
 
 
 @pytest.mark.parametrize("name", RANK_LE_3 + RANK_4)
