@@ -1174,48 +1174,55 @@ def test_signature_reads_each_roots_state(m):
             assert all(shi._signature(rs, m, point) is None for point in outside)
 
 
+@pytest.mark.parametrize("name", RANK_LE_3)
+def test_level_vectors_answer_cell_questions_as_check_witness(name):
+    # a point answers a cell question, _holds on its signature at level m
+    # (the point's level vector), exactly when check_witness accepts it on
+    # the child's rows written out by _cell_rows, for m = 1, 2, 3 and
+    # every prefix: on the point of each cell, of the next cell and of the
+    # cell's nonempty children, each also moved out of C (first or last
+    # coordinate negated), and the cell's point made exactly k <= m on the
+    # new root; over every child j of the cell and of the next cell, and
+    # the children the point sits in or next to
+    rs = get_rs(name)
+    roots = range(len(rs.positive_roots))
+    answers = set()
+    for m in (1, 2, 3):
+        by_prefix = [shi._cells(rs, roots[:k], m) for k in range(len(roots) + 1)]
+        for k, cells in enumerate(by_prefix[:-1]):
+            prefix = roots[: k + 1]
+            grown = dict(by_prefix[k + 1])
+            rows_of = {}
+            for c, (choices, point) in enumerate(cells):
+                after, next_point = cells[(c + 1) % len(cells)]
+                children = {cell + (j,) for cell in (choices, after) for j in range(m + 1)}
+                points = [point, next_point]
+                points += [grown[child] for child in children if child in grown]
+                points += [q for p in points for q in _off_cone(p)]
+                for p in points + _exact_on(rs, point, roots[k], m):
+                    signature = shi._signature(rs, m, p)
+                    for child in children | _intervals_near(rs, p, prefix, m):
+                        answer = shi._holds(signature, _held(prefix, child, m))
+                        if child not in rows_of:
+                            rows_of[child] = _cell_rows(rs, prefix, m, child)
+                        rows = rows_of[child]
+                        assert answer == check_witness(rs.rank, rows, p), (m, child, p)
+                        answers.add(answer)
+    assert answers == {True, False}
+
+
 @pytest.mark.parametrize("name", RANK_LE_3 + RANK_4)
 def test_sign_vectors_answer_face_questions_as_check_witness(name, monkeypatch):
-    # a point answers a question, _holds on its signature, exactly when
-    # check_witness accepts it on the question's rows.  Cell questions of
-    # a rank <= 3 type, against the child's rows written out by
-    # _cell_rows, for m = 1, 2, 3 and every prefix: on the point of each
-    # cell, of the next cell and of the cell's nonempty children, each
-    # also moved out of C (first or last coordinate negated), and the
-    # cell's point made exactly k <= m on the new root; over every child
-    # j of the cell and of the next cell, and the children the point sits
-    # in or next to.  Face questions, asked through _face with the kernel
-    # refused (and the rows it would be asked left unbuilt), so that the
-    # question _face builds is tested too: every table point and each
-    # point moved out of C, over every deletion of a rank <= 3 type and a
-    # seeded sample of questions at rank 4
+    # a point answers a face question, _holds on its signature at m = 1,
+    # exactly when check_witness accepts it on the question's rows.  The
+    # questions are asked through _face with the kernel refused (and the
+    # rows it would be asked left unbuilt), so that the question _face
+    # builds is tested too: every table point and each point moved out of
+    # C, over every deletion of a rank <= 3 type and a seeded sample of
+    # questions at rank 4
     rs = get_rs(name)
     N = len(rs.positive_roots)
     if name in RANK_LE_3:
-        roots = range(N)
-        answers = set()
-        for m in (1, 2, 3):
-            by_prefix = [shi._cells(rs, roots[:k], m) for k in range(len(roots) + 1)]
-            for k, cells in enumerate(by_prefix[:-1]):
-                prefix = roots[: k + 1]
-                grown = dict(by_prefix[k + 1])
-                rows_of = {}
-                for c, (choices, point) in enumerate(cells):
-                    after, next_point = cells[(c + 1) % len(cells)]
-                    children = {cell + (j,) for cell in (choices, after) for j in range(m + 1)}
-                    points = [point, next_point]
-                    points += [grown[child] for child in children if child in grown]
-                    points += [q for p in points for q in _off_cone(p)]
-                    for p in points + _exact_on(rs, point, roots[k], m):
-                        signature = shi._signature(rs, m, p)
-                        for child in children | _intervals_near(rs, p, prefix, m):
-                            answer = shi._holds(signature, _held(prefix, child, m))
-                            if child not in rows_of:
-                                rows_of[child] = _cell_rows(rs, prefix, m, child)
-                            rows = rows_of[child]
-                            assert answer == check_witness(rs.rank, rows, p), (m, child, p)
-                            answers.add(answer)
-        assert answers == {True, False}
         questions = _face_questions(
             rs, [[g for g in range(N) if E >> g & 1] for E in range(1 << N)]
         )
@@ -1294,21 +1301,18 @@ def test_fuss_cells_ask_kernel_only_about_unsettled_children(
         assert not _refuted(proofs, i, j, held)
 
 
-@pytest.mark.parametrize("name", RANK_LE_3 + RANK_4)
-def test_pair_proofs_are_the_comparable_pairs(name, monkeypatch, fresh_point_table):
-    # proofs[g][s][t] holds exactly the roots c such that the rows of root
-    # g in state s and of root c in state t, written out, have a row pair
-    # (a, s'), (c', t') with a + c' <= 0 and s' + t' >= 0 whose
-    # certificate (the walls times -(a + c'), then 1, 1) check_farkas
-    # accepts, searched over all row pairs and every pair of states, exact
-    # states included, at m = 1, 2, 3 for rank <= 3 and m = 1 for rank 4.
-    # These are the comparable pairs: g <= c coordinatewise and a lower
-    # bound of g's state (interval l or level l) at least the upper bound
-    # of c's (interval u - 1 < m), or the same with g and c swapped.  At
-    # m = 1 the column of b on 1 against c below 1 is {c : c - b >= 0}.
-    # check_farkas accepted one certificate per proved pair, 2 m (m + 1)
-    # per pair of roots b <= c, and no state refutes itself
-    rs = get_rs(name)
+def _check_state_proofs(rs, m, monkeypatch):
+    """Assert that proofs[g][s][t] = _state_proofs(rs, m)[g][s][t] holds
+    exactly the roots c such that the rows of root g in state s and of
+    root c in state t, written out, have a row pair (a, s'), (c', t') with
+    a + c' <= 0 and s' + t' >= 0 whose certificate (the walls times
+    -(a + c'), then 1, 1) check_farkas accepts, searched over all row
+    pairs and every pair of states, exact states included.  These are the
+    comparable pairs: g <= c coordinatewise and a lower bound of g's state
+    (interval l or level l) at least the upper bound of c's (interval
+    u - 1 < m), or the same with g and c swapped.  check_farkas accepted
+    one certificate per proved pair, 2 m (m + 1) per pair of roots b <= c,
+    and no state refutes itself.  Returns the proofs."""
     n, roots = rs.rank, rs.positive_roots
     N = len(roots)
     walls = _cell_rows(rs, [], 1, [])
@@ -1332,50 +1336,74 @@ def test_pair_proofs_are_the_comparable_pairs(name, monkeypatch, fresh_point_tab
             for c, t, k in other
         )
 
-    def below(b, c):
-        return all(x <= y for x, y in zip(b, c))
-
-    ordered_pairs = sum(below(b, c) for b in roots for c in roots)
-    monkeypatch.setattr(shi, "check_farkas", recording)
-    for m in (1, 2, 3) if name in RANK_LE_3 else (1,):
-        verdicts.clear()
+    ordered_pairs = sum(_below(b, c) for b in roots for c in roots)
+    with monkeypatch.context() as mp:
+        mp.setattr(shi, "check_farkas", recording)
         proofs = shi._state_proofs(rs, m)
-        states = range(2 * m + 1)
-        rows = {(g, s): _written_state(rs, g, m, s) for g in range(N) for s in states}
-        low = [s if s <= m else s - m for s in states]
-        up = [s + 1 if s < m else float("inf") for s in states]
-        searched = tuple(
+    states = range(2 * m + 1)
+    rows = {(g, s): _written_state(rs, g, m, s) for g in range(N) for s in states}
+    low = [s if s <= m else s - m for s in states]
+    up = [s + 1 if s < m else float("inf") for s in states]
+    searched = tuple(
+        tuple(
             tuple(
-                tuple(
-                    sum(1 << c for c in range(N) if refutes(rows[g, s], rows[c, t]))
-                    for t in states
-                )
-                for s in states
+                sum(1 << c for c in range(N) if refutes(rows[g, s], rows[c, t]))
+                for t in states
             )
-            for g in range(N)
+            for s in states
         )
-        ordered = tuple(
+        for g in range(N)
+    )
+    ordered = tuple(
+        tuple(
             tuple(
-                tuple(
-                    sum(
-                        1 << c
-                        for c in range(N)
-                        if below(roots[g], roots[c]) and low[s] >= up[t]
-                        or below(roots[c], roots[g]) and low[t] >= up[s]
-                    )
-                    for t in states
+                sum(
+                    1 << c
+                    for c in range(N)
+                    if _below(roots[g], roots[c]) and low[s] >= up[t]
+                    or _below(roots[c], roots[g]) and low[t] >= up[s]
                 )
-                for s in states
+                for t in states
             )
-            for g in range(N)
+            for s in states
         )
-        assert proofs == searched == ordered
-        assert verdicts == [True] * _proved(proofs)
-        assert _proved(proofs) == 2 * m * (m + 1) * ordered_pairs
-        assert not any(proofs[g][s][s] >> g & 1 for g in range(N) for s in states)
-    proofs = shi._state_proofs(rs, 1)
-    above = tuple(sum(1 << c for c in range(N) if below(b, roots[c])) for b in roots)
-    assert tuple(proofs[b][shi._ON][shi._BELOW] for b in range(N)) == above
+        for g in range(N)
+    )
+    assert proofs == searched == ordered
+    assert verdicts == [True] * _proved(proofs)
+    assert _proved(proofs) == 2 * m * (m + 1) * ordered_pairs
+    assert not any(proofs[g][s][s] >> g & 1 for g in range(N) for s in states)
+    return proofs
+
+
+def _below(b, c):
+    """Whether c - b >= 0, read from coordinate vectors."""
+    return all(x <= y for x, y in zip(b, c))
+
+
+@pytest.mark.parametrize("name", RANK_LE_3 + RANK_4)
+def test_pair_proofs_are_the_comparable_pairs(name, monkeypatch, fresh_point_table):
+    # the state proofs at m = 1 are the comparable pairs, as
+    # _check_state_proofs states them, and the column of b on 1 against
+    # c below 1, which settles ceilings, is {c : c - b >= 0}
+    rs = get_rs(name)
+    roots = rs.positive_roots
+    proofs = _check_state_proofs(rs, 1, monkeypatch)
+    above = tuple(sum(1 << c for c, r in enumerate(roots) if _below(b, r)) for b in roots)
+    assert tuple(proofs[b][shi._ON][shi._BELOW] for b in range(len(roots))) == above
+
+
+@pytest.mark.parametrize("name", RANK_LE_3)
+def test_interval_proofs_are_the_refutable_interval_pairs(
+    name, monkeypatch, fresh_point_table
+):
+    # the state proofs at m = 2, 3, which settle children of Fuss cells,
+    # are the refutable pairs of states, intervals and exact levels, as
+    # _check_state_proofs states them (m = 1 is checked with the
+    # comparable pairs)
+    rs = get_rs(name)
+    for m in (2, 3):
+        _check_state_proofs(rs, m, monkeypatch)
 
 
 @pytest.mark.parametrize("name", RANK_LE_3 + RANK_4)
