@@ -21,6 +21,7 @@ import io
 import json
 import re
 import sys
+from itertools import chain
 
 from . import orderring, shi
 from .posets import FinitePoset
@@ -72,8 +73,8 @@ def _flatten(prefix: str, value, rows: list) -> None:
     if isinstance(value, dict):
         for k in sorted(value):
             _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], rows)
-    elif isinstance(value, list):
-        if all(not isinstance(v, (dict, list)) for v in value):
+    elif isinstance(value, (list, tuple)):
+        if all(not isinstance(v, (dict, list, tuple)) for v in value):
             rows.append([prefix] + [str(v) for v in value])
         else:
             for i, v in enumerate(value):
@@ -92,8 +93,10 @@ def _dumps(value, pad: str = "") -> str:
     With an indent the stdlib runs its pure-Python encoder, so this
     writer walks dicts with ``str`` keys and lists itself, and writes a
     list of plain ``int`` (never ``bool``) or of plain ``str`` with one
-    ``join``.  Other values (``bool``, ``None``, floats, tuples, dicts
-    with other keys) go to ``json.dumps``, re-indented.
+    ``join``.  A table, a list whose rows are lists or tuples of plain
+    ``int`` and ``str``, goes through :func:`_table`.  Other values
+    (``bool``, ``None``, floats, tuples outside a table, dicts with
+    other keys) go to ``json.dumps``, re-indented.
     """
     kind = type(value)
     if kind is str:
@@ -115,10 +118,35 @@ def _dumps(value, pad: str = "") -> str:
             body = sep.join(map(str, value))
         elif kinds == {str}:
             body = sep.join(map(_encode_str, value))
+        elif kinds <= {list, tuple} and set(map(type, chain(*value))) <= {int, str}:
+            return _table(value, pad)
         else:
             body = sep.join([_dumps(v, inner) for v in value])
         return f"[\n{inner}{body}\n{pad}]"
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+
+
+def _table(rows: list, pad: str) -> str:
+    """:func:`_dumps` of a non-empty list of rows of plain ``int`` and
+    ``str``, written by the stdlib's C encoder (it runs when there is
+    no indent) and re-indented.
+
+    The encoder separates items by ``sep2``, the separator of items
+    inside a row, so only the seams between rows and the two ends need
+    rewriting.  ``sep2`` holds a raw newline, which no encoded ``int``
+    or ``str`` does, so ``"]" + sep2 + "["`` is always a seam.  An
+    empty row comes out of the rewrite as ``[``, a blank line indented
+    by ``inner2`` and ``]``, which no other row can, and is put back.
+    """
+    inner = pad + "  "
+    inner2 = inner + "  "
+    sep2 = ",\n" + inner2
+    text = json.JSONEncoder(separators=(sep2, ": "), check_circular=False).encode(rows)
+    body = text[2:-2].replace("]" + sep2 + "[", f"\n{inner}],\n{inner}[\n{inner2}")
+    text = f"[\n{inner}[\n{inner2}{body}\n{inner}]\n{pad}]"
+    if not all(rows):
+        text = text.replace(f"[\n{inner2}\n{inner}]", "[]")
+    return text
 
 
 def render(command: str, cartan_type: str, payload: dict, fmt: str) -> str:
@@ -246,7 +274,7 @@ def cmd_orderring(args) -> int:
     pos = {e: i for i, e in enumerate(poset.elements)}
     payload = {
         **poset.to_json_dict(),
-        "vertices": [list(v) for v in vertices],
+        "vertices": vertices,
         "generators": orderring.generator_strings(poset),
         "standard_monomials": [
             sorted(m, key=pos.__getitem__) for m in monomials

@@ -1,4 +1,5 @@
 import csv
+import enum
 import hashlib
 import json
 import random
@@ -422,6 +423,26 @@ def test_csv_cells_are_quoted_and_kept(tmp_path, capsys):
     assert details == [["checks[0].details", "6 cones, 16 regions, 15 facet probes"]]
 
 
+def test_csv_and_text_read_tuples_as_lists():
+    def as_lists(value):
+        if isinstance(value, dict):
+            return {k: as_lists(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [as_lists(v) for v in value]
+        return value
+
+    payload = {
+        "rows": ((0, 1), (1, 1), ()),
+        "mixed": [("a,b", 'q"'), [1, (2, (3, "z"))], ()],
+        "deep": {"x": (((),),), "y": ("", -1)},
+        "empty": (),
+    }
+    for fmt in ("csv", "text"):
+        assert cli.render("c", "t", payload, fmt) == cli.render(
+            "c", "t", as_lists(payload), fmt
+        )
+
+
 def test_text_format(capsys):
     code, out, _ = run_cli(capsys, "roots", "--type", "A1", "--format", "text")
     assert code == 0
@@ -552,3 +573,115 @@ def test_orderring_record_never_reaches_json_dumps(monkeypatch, capsys):
     monkeypatch.setattr(cli.json, "dumps", dumps)
     assert calls == []
     assert text == stdlib_json(payload, "orderring", "F4")
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+#: Strings that look like the seams and the escapes of the table writer.
+TABLE_STRINGS = ["]", ", ", "],\n    [", "[\n    \n  ]", '"]"', "\\", "\n", "\x00\x1f"]
+
+
+def random_row(rng):
+    """A row of plain ``int`` and ``str``, as a list or a tuple."""
+    cells = [
+        lambda: rng.randint(-5, 5),
+        lambda: rng.choice([-1, 1]) * (2**64 + rng.randint(0, 10**30)),
+        lambda: random_string(rng) + "], " + random_string(rng),
+        lambda: rng.choice(TABLE_STRINGS),
+    ]
+    kinds = rng.sample(cells, rng.randint(1, len(cells)))
+    row = [rng.choice(kinds)() for _ in range(rng.choice([0, 1, 2, 5]))]
+    return tuple(row) if rng.random() < 0.5 else row
+
+
+def odd_row(rng):
+    """A row with one cell the table writer must not take."""
+    row = list(random_row(rng))
+    odd = rng.choice([True, False, 0.5, None, Colour.RED, [1, "a"], [], (2,)])
+    row.insert(rng.randint(0, len(row)), odd)
+    return tuple(row) if rng.random() < 0.5 else row
+
+
+def nest(rng, value, depth: int):
+    """``value`` inside ``depth`` random dicts and lists."""
+    for _ in range(depth):
+        value = rng.choice(
+            [
+                lambda v: {"k": v},
+                lambda v: {"a": [], "k": v, "z": 1},
+                lambda v: [v],
+                lambda v: [1, v, "s"],
+                lambda v: [v, v],
+            ]
+        )(value)
+    return value
+
+
+def test_writer_matches_json_dumps_on_tables(monkeypatch):
+    calls = []
+    table = cli._table
+
+    def counting(rows, pad):
+        assert {type(cell) for row in rows for cell in row} <= {int, str}
+        calls.append(len(rows))
+        return table(rows, pad)
+
+    monkeypatch.setattr(cli, "_table", counting)
+    rng = random.Random(31)
+    fixed = [
+        [],
+        [[]],
+        [()],
+        [[], [], ()],
+        [[], [1, 2]],
+        [[1], (), ["a"]],
+        [(1, "b"), []],
+        [[0, 1], (1, 1), [-7, 2**70]],
+        [["]", ", "], ("\n", '"'), ["\\", "\x01", "\U0001f600"]],
+    ]
+    tables = fixed + [
+        [random_row(rng) for _ in range(rng.randint(1, 6))] for _ in range(300)
+    ]
+    for rows in tables:
+        for depth in range(4):
+            payload = nest(rng, rows, depth)
+            calls.clear()
+            assert cli.render("c", "t", payload, "json") == stdlib_json(payload)
+            assert calls or not rows
+    for _ in range(300):
+        rows = [random_row(rng) for _ in range(rng.randint(0, 4))]
+        rows.insert(rng.randint(0, len(rows)), odd_row(rng))
+        payload = nest(rng, rows, rng.randint(0, 3))
+        assert cli.render("c", "t", payload, "json") == stdlib_json(payload)
+
+
+def test_orderring_tables_skip_the_row_recursion(tmp_path, monkeypatch, capsys):
+    """Rows are written by one call, so a poset with thousands of
+    antichains costs as many ``_dumps`` calls as B2's root poset."""
+    # two covers among 12 elements: 3 * 3 * 2**8 = 2304 antichains
+    path = tmp_path / "poset.json"
+    names = [f"e{i}" for i in range(12)]
+    path.write_text(json.dumps({"elements": names, "covers": [[0, 1], [2, 3]]}))
+    small, large = (
+        captured_payloads(monkeypatch, capsys, "orderring", *argv)[0]
+        for argv in (["--type", "B2"], ["--poset-file", str(path)])
+    )
+    assert len(large["standard_monomials"]) == 2304
+    calls = []
+    dumps = cli._dumps
+
+    def counting(value, pad=""):
+        calls.append(pad)
+        return dumps(value, pad)
+
+    monkeypatch.setattr(cli, "_dumps", counting)
+    counts = []
+    for payload in (small, large):
+        calls.clear()
+        assert cli.render("orderring", "t", payload, "json") == stdlib_json(
+            payload, "orderring"
+        )
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
