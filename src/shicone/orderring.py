@@ -96,14 +96,15 @@ def polytope_vertices(poset: FinitePoset) -> frozenset:
     filters, over the poset's element sequence.  Their number equals the
     number of antichains.
 
-    Reads each filter as its bitmask (bit i for element i) from
-    ``FinitePoset._closure_masks``, the one reader of that private
-    helper outside ``posets``, which walks ``poset.antichains()``."""
-    masks = poset._closure_masks(poset._up)
+    Order filters are the complements of order ideals, so each vertex is
+    ``full ^ m`` for a mask m of ``FinitePoset._ideal_masks`` (bit i for
+    element i), the one reader of that private helper outside ``posets``."""
+    masks = poset._ideal_masks()
     n = len(poset)
+    full = (1 << n) - 1
     bits = f"0{n}b"
     verts = frozenset(
-        tuple(format(m, bits)[::-1].encode().translate(_BIT_VALUES)) if n else ()
+        tuple(format(full ^ m, bits)[::-1].encode().translate(_BIT_VALUES)) if n else ()
         for m in masks
     )
     assert len(verts) == len(masks)

@@ -204,18 +204,22 @@ class FinitePoset:
         """All antichains exactly once, grouped by increasing cardinality.
 
         The one path into the antichain cache: enumerated on the first
-        call, and every call returns a new list.
+        call, together with their order-ideal masks, and every call
+        returns a new list.
         """
         if self._antichains is None:
-            self._antichains = self._enumerate_antichains()
+            self._antichains, self._ideals = self._enumerate_antichains()
         return list(self._antichains)
 
     def _enumerate_antichains(self) -> tuple:
         """Walks elements in natural-label order, extending each antichain
         only by later, incomparable elements, so every antichain is
-        produced once and each size group comes out already together."""
+        produced once and each size group comes out already together.
+        Returns the antichains and, in the same order, their order-ideal
+        bitmasks (bit i for element i), which :meth:`_ideal_masks` reads."""
         order = [self._pos[e] for e in self.natural_labeling()]
         n = self._n
+        down = self._down
         # incomparable-and-later masks in natural-order indexing
         incomp_after = []
         for a in range(n):
@@ -225,38 +229,31 @@ class FinitePoset:
                 if not (self._up[i] & (1 << j) or self._up[j] & (1 << i)):
                     m |= 1 << b
             incomp_after.append(m)
-        results: list[frozenset] = [frozenset()]
-        level = [((), (1 << n) - 1)]
+        antichains, ideals = [frozenset()], [0]
+        level = [((), (1 << n) - 1, 0)]
         while level:
-            nxt = []
-            for members, cand in level:
-                for a in _bits(cand):
-                    nxt.append((members + (a,), cand & incomp_after[a]))
-            for members, _ in nxt:
-                results.append(frozenset(self.elements[order[a]] for a in members))
-            level = nxt
-        return tuple(results)
+            level = [
+                (members + (a,), cand & incomp_after[a], ideal | down[order[a]])
+                for members, cand, ideal in level
+                for a in _bits(cand)
+            ]
+            for members, _, ideal in level:
+                antichains.append(frozenset(self.elements[order[a]] for a in members))
+                ideals.append(ideal)
+        return tuple(antichains), tuple(ideals)
 
-    def _closure_masks(self, masks: list) -> list:
-        """For each antichain of :meth:`antichains`, in order, the union of
-        ``masks`` (``self._down`` for its order ideal, ``self._up`` for its
-        order filter) over its elements.  Besides :meth:`order_ideals` and
-        :meth:`order_filters`, ``orderring.polytope_vertices`` reads it."""
-        pos = self._pos
-        out = []
-        for A in self.antichains():
-            m = 0
-            for e in A:
-                m |= masks[pos[e]]
-            out.append(m)
-        return out
+    def _ideal_masks(self) -> tuple:
+        """Order-ideal bitmasks of :meth:`antichains`, in its order, read
+        through it; ``orderring.polytope_vertices`` reads them too."""
+        self.antichains()
+        return self._ideals
 
     def order_ideals(self) -> list[frozenset]:
         """All order ideals, in bijection with (and ordered like) antichains."""
-        return list(map(self._set, self._closure_masks(self._down)))
+        return list(map(self._set, self._ideal_masks()))
 
     def order_filters(self) -> list[frozenset]:
-        return list(map(self._set, self._closure_masks(self._up)))
+        return [self._closure(self._up, A) for A in self.antichains()]
 
     def antichain_polynomial(self) -> IntPolynomial:
         """Generating polynomial of antichains by cardinality."""

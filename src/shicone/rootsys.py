@@ -24,6 +24,10 @@ is linear, so it is fixed by the images of the simple roots.
 simple reflections' permutations along its breadth-first search;
 inverses, inversion sets and the action on roots are read off the
 permutation.
+
+:func:`build_root_system`, cached per type, is the only constructor of
+a :class:`RootSystem`: one object per type, compared and hashed by
+identity, which is the equality every per-type cache needs.
 """
 
 from __future__ import annotations
@@ -130,8 +134,10 @@ _DEGREES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootSystem:
+    """Made only by :func:`build_root_system`; compared and hashed by identity."""
+
     ctype: CartanType
     cartan: Matrix
     form: Matrix  # Fractions; form[i][j] = (a_i, a_j)
@@ -142,11 +148,6 @@ class RootSystem:
     @property
     def rank(self) -> int:
         return self.ctype.rank
-
-    def __hash__(self) -> int:
-        # the type determines everything else; a full-field hash would
-        # grind through the Fraction form matrix on every cache lookup
-        return hash(self.ctype)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.ctype}, {len(self.positive_roots)} positive roots)"

@@ -1,10 +1,12 @@
 import hashlib
 import math
+import pickle
 import random
 
 import pytest
 
 from conftest import RANK_4, RANK_LE_3, get_rs, mat_mul, mat_vec, weyl_matrix
+from shicone import shi
 from shicone.rootsys import (
     CartanType,
     act,
@@ -47,6 +49,19 @@ def test_parse_garbage_rejected():
 
 
 # -- construction ------------------------------------------------------------
+
+
+def test_one_root_system_per_type_compared_by_identity():
+    rs = build_root_system(CartanType.parse(" b2 "))
+    assert rs is build_root_system(CartanType("B", 2))
+    assert hash(rs) == object.__hash__(rs)
+    # per-type caches are keyed by the one object
+    assert shi.antichain_points(rs) is shi.antichain_points(
+        build_root_system(CartanType("B", 2))
+    )
+    # a copy holds the same fields but is another object, so not equal
+    copy = pickle.loads(pickle.dumps(rs))
+    assert copy.positive_roots == rs.positive_roots and copy != rs
 
 
 def test_b2_positive_roots():
