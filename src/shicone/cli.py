@@ -11,6 +11,10 @@ Output is deterministic for identical invocations, except the
 ``elapsed_s`` wall times that ``verify`` reports.  Exit codes: 0 on
 success, 1 when a verification check fails, 2 on usage or parse errors
 and when the ``--out`` file cannot be written.
+
+:func:`main` may be called many times in one process; it parses every
+call with one parser, built on the first call and kept for the process
+(see :func:`build_parser`).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import io
 import json
 import re
 import sys
+from functools import lru_cache
 from itertools import chain
 
 from . import orderring, shi
@@ -288,7 +293,11 @@ def cmd_orderring(args) -> int:
 # -- entry point ----------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use and then the
+    same object for the rest of the process, since :func:`main` parses
+    each call with it.  Callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="shicone",
         description="Exact Shi-arrangement combinatorics in Weyl cones",

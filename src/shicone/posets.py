@@ -229,6 +229,7 @@ class FinitePoset:
                 if not (self._up[i] & (1 << j) or self._up[j] & (1 << i)):
                     m |= 1 << b
             incomp_after.append(m)
+        element = [self.elements[i] for i in order]
         antichains, ideals = [frozenset()], [0]
         level = [((), (1 << n) - 1, 0)]
         while level:
@@ -237,9 +238,8 @@ class FinitePoset:
                 for members, cand, ideal in level
                 for a in _bits(cand)
             ]
-            for members, _, ideal in level:
-                antichains.append(frozenset(self.elements[order[a]] for a in members))
-                ideals.append(ideal)
+            antichains += [frozenset(map(element.__getitem__, m)) for m, _, _ in level]
+            ideals += [ideal for _, _, ideal in level]
         return tuple(antichains), tuple(ideals)
 
     def _ideal_masks(self) -> tuple:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import mul
 
 from . import orderring
 from .exactgeom import (
@@ -43,7 +44,6 @@ from .rootsys import (
     numerology,
     root_index,
     root_poset,
-    signed_roots,
     weyl_group,
 )
 from .shi import (
@@ -120,15 +120,22 @@ class TypeContext:
 def _witness_in_region(rs, inv, E, region) -> bool:
     """Exact witness check of a region description: the witness pairs
     below 0 with the roots of ``inv``, above 0 with every other root,
-    below 1 with the region's ideal and above 1 with the rest of E."""
-    roots, N = signed_roots(rs), len(rs.positive_roots)
-    above_one = E - region.ideal
-    rows = [(roots[N + i], -1, GT) for i in region.ideal - inv]
-    rows += [
-        (roots[N + i], 0, GT) if i in inv else (roots[i], int(i in above_one), GT)
-        for i in range(N)
-    ]
-    return check_witness(rs.rank, rows, region.witness)
+    below 1 with the region's ideal and above 1 with the rest of E.
+
+    Each root's value ``v = root . nums`` is taken once and compared
+    with 0 and ``den``; the point is ``(nums, den)`` with ``den > 0``."""
+    nums, den = region.witness
+    if len(nums) != rs.rank or den <= 0:
+        return False
+    ideal = region.ideal
+    for i, root in enumerate(rs.positive_roots):
+        v = sum(map(mul, root, nums))
+        if i in inv:
+            if v >= 0:
+                return False
+        elif not (v > 0 and (v < den if i in ideal else v > den or i not in E)):
+            return False
+    return True
 
 
 # -- individual checks ---------------------------------------------------

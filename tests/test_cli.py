@@ -472,6 +472,49 @@ def test_out_file_unwritable(tmp_path, capsys):
     assert not target.parent.exists()
 
 
+# -- one parser per process ------------------------------------------------------------
+
+#: ``orderring --type B2`` in json, as the CLI wrote it before it kept its parser.
+ORDERRING_B2_SHA256 = "97462f9b482ff20522f5d29b0c8444096c51acf74e6bb50967af5a20fb440fc3"
+
+
+def test_parser_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_out_file_then_stdout(tmp_path, capsys):
+    target = tmp_path / "result.json"
+    assert run_cli(capsys, "roots", "--type", "B2", "--out", str(target))[:2] == (0, "")
+    code, out, _ = run_cli(capsys, "roots", "--type", "B2")
+    assert code == 0
+    assert out == target.read_text()
+
+
+def test_parse_error_then_valid_request(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["orderring", "--type", "B2", "--format", "yaml"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "orderring", "--type", "B2")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == ORDERRING_B2_SHA256
+
+
+def test_failing_verify_then_passing_verify(capsys, monkeypatch):
+    import shicone.verify as verify_mod
+
+    def broken(ctx):
+        raise verify_mod._Failure("forced failure")
+
+    argv = ("verify", "--type", "A1", "--theorem", "1")
+    with monkeypatch.context() as patch:
+        patch.setitem(verify_mod._THEOREM_CHECKS, "1", [("region_ceiling_bijection", broken)])
+        code, data = run_json(capsys, *argv)
+        assert (code, data["payload"]["all_passed"]) == (1, False)
+    code, data = run_json(capsys, *argv)
+    assert (code, data["payload"]["all_passed"]) == (0, True)
+
+
 # -- the json writer -----------------------------------------------------------------
 
 

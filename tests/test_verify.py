@@ -1,12 +1,14 @@
 import random
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
 from conftest import RANK_4, bumped_point_table, get_rs
 from shicone import verify
+from shicone.exactgeom import GT, check_witness
 from shicone.posets import FinitePoset
-from shicone.rootsys import inversion_set, root_poset
+from shicone.rootsys import inversion_set, root_poset, signed_roots
 from shicone.shi import AntichainPoints, antichain_points
 from shicone.verify import (
     TypeContext,
@@ -124,6 +126,54 @@ def test_untransported_witness_fails_cone_check():
     cone_regions[0] = replace(cone_regions[0], witness=ctx.regions(w)[0].witness)
     with pytest.raises(verify._Failure, match="transported witness leaves its cone cell"):
         check_region_ceiling_bijection(ctx)
+
+
+def _witness_rows_check(rs, inv, E, region) -> bool:
+    """The region check as ``check_witness`` on one row per inequality:
+    -root > -1 on the ideal outside ``inv``, -root > 0 on ``inv``, and
+    root > 1 on the rest of E, root > 0 on every other root."""
+    roots, N = signed_roots(rs), len(rs.positive_roots)
+    above_one = E - region.ideal
+    rows = [(roots[N + i], -1, GT) for i in region.ideal - inv]
+    rows += [
+        (roots[N + i], 0, GT) if i in inv else (roots[i], int(i in above_one), GT)
+        for i in range(N)
+    ]
+    return check_witness(rs.rank, rows, region.witness)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3"])
+def test_witness_check_matches_check_witness_rows(name):
+    """Every dominant and transported region description of every cone,
+    against every witness of that cone, each also with ``den <= 0`` and
+    with the wrong length, and, in the identity and longest cones,
+    against a grid of points that puts roots exactly on 0 and on 1."""
+    rs = get_rs(name)
+    ctx = TypeContext(rs)
+    everything = frozenset(range(len(rs.positive_roots)))
+    grid = [(nums, 2) for nums in product(range(-2, 3), repeat=rs.rank)]
+    outcomes = set()
+    for w in ctx.W:
+        inv = inversion_set(rs, w)
+        regions, cone_regions = ctx.regions(w), ctx.cone_regions(w)
+        descriptions = [(frozenset(), frozenset(ctx.sub(w).elements), r) for r in regions]
+        descriptions += [(inv, everything - inv, r) for r in cone_regions]
+        points = {r.witness for r in regions + cone_regions}
+        for nums, den in list(points):
+            points |= {(nums, 0), (nums, -den), (nums[1:], den), (nums + (0,), den)}
+        if w == ctx.W[0] or w == ctx.W[-1]:
+            points.update(grid)
+        for inv_d, E, region in descriptions:
+            for point in points:
+                probe = replace(region, witness=point)
+                expected = _witness_rows_check(rs, inv_d, E, probe)
+                assert verify._witness_in_region(rs, inv_d, E, probe) == expected, (
+                    w.word,
+                    region,
+                    point,
+                )
+                outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def _first_region(ctx, keep):
