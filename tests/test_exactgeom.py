@@ -317,6 +317,32 @@ def test_infeasible_only_through_reduce_add(monkeypatch):
     assert 100 < sum(a is None for a in answers) < 400
 
 
+def test_last_variable_builds_only_its_tightest_bounds(monkeypatch):
+    # Four lower and three upper bounds on x, each also in y; y in
+    # [-20, 20] makes x the cheaper variable to eliminate.  The 12
+    # combinations are 6 distinct lower and 6 distinct upper bounds on y,
+    # the last free variable: only the tightest of each side is built,
+    # plus their one combination.
+    calls = _recording(monkeypatch, "_eliminate")
+    rows = [((1, -i), -i * i, GT if i % 2 else GE) for i in (1, 2, 6, 7)]
+    rows += [((-1, j), -3 * j, GE) for j in (3, 4, 5)]
+    rows += [((0, 1), -20, GE), ((0, -1), -20, GE)]
+    # y in [-4, 29/2] gives y = 21/4, then x in [13/2, 99/4] gives x = 125/8.
+    assert exactgeom._fmcore.solve(2, rows) == ((125, 42), 8)
+    assert len(calls) <= 3
+
+
+def test_last_variable_strict_bound_wins_a_tie():
+    # y in [1, 1] carried, and eliminating x gives 2y > 2 (first system)
+    # or -2y > -2 (second): a strict bound equal in value to a closed one
+    # must win, or the empty interval on y passes for the point y = 1.
+    solve = exactgeom._fmcore.solve
+    walls = [((0, 1), 1, GE), ((0, -1), -1, GE)]
+    assert solve(2, walls + [((1, 1), 1, GT), ((-1, 1), 1, GE)]) is None
+    assert solve(2, walls + [((1, -1), -1, GT), ((-1, -1), -1, GE)]) is None
+    assert solve(2, walls + [((1, 1), 1, GE), ((-1, 1), 1, GE)]) == ((0, 1), 1)
+
+
 # -- witness certificates ---------------------------------------------------------
 
 

@@ -1109,6 +1109,30 @@ def _off_cone(point):
     return [((-nums[0], *nums[1:]), den), ((*nums[:-1], -nums[-1]), den)]
 
 
+class _RowChecks(dict):
+    """``check_witness(rank, [row], point)`` of one point, per row,
+    computed on first use."""
+
+    def __init__(self, rank, point):
+        super().__init__()
+        self.rank = rank
+        self.point = point
+
+    def __missing__(self, row):
+        self[row] = ok = check_witness(self.rank, [row], self.point)
+        return ok
+
+
+def _check_rows(rank, rows, point, memo):
+    """``check_witness(rank, rows, point)`` as its definition's
+    conjunction: the point's own check ``check_witness(rank, [], point)``
+    and each row's ``check_witness(rank, [row], point)``, the latter
+    memoized per (row, point) in ``memo``."""
+    if point not in memo:
+        memo[point] = _RowChecks(rank, point)
+    return check_witness(rank, [], point) and all(map(memo[point].__getitem__, rows))
+
+
 def _exact_on(rs, point, g, m):
     """For each k in 1..m the point scaled, inside C, so that root g
     takes the value k exactly."""
@@ -1187,6 +1211,7 @@ def test_level_vectors_answer_cell_questions_as_check_witness(name):
     rs = get_rs(name)
     roots = range(len(rs.positive_roots))
     answers = set()
+    memo = {}
     for m in (1, 2, 3):
         by_prefix = [shi._cells(rs, roots[:k], m) for k in range(len(roots) + 1)]
         for k, cells in enumerate(by_prefix[:-1]):
@@ -1206,7 +1231,7 @@ def test_level_vectors_answer_cell_questions_as_check_witness(name):
                         if child not in rows_of:
                             rows_of[child] = _cell_rows(rs, prefix, m, child)
                         rows = rows_of[child]
-                        assert answer == check_witness(rs.rank, rows, p), (m, child, p)
+                        assert answer == _check_rows(rs.rank, rows, p, memo), (m, child, p)
                         answers.add(answer)
     assert answers == {True, False}
 
@@ -1237,11 +1262,12 @@ def test_sign_vectors_answer_face_questions_as_check_witness(name, monkeypatch):
     monkeypatch.setattr(shi, "_face_rows", lambda *question: None)
     monkeypatch.setattr(shi, "feasible_rows", lambda dim, rows: None)
     answers = set()
+    memo = {}
     for E, ideal, pinned in questions:
         rows = rows_of[E, ideal, pinned]
         for point in points:
             answer = shi._face(rs, E, ideal, pinned, point) is not None
-            assert answer == check_witness(rs.rank, rows, point), (E, ideal, pinned, point)
+            assert answer == _check_rows(rs.rank, rows, point, memo), (E, ideal, pinned, point)
             answers.add(answer)
     assert answers == {True, False}
 
