@@ -505,12 +505,14 @@ def _cells(rs: RootSystem, roots: Sequence[int], m: int) -> list:
 
     A cell puts each root of its prefix in an interval state: root i in
     state j lies in (j, j+1) for j < m and in (m, oo) for j = m.  Each
-    cell carries its question ``held`` (m + 1 masks) and a point that
-    holds it, so the point holds a child, the cell's rows plus root i's
-    state j, exactly when its :func:`_signature` puts i in state j: that
-    child takes the point.  Any other child is empty once
+    cell carries its choices, its question ``held`` (m + 1 masks) and a
+    point that holds it, so the point holds a child, the cell's question
+    plus root i in state j, exactly when its :func:`_signature` puts i in
+    state j: that child takes the point.  Any other child is empty once
     :func:`_state_proofs` refutes (i, j) against a pair the cell holds,
-    and is otherwise the kernel's to answer.
+    and is otherwise the kernel's to answer, on the child's rows written
+    from its choices: the walls, then each prefix root's state rows in
+    prefix order.
 
     So every kernel call after the first (on the bare cone) extends a
     nonempty cell of a shorter prefix, and at m = 1 it only ever finds a
@@ -519,25 +521,28 @@ def _cells(rs: RootSystem, roots: Sequence[int], m: int) -> list:
     """
     n = rs.rank
     states, proofs = _state_rows(rs, m), _state_proofs(rs, m)
-    base = list(_positivity_rows(n))
-    cells = [((), base, (0,) * (m + 1), feasible_rows(n, base))]
+    walls = _positivity_rows(n)
+    cells = [((), (0,) * (m + 1), feasible_rows(n, list(walls)))]
     for i in roots:
         grown = []
-        for choices, rows, held, point in cells:
+        for choices, held, point in cells:
             signature = _signature(rs, m, point)
-            for j, extra in enumerate(states[i][: m + 1]):
+            for j in range(m + 1):
                 if signature[j] >> i & 1:
                     witness = point
                 elif any(p & h for p, h in zip(proofs[i][j], held)):
                     continue
                 else:
-                    witness = feasible_rows(n, [*rows, *extra])
+                    rows = list(walls)
+                    for g, s in zip(roots, choices + (j,)):
+                        rows += states[g][s]
+                    witness = feasible_rows(n, rows)
                     if witness is None:
                         continue
                 child = held[:j] + (held[j] | 1 << i,) + held[j + 1 :]
-                grown.append((choices + (j,), [*rows, *extra], child, witness))
+                grown.append((choices + (j,), child, witness))
         cells = grown
-    return [(choices, witness) for choices, _, _, witness in cells]
+    return [(choices, witness) for choices, _, witness in cells]
 
 
 def dominant_sign_oracle(rs: RootSystem, E: Iterable[int]) -> dict:

@@ -38,6 +38,7 @@ from .poly import IntPolynomial
 from .posets import FinitePoset
 from .rootsys import (
     RootSystem,
+    WeylElement,
     act,
     element_from_word,
     inversion_set,
@@ -85,8 +86,10 @@ def _need(cond: bool, message: str) -> None:
 
 
 class TypeContext:
-    """Per-type caches shared across checks: each cone's subposet, its
-    regions and its flats, built once for every check that reads them."""
+    """Per-type caches shared across checks, the one place each cone's
+    derived data is built: its subposet, its regions, its flats, w^{-1}
+    and the pullback by w^{-1}, each built once for every check that
+    reads it."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
@@ -115,6 +118,25 @@ class TypeContext:
 
     def flats(self, w):
         return self._cached("flats", w, lambda: flats_in_cone(self.rs, self.sub(w), w))
+
+    def inverse(self, w) -> WeylElement:
+        """w^{-1} from the reversed word, independent of the permutation
+        inverse the construction uses."""
+        return self._cached("inverse", w, lambda: element_from_word(self.rs, w.word[::-1]))
+
+    def preimages(self, w) -> tuple:
+        """The roots w^{-1}(b), one per positive root b, in index order."""
+        rs, winv = self.rs, self.inverse(w)
+        return self._cached(
+            "preimages", w, lambda: tuple(act(rs, winv, b) for b in rs.positive_roots)
+        )
+
+    def pullback(self, w) -> tuple:
+        """``pull[b]``, for each positive root b, the index of w^{-1}(b)
+        among the positive roots, or None where w^{-1}(b) is negative:
+        exactly on the inversions of w."""
+        idx = root_index(self.rs)
+        return self._cached("pullback", w, lambda: tuple(map(idx.get, self.preimages(w))))
 
 
 def _witness_in_region(rs, inv, E, region) -> bool:
@@ -146,7 +168,6 @@ def check_region_ceiling_bijection(ctx: TypeContext) -> str:
     ceiling that is an antichain generating the region's ideal makes the
     ideal an order ideal with the ceiling as its maximal antichain."""
     rs = ctx.rs
-    idx = root_index(rs)
     n_regions = 0
     n_probes = 0
     for w in ctx.W:
@@ -177,9 +198,7 @@ def check_region_ceiling_bijection(ctx: TypeContext) -> str:
         n_regions += len(regions)
 
         cone_regions = ctx.cone_regions(w)
-        # w^{-1} from the reversed word, independent of the permutation
-        # inverse the construction uses
-        winv = element_from_word(rs, reversed(w.word))
+        pull = ctx.pullback(w)
         inv_w = inversion_set(rs, w)
         outside = frozenset(range(len(rs.positive_roots))) - inv_w
         for creg, dreg in zip(cone_regions, regions):
@@ -187,9 +206,7 @@ def check_region_ceiling_bijection(ctx: TypeContext) -> str:
                 _witness_in_region(rs, inv_w, outside, creg),
                 "transported witness leaves its cone cell",
             )
-            back = frozenset(
-                idx[act(rs, winv, rs.positive_roots[i])] for i in creg.ceiling
-            )
+            back = frozenset(pull[i] for i in creg.ceiling)
             _need(back == dreg.ceiling, "cone ceiling does not pull back")
 
         if rs.rank <= MAX_ORACLE_RANK:
@@ -206,7 +223,6 @@ def check_flat_bijection(ctx: TypeContext) -> str:
     Two flats with one reduced system would scan to one generator set,
     so the injective pullback keeps the flats geometrically distinct."""
     rs = ctx.rs
-    idx = root_index(rs)
     npos = len(rs.positive_roots)
     n_flats = 0
     for w in ctx.W:
@@ -214,8 +230,7 @@ def check_flat_bijection(ctx: TypeContext) -> str:
         poset = ctx.flats(w)
         antichains = set(sub.antichains())
         _need(len(poset) == len(antichains), "flat/antichain count mismatch")
-        winv = element_from_word(rs, reversed(w.word))
-        inv_w = inversion_set(rs, w)
+        pull = ctx.pullback(w)
         pulled = set()
         for f in poset.flats:
             scanned = frozenset(
@@ -224,10 +239,8 @@ def check_flat_bijection(ctx: TypeContext) -> str:
                 if flat_contains(f.geometry, rs.positive_roots[g], 1)
             )
             _need(scanned == f.generators, "containment scan disagrees")
-            _need(not scanned & inv_w, "flat lies in a wall-separated hyperplane")
-            back = frozenset(
-                idx[act(rs, winv, rs.positive_roots[g])] for g in f.generators
-            )
+            back = frozenset(pull[g] for g in f.generators)
+            _need(None not in back, "flat lies in a wall-separated hyperplane")
             _need(back in antichains, "pullback is not an antichain of the cone poset")
             pulled.add(back)
         _need(len(pulled) == len(poset), "pullback map is not injective")
@@ -287,22 +300,22 @@ def check_cone_cut(ctx: TypeContext) -> str:
     by w, once :func:`check_witness` accepts it, and otherwise a kernel
     witness.  A miss is shown by the Farkas certificate ``-d`` on the
     walls and 1 on the hyperplane, d the simple-root coordinates of
-    w^{-1}b."""
+    w^{-1}b.  w^{-1}, the roots w^{-1}b and their pullback indices are
+    the context's, built once per cone."""
     rs = ctx.rs
     faces = antichain_points(rs).face
     n = 0
     for w in ctx.W:
         inv = inversion_set(rs, w)
         walls = cone_rows(rs, w)
-        winv = element_from_word(rs, reversed(w.word))
+        winv, preimages, pull = ctx.inverse(w), ctx.preimages(w), ctx.pullback(w)
         for i, coords in enumerate(rs.positive_roots):
             rows = walls + [(coords, 1, EQ)]
             if i in inv:
-                lam = [-d for d in act(rs, winv, coords)] + [1]
+                lam = [-d for d in preimages[i]] + [1]
                 ok = check_farkas(rs.rank, rows, lam)
             else:
-                # winv.perm[i] indexes w^{-1}b among the signed roots
-                point = faces.get(frozenset({winv.perm[i]}))
+                point = faces.get(frozenset({pull[i]}))
                 ok = (
                     point is not None
                     and check_witness(rs.rank, rows, act_point(rs, winv, point))

@@ -272,16 +272,43 @@ def _random_rows(rng, dim, kinds):
 
 
 def test_fourier_motzkin_combines_through_eliminate(monkeypatch):
-    # Systems without equalities or constant rows in which every variable
-    # has a lower and an upper bound: the first variable stage 2
-    # eliminates needs at least one (lower, upper) combination, and that
-    # must be _eliminate.
-    calls = _recording(monkeypatch, "_eliminate")
+    # Every combined row reaches _reduce_add from _eliminate: each row
+    # _reduce_add receives is an input row or a row _eliminate returned,
+    # on systems without equalities or constant rows in which every
+    # variable has a lower and an upper bound.  Such a system need not
+    # combine at all: the last free variable keeps only its tightest
+    # bounds, and in the pinned system both are input rows (x1 goes
+    # first, and its one combination, x0 <= 1, loses to x0 <= -5).
+    made = _recording(monkeypatch, "_eliminate")
+    received = []
+    reduce_add = exactgeom._fmcore._reduce_add
+
+    def receiving(active, coeffs, rhs, strict):
+        received.append(coeffs)
+        return reduce_add(active, coeffs, rhs, strict)
+
+    monkeypatch.setattr(exactgeom._fmcore, "_reduce_add", receiving)
     solve = exactgeom._fmcore.solve
-    assert solve(2, [((1, 0), 0, GT), ((0, 1), 0, GT), ((-1, -1), -1, GT)]) is not None
-    assert calls
+
+    def combined_rows(rows):
+        """The rows _reduce_add received that are not input rows, each
+        checked to be a row _eliminate returned."""
+        inputs = [coeffs for coeffs, *_ in rows]
+        built = [coeffs for coeffs, _ in made]
+        out = [c for c in received if not any(c is x for x in inputs)]
+        assert all(any(c is x for x in built) for c in out), rows
+        return out
+
+    rows = [((1, 1), 0, GE), ((-2, -1), -1, GE), ((-1, 0), 5, GE)]
+    assert solve(2, rows) == ((-12, 19), 2)
+    assert made == [] and combined_rows(rows) == []
+    made.clear()
+    received.clear()
+    rows = [((1, 0), 0, GT), ((0, 1), 0, GT), ((-1, -1), -1, GT)]
+    assert solve(2, rows) is not None
+    assert combined_rows(rows)
     rng = random.Random(43)
-    solved = 0
+    solved = combined = 0
     while solved < 200:
         dim = rng.randint(1, 4)
         rows = _random_rows(rng, dim, [GE, GT])
@@ -290,10 +317,12 @@ def test_fourier_motzkin_combines_through_eliminate(monkeypatch):
             for k in range(dim)
         ):
             continue
-        calls.clear()
+        made.clear()
+        received.clear()
         solve(dim, rows)
-        assert calls, rows
+        combined += len(combined_rows(rows))
         solved += 1
+    assert combined
 
 
 def test_infeasible_only_through_reduce_add(monkeypatch):

@@ -1080,24 +1080,27 @@ def _face_questions(rs, deletions):
     return sorted(questions)
 
 
-def _intervals_near(rs, point, prefix, m):
+def _intervals_near(rs, point, prefix, m, memo):
     """Every choice of intervals for the roots of ``prefix`` that the
     point's exact values, read as Fractions, sit in or next to: both
     neighbours of a value that is exactly k in 1..m, interval 0 for a
-    value <= 0 and interval m above m."""
-    nums, den = point
-    options = []
-    for g in prefix:
-        value = Fraction(sum(c * x for c, x in zip(rs.positive_roots[g], nums)), den)
-        if value <= 0:
-            options.append([0])
-        elif value > m:
-            options.append([m])
-        elif value.denominator == 1:
-            options.append([int(value) - 1, int(value)])
-        else:
-            options.append([int(value)])
-    return set(itertools.product(*options))
+    value <= 0 and interval m above m.  A point's options for every root
+    are worked out once and kept in ``memo``, one memo per m."""
+    if point not in memo:
+        nums, den = point
+        memo[point] = options = []
+        for coords in rs.positive_roots:
+            value = Fraction(sum(c * x for c, x in zip(coords, nums)), den)
+            if value <= 0:
+                options.append([0])
+            elif value > m:
+                options.append([m])
+            elif value.denominator == 1:
+                options.append([int(value) - 1, int(value)])
+            else:
+                options.append([int(value)])
+    options = memo[point]
+    return set(itertools.product(*(options[g] for g in prefix)))
 
 
 def _off_cone(point):
@@ -1213,11 +1216,12 @@ def test_level_vectors_answer_cell_questions_as_check_witness(name):
     answers = set()
     memo = {}
     for m in (1, 2, 3):
+        near = {}
         by_prefix = [shi._cells(rs, roots[:k], m) for k in range(len(roots) + 1)]
         for k, cells in enumerate(by_prefix[:-1]):
             prefix = roots[: k + 1]
             grown = dict(by_prefix[k + 1])
-            rows_of = {}
+            question_of = {}
             for c, (choices, point) in enumerate(cells):
                 after, next_point = cells[(c + 1) % len(cells)]
                 children = {cell + (j,) for cell in (choices, after) for j in range(m + 1)}
@@ -1226,11 +1230,14 @@ def test_level_vectors_answer_cell_questions_as_check_witness(name):
                 points += [q for p in points for q in _off_cone(p)]
                 for p in points + _exact_on(rs, point, roots[k], m):
                     signature = shi._signature(rs, m, p)
-                    for child in children | _intervals_near(rs, p, prefix, m):
-                        answer = shi._holds(signature, _held(prefix, child, m))
-                        if child not in rows_of:
-                            rows_of[child] = _cell_rows(rs, prefix, m, child)
-                        rows = rows_of[child]
+                    for child in children | _intervals_near(rs, p, prefix, m, near):
+                        if child not in question_of:
+                            question_of[child] = (
+                                _held(prefix, child, m),
+                                _cell_rows(rs, prefix, m, child),
+                            )
+                        held, rows = question_of[child]
+                        answer = shi._holds(signature, held)
                         assert answer == _check_rows(rs.rank, rows, p, memo), (m, child, p)
                         answers.add(answer)
     assert answers == {True, False}

@@ -6,10 +6,10 @@ import pytest
 
 from conftest import RANK_4, bumped_point_table, get_rs
 from shicone import verify
-from shicone.exactgeom import GT, check_witness
+from shicone.exactgeom import GT, check_witness, intersect_hyperplanes
 from shicone.posets import FinitePoset
-from shicone.rootsys import inversion_set, root_poset, signed_roots
-from shicone.shi import AntichainPoints, antichain_points
+from shicone.rootsys import inversion_set, root_poset, signed_roots, weyl_group
+from shicone.shi import AntichainPoints, Flat, antichain_points
 from shicone.verify import (
     TypeContext,
     check_boolean_intervals,
@@ -109,6 +109,25 @@ def test_region_and_flat_checks_restrict_and_enumerate_once_per_cone(name, monke
     assert calls == ["restrict", "enumerate"] * len(ctx.W)
 
 
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
+def test_suite_builds_each_cone_inverse_once(name, monkeypatch):
+    # w^{-1} is built from the reversed word once per cone, by the
+    # context, for every check that pulls back by it
+    rs = get_rs(name)
+    calls = []
+    build = verify.element_from_word
+
+    def counting(rs, word):
+        word = tuple(word)
+        calls.append(word)
+        return build(rs, word)
+
+    monkeypatch.setattr(verify, "element_from_word", counting)
+    results = run_suite(rs, "all")
+    assert all(r.passed for r in results)
+    assert sorted(calls) == sorted(w.word[::-1] for w in weyl_group(rs))
+
+
 def test_tampered_witness_fails_region_check():
     # a dominant region carrying another region's witness
     ctx = TypeContext(get_rs("A2"))
@@ -125,6 +144,18 @@ def test_untransported_witness_fails_cone_check():
     cone_regions = ctx.cone_regions(w)
     cone_regions[0] = replace(cone_regions[0], witness=ctx.regions(w)[0].witness)
     with pytest.raises(verify._Failure, match="transported witness leaves its cone cell"):
+        check_region_ceiling_bijection(ctx)
+
+
+def test_ceiling_gaining_an_inversion_fails_pullback():
+    # a transported ceiling gaining an inversion of its cone: that root
+    # pulls back to a negative root, so the ceiling does not pull back
+    ctx = TypeContext(get_rs("A2"))
+    w = ctx.W[1]
+    gained = min(inversion_set(ctx.rs, w))
+    cone_regions = ctx.cone_regions(w)
+    cone_regions[0] = replace(cone_regions[0], ceiling=cone_regions[0].ceiling | {gained})
+    with pytest.raises(verify._Failure, match="cone ceiling does not pull back"):
         check_region_ceiling_bijection(ctx)
 
 
@@ -230,6 +261,44 @@ def test_coincident_flats_fail_flat_injectivity():
     flats[j] = flats[i]
     poset.flats = tuple(flats)
     with pytest.raises(verify._Failure, match="pullback map is not injective"):
+        check_flat_bijection(ctx)
+
+
+def _replace_flat(rs, poset, codim, gens):
+    """Replace the poset's first flat of ``codim`` by the meet of the
+    level-1 hyperplanes of the roots ``gens``, with them as generators."""
+    k = next(k for k, f in enumerate(poset.flats) if f.geometry.codim == codim)
+    geometry = intersect_hyperplanes(rs.rank, [(rs.positive_roots[g], 1) for g in gens])
+    assert geometry.codim == codim
+    flats = list(poset.flats)
+    flats[k] = Flat(frozenset(gens), geometry, flats[k].mobius)
+    poset.flats = tuple(flats)
+
+
+def test_flat_on_an_inversion_hyperplane_fails_flat_check():
+    # a cone's codim-1 flat replaced by the level-1 hyperplane of an
+    # inversion of w: its generators and geometry agree, so the scan
+    # passes, and the pullback finds the root wall-separated
+    ctx = TypeContext(get_rs("B2"))
+    w = ctx.W[1]
+    _replace_flat(ctx.rs, ctx.flats(w), 1, {min(inversion_set(ctx.rs, w))})
+    with pytest.raises(verify._Failure, match="flat lies in a wall-separated hyperplane"):
+        check_flat_bijection(ctx)
+
+
+def test_comparable_pair_flat_fails_antichain_pullback():
+    # B2's codim-2 dominant flat replaced by the meet of the hyperplanes
+    # of a and 2a + b, comparable roots: that point lies on no other
+    # level-1 hyperplane, so the scan passes and the pullback, the pair
+    # itself, is not an antichain
+    ctx = TypeContext(get_rs("B2"))
+    a, top = 1, 3
+    assert ctx.rs.positive_roots[a] == (1, 0) and ctx.rs.positive_roots[top] == (2, 1)
+    assert ctx.rp.leq(a, top)
+    _replace_flat(ctx.rs, ctx.flats(ctx.W[0]), 2, {a, top})
+    with pytest.raises(
+        verify._Failure, match="pullback is not an antichain of the cone poset"
+    ):
         check_flat_bijection(ctx)
 
 
