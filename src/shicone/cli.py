@@ -203,7 +203,7 @@ def cmd_roots(args) -> int:
     payload = {
         "rank": rs.rank,
         "positive_roots": [list(r) for r in rs.positive_roots],
-        "root_poset_covers": sorted([a, b] for a, b in poset.cover_pairs()),
+        "root_poset_covers": [list(pair) for pair in poset.cover_pairs()],
         "coxeter_number": rs.coxeter_number,
         "degrees": list(rs.degrees),
         "catalan": num.catalan,
@@ -274,12 +274,11 @@ def _load_poset(args) -> tuple:
 
 def cmd_orderring(args) -> int:
     poset, label = _load_poset(args)
-    vertices = sorted(orderring.polytope_vertices(poset))
     monomials = orderring.standard_monomials(poset)
     pos = {e: i for i, e in enumerate(poset.elements)}
     payload = {
         **poset.to_json_dict(),
-        "vertices": vertices,
+        "vertices": orderring.polytope_vertices(poset),
         "generators": orderring.generator_strings(poset),
         "standard_monomials": [
             sorted(m, key=pos.__getitem__) for m in monomials

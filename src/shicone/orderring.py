@@ -91,24 +91,22 @@ def vg_heaviside(rs: RootSystem, E: Iterable[int], region: ShiRegion, b: int) ->
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def polytope_vertices(poset: FinitePoset) -> frozenset:
+def polytope_vertices(poset: FinitePoset) -> list:
     """Vertices of the order polytope: 0/1 indicator vectors of order
-    filters, over the poset's element sequence.  Their number equals the
-    number of antichains.
+    filters, over the poset's element sequence, as a new list of tuples
+    in lexicographic order.  Their number equals the number of
+    antichains.
 
     Order filters are the complements of order ideals, so each vertex is
     ``full ^ m`` for a mask m of ``FinitePoset._ideal_masks`` (bit i for
-    element i), the one reader of that private helper outside ``posets``."""
-    masks = poset._ideal_masks()
-    n = len(poset)
-    full = (1 << n) - 1
-    bits = f"0{n}b"
-    verts = frozenset(
-        tuple(format(full ^ m, bits)[::-1].encode().translate(_BIT_VALUES)) if n else ()
-        for m in masks
-    )
-    assert len(verts) == len(masks)
-    return verts
+    element i), the one reader of that private helper outside ``posets``.
+    Each complement is sorted as its bit string, lowest bit first, read
+    under an extra top bit so that the empty poset gives ``""``."""
+    full = (2 << len(poset)) - 1
+    rows = sorted(format(full ^ m, "b")[:0:-1] for m in poset._ideal_masks())
+    # distinct antichains give distinct filters
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    return [tuple(row.encode().translate(_BIT_VALUES)) for row in rows]
 
 
 def generators(poset: FinitePoset) -> tuple:

@@ -19,8 +19,8 @@ value lies in (s, s + 1) for s < m and in (m, oo) for s = m.  State
 s > m is the exact level s - m.  At m = 1 the three states are below,
 above and on 1.  A question is a tuple ``held`` of bitmasks of root
 indices, ``held[s]`` the roots it puts in state s, and its rows are the
-walls of C plus :func:`_state_rows` of each held root.  It is settled
-by the first proof accepted, in one order:
+walls of C plus :func:`_state_rows` of each held root.  Three proofs
+settle it, tried in this order, though not every caller asks all three:
 
 - a point the caller holds answers it once :func:`_holds` accepts the
   point's :func:`_signature`, the same masks read off the point (None
@@ -29,12 +29,15 @@ by the first proof accepted, in one order:
 - it is empty once :func:`_state_proofs` refutes two of its (root,
   state) pairs, by two-row certificates that
   :func:`~shicone.exactgeom.check_farkas` accepts once per (type, m);
-- otherwise the kernel, :func:`~shicone.exactgeom.feasible_rows`,
-  answers its rows, and its "empty" is trusted (cell prunes at m >= 2,
-  table and ceiling fallbacks).
+- the kernel, :func:`~shicone.exactgeom.feasible_rows`, answers its
+  rows, and its "empty" is trusted (cell prunes at m >= 2, table and
+  ceiling fallbacks).
 
-:func:`_closure_poset` asks the kernel directly and trusts its
-meets-the-region tests.
+:func:`_face` asks no certificate: region witnesses and the point table
+go to the kernel, and flats and facet probes try their table point
+first.  Only :func:`ceiling_oracle`'s probes and the children of
+:func:`_cells` read :func:`_state_proofs`.  :func:`_closure_poset` asks
+the kernel directly and trusts its meets-the-region tests.
 
 Every construction question is a face of a deletion in C, asked at
 m = 1 by :func:`_face` from bitmasks of root indices (E, ideal,

@@ -58,6 +58,86 @@ def test_roots_sorted_by_height_then_lex(capsys):
     assert keys == sorted(keys)
 
 
+#: sha256 of ``shicone roots`` output per type, in json, csv and text.
+ROOTS_SHA256 = {
+    "A1": (
+        "109ad456433777bcf6a3c07f37bcd091ae3f93008352406a045a19c7191250bd",
+        "c1878884dc369a7427989bb21358d5ef55de58a584fc046f0160f470829c7fbf",
+        "b534f42ef24b29ffa754f4c7470bc4cab168c0fe4c4a6b74abbff4705b153352",
+    ),
+    "A2": (
+        "be9ad7ff909acf1f269f916ac982792d611fd0bb12514c0e3506ddd448adaa50",
+        "f38f7cbd28cd6d6a7f1a97debca6893f2500768077caaeef6ecfb33780111ce1",
+        "f3936a35e476019f499a7b1d9c31df04b0f8300fcd7c8386dc2934e626ec7757",
+    ),
+    "A3": (
+        "08ed7b25634edda70824300472eedc3e91e20e5f16722352ae9674050b5fcf3a",
+        "13017084868e00495c024940ad97430d1188a8b971f6b952551acf614fe94c50",
+        "1db1d109b520beed92ae7158c14b03c8041e69b9617ebd4981356a61d3836648",
+    ),
+    "B2": (
+        "bdb5f32fc58cd7bc7e06aa415921d3dd2e897b36d814b1bbb81e5b75d1c29d33",
+        "1180db0a6a62921d2e7d49c7b3642008d162a16c8203ad62fa512826927edd0e",
+        "5aeb3bf78948800b057c96d444baf7ccd60749038d2a169bc05ec46fd8dc15aa",
+    ),
+    "B3": (
+        "d4476a05e78214fd5c3a8c65a3a879be329f2c0bc45ae7521aced6d480b5b42c",
+        "f0852d23164d5a574a8cc9d983d62da903733febc80b3a35e2357562216a9bec",
+        "f22201d118b82b265ba84604e1261ea22ccc40886e386ee00968b4848b78fc5e",
+    ),
+    "C3": (
+        "edb1dca0351b8b8f878035e0cd036d6512dcb0b92191316dc9b0fd292a0504a4",
+        "ed70c6960a414086e679312c1ff9d2affdf4f72061a145a44212f3e96ea4d8ab",
+        "703a336db7b402310e1c05fa9eeaecc7f1a29e22995e776b6afc725772b24602",
+    ),
+    "D3": (
+        "5e7d9c98131b0be991fa88676e5139873cfac7f9f9200697035198f4ef403823",
+        "650246b9c53016b1cefb1ff6d35647241490fa7e504723d4df12a3f13fc959a1",
+        "e0c27334495f6f2231ca69405c3040fd7eddf416b4d97cb9f25bedad340c32fd",
+    ),
+    "G2": (
+        "34d253d2502c8ee85176d47e64d1ab8d8afd9a44eac9b856a4dd62eb3a2615f6",
+        "2973efe65159360607a3ac3af8621119182c6b92ebadda1c80e890142ac7a093",
+        "01782d07820d6b5340deaae49a1f4461dd04288466722814a19fe334960d7ab7",
+    ),
+    "A4": (
+        "3e312561974005bb306b9d2444b68caa87662bff51cfc530f296da315c3f00cf",
+        "a5f13070213741f268bcf4145129a3c9b2c9fbcdfbd48a6b3a72adf5eeb709d3",
+        "1a7f0b414ef3b45bb142ac4771c475bd1b0972759e5932d4baab28544c44798d",
+    ),
+    "B4": (
+        "cb9637b3a461fa33c67846f612283692cc42ff90b1ce516b4c8a101b8a072e90",
+        "50478008d769f66bbb0dff1d5c0ee546b1a61ed9ac041319fe781b4586b06a5a",
+        "372481617a632d1137e82513e5d5149dfcef32587feb4a9f71dd4445938e04af",
+    ),
+    "C4": (
+        "13a5b73dd558d7d1a6e4779a1c014a73f0c7bb4bbc9cd6d2537ec55964abd425",
+        "c46115c440152d02fc6a9ffb8bf92ebca1f1ee7c6270e35e9bc599e127d8af4f",
+        "ef215d3d7758830678113d24922bad6727242c4cc8398f21c53c8d44dfeb3fa2",
+    ),
+    "D4": (
+        "e424b7df9fe926bc35c64323137296a2ab69e493690360baf52ac778012df4bf",
+        "562ff0880acf051083ad7100e3eeb15e58efe207b707b5439eaf6991f0fe976c",
+        "f1c1fde6ec72688c2372134f6755ef65e8afcde8606992445df05c2aeb9dbaeb",
+    ),
+    "F4": (
+        "98c7aaab1888b185d8d4e847368c1cfc6a43a4c44d3a099e6d2a94cc96d27076",
+        "772f09e38cf2bf11ae0e682f8364ef245d01e57a35832376d018e063f0989957",
+        "03e4e1e9effe85a3fc8a08cf5553b450dfedc2d8965d427439263dd5a8952cb1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ROOTS_SHA256)
+def test_roots_bytes_pinned(capsys, name):
+    """The covers are printed in the root poset's position order, with
+    no sort of their own; a changed byte is a bug, never a re-pin."""
+    for fmt, digest in zip(("json", "csv", "text"), ROOTS_SHA256[name]):
+        code, out, _ = run_cli(capsys, "roots", "--type", name, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
 # -- cone ----------------------------------------------------------------------
 
 

@@ -46,7 +46,17 @@ def test_fork_vertices_are_filter_indicators():
 
 
 def test_empty_poset_vertex():
-    assert polytope_vertices(FinitePoset([])) == frozenset({()})
+    assert polytope_vertices(FinitePoset([])) == [()]
+
+
+def test_repeated_ideal_mask_fails_distinctness(monkeypatch):
+    # the vertices are a list, which keeps duplicates: two antichains
+    # reporting one ideal must fail the check, not print a vertex twice
+    poset = FORK.restrict(FORK.elements)
+    masks = poset._ideal_masks()
+    monkeypatch.setattr(poset, "_ideal_masks", lambda: masks + masks[3:4])
+    with pytest.raises(AssertionError):
+        polytope_vertices(poset)
 
 
 def test_chain_vertices():
@@ -103,7 +113,7 @@ def test_vertices_are_filter_indicators_by_definition(poset):
     expected = frozenset(
         tuple(int(e in F) for e in poset.elements) for F in poset.order_filters()
     )
-    assert polytope_vertices(poset) == expected
+    assert polytope_vertices(poset) == sorted(expected)
 
 
 @pytest.mark.parametrize("poset", VERTEX_POSETS.values(), ids=VERTEX_POSETS)
@@ -184,7 +194,8 @@ def test_counts_agree(seed):
     rng = random.Random(300 + seed)
     poset = random_poset(rng.randint(0, 8), rng)
     n = len(poset.antichains())
-    assert len(polytope_vertices(poset)) == n
+    vertices = polytope_vertices(poset)
+    assert len(vertices) == len(set(vertices)) == n
     assert len(standard_monomials(poset)) == n
     assert len(poset.order_ideals()) == n
 
@@ -194,7 +205,8 @@ def test_counts_agree(seed):
 def test_counts_agree_on_root_posets(name):
     poset = root_poset(get_rs(name))
     n = len(poset.antichains())
-    assert len(polytope_vertices(poset)) == n
+    vertices = polytope_vertices(poset)
+    assert len(vertices) == len(set(vertices)) == n
     assert len(standard_monomials(poset)) == n
     assert len(poset.order_ideals()) == n
 
