@@ -43,19 +43,14 @@ Every construction question is a face of a deletion in C, asked at
 m = 1 by :func:`_face` from bitmasks of root indices (E, ideal,
 pinned): a region pins no root, a facet probe one, a flat its
 antichain; wC is w applied to the deletion to the roots that w keeps
-positive.  The cells of :func:`_cells` ask at level m.  An antichain's
-ideal in a deletion is its ideal in the root poset cut to the
-deletion's roots, so the per-type table :func:`antichain_points`
-answers every face and facet unmoved (the cone-cut check of
-:mod:`shicone.verify` moves its points into wC).
-The kernel, :func:`~shicone.exactgeom.feasible_rows`, gives the region
-witnesses, the rank <= 3 oracles and any table point that is missing or
-refused, so a wrong table costs kernel calls, never a wrong answer.
-
-The constructions :func:`regions_in_dominant` and :func:`flats_in_cone`
-read the cone's subposet (:func:`cone_poset`, or for a deletion the root
-poset restricted to its roots), which their caller builds once; the
-oracles read plain root sets, never the poset they check.
+positive.  The cells of :func:`_cells` ask at level m.  A deletion
+poset is induced, so :func:`antichain_table` lists its antichains and
+ideals: :func:`regions_in_dominant` and :func:`flats_in_cone` take E
+and read no poset, and :func:`antichain_points` answers every face and
+facet unmoved (the cone-cut check of :mod:`shicone.verify` moves its
+points into wC).  The kernel, :func:`~shicone.exactgeom.feasible_rows`,
+gives the region witnesses, the rank <= 3 oracles and any table point
+that is missing or refused, so a wrong table costs calls, not answers.
 """
 
 from __future__ import annotations
@@ -358,6 +353,21 @@ def _face(rs: RootSystem, E: int, ideal: int, pinned: int, hint=None) -> Optiona
     return feasible_rows(rs.rank, _face_rows(rs, E, ideal, pinned))
 
 
+@lru_cache(maxsize=None)
+def antichain_table(rs: RootSystem) -> tuple:
+    """``(A, a, J)`` per antichain A of the root poset in its walk's order,
+    a and J the bitmasks of A and its ideal.  Roots sorted by height make
+    index order a linear extension, so ``natural_labeling`` is the identity
+    on every restriction: filtered, the walk's order (size, then lex) holds."""
+    rp = root_poset(rs)
+    return tuple((A, _mask(A), _mask(J)) for A, J in zip(rp.antichains(), rp.order_ideals()))
+
+
+def _antichains_within(rs: RootSystem, E: int) -> list:
+    """The deletion poset on the bitmask E, induced: rows inside E, ideals cut to E."""
+    return [(A, a, J & E) for A, a, J in antichain_table(rs) if not a & ~E]
+
+
 class AntichainPoints(NamedTuple):
     """Dominant-cone points of one type, keyed by antichains of its root
     poset: ``face[A]`` and ``facet[A, b]`` for b in A are exact points
@@ -374,27 +384,23 @@ def antichain_points(rs: RootSystem) -> AntichainPoints:
     For an antichain A of the root poset with order ideal J, the face
     point has a . x = 1 on A, b . x < 1 on J - A, c . x > 1 outside J
     and x > 0; the facet point of b in A has b . x = 1, the rest of J
-    below 1 and everything outside J above 1.  An antichain A of a
-    deletion on the roots E is one of the root poset, with ideal J & E,
-    so the deletion's face and facet rows of A are the table's with the
-    rows outside E dropped: one table serves every deletion and every
-    cone, unmoved.
+    below 1 and everything outside J above 1.  A deletion's face and
+    facet rows of A are these with the rows outside E dropped (see
+    :func:`antichain_table`), so one table serves every cone, unmoved.
 
     The table only proposes: each user passes a point as the hint of
     :func:`_face` for its own question, which judges it by its signature
     (the same test as check_witness on the question's rows) and asks the
     kernel when the point is missing or refused.
     """
-    rp = root_poset(rs)
     everything = (1 << len(rs.positive_roots)) - 1
     face, facet = {}, {}
-    for A, J in zip(rp.antichains(), rp.order_ideals()):
-        ideal = _mask(J)
+    for A, a, ideal in antichain_table(rs):
         for b in A:
             point = _face(rs, everything, ideal, 1 << b)
             if point is not None:
                 facet[A, b] = point
-        point = _face(rs, everything, ideal, _mask(A))
+        point = _face(rs, everything, ideal, a)
         if point is not None:
             face[A] = point
     return AntichainPoints(face, facet)
@@ -424,25 +430,21 @@ def _positive_image(rs: RootSystem, w: WeylElement, i: int) -> int:
     return w.perm[i]
 
 
-def regions_in_dominant(rs: RootSystem, sub: FinitePoset) -> list:
-    """All dominant-cone regions of the deletion to the roots of ``sub``,
-    the deletion poset: the root poset restricted to those roots.
-
-    One region per antichain A of ``sub``, with ceiling A and ideal the
-    order ideal of A (``order_ideals`` lists them in the order of
-    ``antichains``); the witness comes from exact feasibility and
-    certifies the region is nonempty.
-    """
-    E = _mask(sub.elements)
+def regions_in_dominant(rs: RootSystem, E: Iterable[int]) -> list:
+    """All dominant-cone regions of the deletion to the root indices E:
+    one per antichain A of the deletion poset (:func:`antichain_table`),
+    with ceiling A, ideal A's root-poset ideal cut to E and a witness from
+    exact feasibility that certifies the region is nonempty."""
+    E = _mask(E)
     out = []
-    for ideal, A in zip(sub.order_ideals(), sub.antichains()):
-        witness = _face(rs, E, _mask(ideal), 0)
+    for A, _, ideal in _antichains_within(rs, E):
+        witness = _face(rs, E, ideal, 0)
         if witness is None:
             raise RuntimeError(
                 "region construction produced an empty region; "
                 "arrangement invariant violated"
             )
-        out.append(ShiRegion(ideal, A, witness))
+        out.append(ShiRegion(frozenset(_bits(ideal)), A, witness))
     return out
 
 
@@ -471,7 +473,7 @@ def regions_in_cone(rs: RootSystem, w: WeylElement) -> list:
     the roots that w keeps positive, Phi+ - Inv(w); ideals, ceilings and
     witnesses are reported in unrotated coordinates.
     """
-    return transport_regions(rs, w, regions_in_dominant(rs, cone_poset(rs, w)))
+    return transport_regions(rs, w, regions_in_dominant(rs, complement_of_inversions(rs, w)))
 
 
 def ceiling_oracle(rs: RootSystem, E: Iterable[int], region: ShiRegion) -> frozenset:
@@ -571,42 +573,41 @@ def dominant_sign_oracle(rs: RootSystem, E: Iterable[int]) -> dict:
 # -- flats -------------------------------------------------------------------
 
 
-def flats_in_cone(rs: RootSystem, sub: FinitePoset, w: WeylElement) -> IntersectionPoset:
+def flats_in_cone(rs: RootSystem, E: Iterable[int], w: WeylElement) -> IntersectionPoset:
     """Intersection poset, inside the cone wC, of the level-1 hyperplanes
-    of the roots w(i) for i in ``sub``: one flat per antichain of
-    ``sub``, with generators reported in unrotated coordinates.  ``sub``
-    is :func:`cone_poset` for the full Shi arrangement; with w the
-    identity, any restriction of the root poset gives a deletion inside
-    the dominant cone.
+    of the roots w(i) for the root indices i in E: one flat per antichain
+    of the deletion poset on E, from :func:`antichain_table`, with
+    generators reported in unrotated coordinates.  E is
+    :func:`complement_of_inversions` for the full Shi arrangement; with w
+    the identity, any E gives a deletion inside the dominant cone.
 
-    Element i stands for the hyperplane of the root w(i).  Each flat must
-    meet the cone and lie on no hyperplane of ``sub`` outside its own
+    Root i stands for the hyperplane of the root w(i).  Each flat must
+    meet the cone and lie on no hyperplane of E outside its own
     antichain.  So its generators are complete, as
     :class:`IntersectionPoset` requires, and the lower interval of a flat
     of codim k is the Boolean lattice of its antichain's 2^k subsets.
 
     Both facts are proved in the dominant cone C by one point of the
-    face of A in the deletion to the roots of ``sub`` (A on its
-    hyperplanes, the rest of A's ideal below 1, the rest above 1, x > 0):
+    face of A in the deletion to E (A on its hyperplanes, the rest of
+    A's ideal cut to E below 1, the rest of E above 1, x > 0):
     ``antichain_points(rs).face[A]`` once it holds that face's question
     (:func:`_face`), and otherwise the kernel's witness of its rows.
     w is an isometry that maps C onto wC and the level-1 hyperplane of
     root i onto that of w(i), so it maps that point onto the flat of
     w(A), inside wC and off every other hyperplane of the cone.
     """
-    E = _mask(sub.elements)
-    image = {i: _positive_image(rs, w, i) for i in sub.elements}
+    E = _mask(E)
     faces = antichain_points(rs).face
     entries = []
-    for A, J in zip(sub.antichains(), sub.order_ideals()):
-        gens = frozenset(image[i] for i in A)
+    for A, a, J in _antichains_within(rs, E):
+        gens = frozenset(_positive_image(rs, w, i) for i in A)
         planes = [(rs.positive_roots[g], 1) for g in sorted(gens)]
         geometry = intersect_hyperplanes(rs.rank, planes)
         if geometry is None or geometry.codim != len(gens):
             raise RuntimeError(
                 "antichain hyperplanes are dependent; arrangement invariant violated"
             )
-        if _face(rs, E, _mask(J), _mask(A), faces.get(A)) is None:
+        if _face(rs, E, J, a, faces.get(A)) is None:
             raise RuntimeError(
                 "flat does not meet its cone off the other hyperplanes; "
                 "arrangement invariant violated"
@@ -762,10 +763,10 @@ def _root_list(rs: RootSystem, idxs: Iterable[int]) -> list:
     return [list(rs.positive_roots[i]) for i in sorted(idxs)]
 
 
-def _report_body(rs: RootSystem, regions: list, poset, poly) -> dict:
-    """The regions, flats and Poincare polynomial shared by the reports;
-    witness coordinates are printed as exact fractions."""
-    assert len(poset) == len(regions) == poly(1)
+def _report_body(rs: RootSystem, regions: list, poset) -> dict:
+    """The regions, flats and Poincare polynomial (regions by ceiling size)
+    shared by the reports; witnesses are printed as exact fractions."""
+    assert len(poset) == len(regions)
     return {
         "regions": [
             {
@@ -783,24 +784,22 @@ def _report_body(rs: RootSystem, regions: list, poset, poly) -> dict:
             }
             for f in poset.flats
         ],
-        "poincare": list(poly),
+        "poincare": list(IntPolynomial.from_sizes(len(r.ceiling) for r in regions)),
     }
 
 
 def cone_report(rs: RootSystem, w: WeylElement) -> dict:
-    """JSON-ready summary of one cone: regions, flats, Poincare data, all
-    read from one restriction of the root poset."""
+    """JSON-ready summary of one cone: regions, flats and Poincare data."""
     inv = inversion_set(rs, w)
-    sub = cone_poset(rs, w)
+    E = complement_of_inversions(rs, w)
     return {
         "word": "".join(str(i + 1) for i in w.word),
         "length": len(inv),
         "inversions": _root_list(rs, inv),
         **_report_body(
             rs,
-            transport_regions(rs, w, regions_in_dominant(rs, sub)),
-            flats_in_cone(rs, sub, w),
-            sub.antichain_polynomial(),
+            transport_regions(rs, w, regions_in_dominant(rs, E)),
+            flats_in_cone(rs, E, w),
         ),
     }
 
@@ -808,14 +807,12 @@ def cone_report(rs: RootSystem, w: WeylElement) -> dict:
 def deletion_report(rs: RootSystem, E: Iterable[int]) -> dict:
     """JSON-ready summary of the deletion to E inside the dominant cone."""
     E = sorted(set(E))
-    sub = root_poset(rs).restrict(E)
     return {
         "e_indices": E,
         "e_roots": _root_list(rs, E),
         **_report_body(
             rs,
-            regions_in_dominant(rs, sub),
-            flats_in_cone(rs, sub, element_from_word(rs, ())),
-            sub.antichain_polynomial(),
+            regions_in_dominant(rs, E),
+            flats_in_cone(rs, E, element_from_word(rs, ())),
         ),
     }

@@ -52,6 +52,7 @@ from .shi import (
     act_point,
     antichain_points,
     ceiling_oracle,
+    complement_of_inversions,
     cone_poset,
     cone_rows,
     dominant_sign_oracle,
@@ -87,9 +88,9 @@ def _need(cond: bool, message: str) -> None:
 
 class TypeContext:
     """Per-type caches shared across checks, the one place each cone's
-    derived data is built: its subposet, its regions, its flats, w^{-1}
-    and the pullback by w^{-1}, each built once for every check that
-    reads it."""
+    derived data is built: its subposet (the checks' own enumeration, which
+    no construction reads), its regions, its flats, w^{-1} and the
+    pullback by w^{-1}, each built once for every check that reads it."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
@@ -107,7 +108,8 @@ class TypeContext:
         return self._cached("sub", w, lambda: cone_poset(self.rs, w))
 
     def regions(self, w) -> list:
-        return self._cached("regions", w, lambda: regions_in_dominant(self.rs, self.sub(w)))
+        E = complement_of_inversions(self.rs, w)
+        return self._cached("regions", w, lambda: regions_in_dominant(self.rs, E))
 
     def cone_regions(self, w) -> list:
         return self._cached(
@@ -117,7 +119,8 @@ class TypeContext:
         )
 
     def flats(self, w):
-        return self._cached("flats", w, lambda: flats_in_cone(self.rs, self.sub(w), w))
+        E = complement_of_inversions(self.rs, w)
+        return self._cached("flats", w, lambda: flats_in_cone(self.rs, E, w))
 
     def inverse(self, w) -> WeylElement:
         """w^{-1} from the reversed word, independent of the permutation

@@ -7,19 +7,13 @@ import pytest
 
 from shicone import shi
 from shicone.exactgeom import EQ, GE, GT
-from shicone.rootsys import CartanType, build_root_system, root_poset
+from shicone.rootsys import CartanType, build_root_system
 from shicone.shi import AntichainPoints
 
 
 @lru_cache(maxsize=None)
 def get_rs(name: str):
     return build_root_system(CartanType.parse(name))
-
-
-def deletion_poset(rs, E):
-    """The root poset restricted to the roots E: the poset the
-    constructions read for the deletion of the Shi arrangement to E."""
-    return root_poset(rs).restrict(sorted(set(E)))
 
 
 @pytest.fixture

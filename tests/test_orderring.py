@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import RANK_4, RANK_LE_3, deletion_poset, get_rs
+from conftest import RANK_4, RANK_LE_3, get_rs
 from shicone.orderring import (
     filtered_hilbert,
     generator_strings,
@@ -267,7 +267,7 @@ def test_flipped_vg_bit_changes_series():
     # claiming any hyperplane has the empty-ideal region below level 1 moves it
     rs = get_rs("A3")
     E = range(len(rs.positive_roots))
-    regions = regions_in_dominant(rs, deletion_poset(rs, E))
+    regions = regions_in_dominant(rs, E)
     masks = [
         sum(vg_heaviside(rs, E, r, b) << i for i, r in enumerate(regions)) for b in E
     ]
@@ -285,7 +285,7 @@ def test_flipped_vg_bit_changes_series():
 def test_vg_heaviside_extremes(rs_b2=None):
     rs = get_rs("B2")
     E = range(4)
-    regions = regions_in_dominant(rs, deletion_poset(rs, E))
+    regions = regions_in_dominant(rs, E)
     full = next(r for r in regions if len(r.ideal) == 4)
     empty = next(r for r in regions if not r.ideal)
     for b in E:
@@ -295,7 +295,7 @@ def test_vg_heaviside_extremes(rs_b2=None):
 
 def test_vg_heaviside_requires_member():
     rs = get_rs("B2")
-    region = regions_in_dominant(rs, deletion_poset(rs, [0]))[0]
+    region = regions_in_dominant(rs, [0])[0]
     with pytest.raises(ValueError):
         vg_heaviside(rs, [0], region, 3)
 
@@ -305,7 +305,7 @@ def test_region_ring_isomorphism(name):
     rs = get_rs(name)
     poset = root_poset(rs)
     E = range(len(rs.positive_roots))
-    regions = regions_in_dominant(rs, deletion_poset(rs, E))
+    regions = regions_in_dominant(rs, E)
     vg = [sum(vg_heaviside(rs, E, r, b) << i for i, r in enumerate(regions)) for b in E]
     assert vg == membership_masks([r.ideal for r in regions], E)
     assert filtered_hilbert(vg, len(regions)) == order_ring_series(poset)

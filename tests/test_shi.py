@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import RANK_4, RANK_LE_3, bumped_point_table, deletion_poset, get_rs
+from conftest import RANK_4, RANK_LE_3, bumped_point_table, get_rs
 from shicone import exactgeom, shi
 from shicone.exactgeom import (
     EQ,
@@ -27,11 +27,13 @@ from shicone.rootsys import (
     inversion_set,
     numerology,
     root_index,
+    root_poset,
     weyl_group,
 )
 from shicone.shi import (
     AntichainPoints,
     antichain_points,
+    antichain_table,
     ceiling_oracle,
     complement_of_inversions,
     cone_poset,
@@ -56,7 +58,7 @@ def roots_of(rs, indices):
 
 
 def test_b2_dominant_regions(rs_b2):
-    regions = regions_in_dominant(rs_b2, deletion_poset(rs_b2, range(4)))
+    regions = regions_in_dominant(rs_b2, range(4))
     assert len(regions) == 6
     ceilings = {frozenset(roots_of(rs_b2, r.ceiling)) for r in regions}
     assert ceilings == {
@@ -70,7 +72,7 @@ def test_b2_dominant_regions(rs_b2):
 
 
 def test_empty_deletion_single_region(rs_b2):
-    regions = regions_in_dominant(rs_b2, deletion_poset(rs_b2, []))
+    regions = regions_in_dominant(rs_b2, [])
     assert len(regions) == 1
     assert regions[0].ceiling == frozenset()
     nums, den = regions[0].witness
@@ -79,7 +81,7 @@ def test_empty_deletion_single_region(rs_b2):
 
 def test_a3_dominant_region_count_with_oracle(rs_a3):
     E = range(len(rs_a3.positive_roots))
-    regions = regions_in_dominant(rs_a3, deletion_poset(rs_a3, E))
+    regions = regions_in_dominant(rs_a3, E)
     assert len(regions) == 14
     oracle = dominant_sign_oracle(rs_a3, E)
     assert set(oracle) == {r.ideal for r in regions}
@@ -87,7 +89,7 @@ def test_a3_dominant_region_count_with_oracle(rs_a3):
 
 def test_region_witness_predicates(rs_b2):
     E = [0, 3]
-    for region in regions_in_dominant(rs_b2, deletion_poset(rs_b2, E)):
+    for region in regions_in_dominant(rs_b2, E):
         nums, den = region.witness
         assert den > 0
         for i, coords in enumerate(rs_b2.positive_roots):
@@ -222,21 +224,21 @@ def test_cells_at_level_one_never_ask_kernel_about_an_empty_child(name, monkeypa
 
 
 def test_ceiling_oracle_empty_ideal(rs_b2):
-    region = regions_in_dominant(rs_b2, deletion_poset(rs_b2, []))[0]
+    region = regions_in_dominant(rs_b2, [])[0]
     assert ceiling_oracle(rs_b2, [], region) == frozenset()
 
 
 def test_ceiling_oracle_bounded_alcove(rs_b2):
     # the region below every level-1 hyperplane has only the highest root
     # as a ceiling
-    regions = regions_in_dominant(rs_b2, deletion_poset(rs_b2, range(4)))
+    regions = regions_in_dominant(rs_b2, range(4))
     idx = root_index(rs_b2)
     full = next(r for r in regions if r.ideal == frozenset(range(4)))
     assert ceiling_oracle(rs_b2, range(4), full) == {idx[(2, 1)]}
 
 
 def test_ceiling_oracle_two_simples(rs_b2):
-    regions = regions_in_dominant(rs_b2, deletion_poset(rs_b2, range(4)))
+    regions = regions_in_dominant(rs_b2, range(4))
     idx = root_index(rs_b2)
     two = frozenset({idx[(1, 0)], idx[(0, 1)]})
     region = next(r for r in regions if r.ideal == two)
@@ -296,7 +298,7 @@ def test_ceiling_oracle_matches_max_elements_everywhere(name):
     rs = get_rs(name)
     for w in _cone_sample(name):
         E = complement_of_inversions(rs, w)
-        for region in regions_in_dominant(rs, cone_poset(rs, w)):
+        for region in regions_in_dominant(rs, E):
             oracle = ceiling_oracle(rs, E, region)
             assert oracle == region.ceiling
             assert oracle == _kernel_ceiling(rs, E, region)
@@ -323,7 +325,7 @@ def test_ceiling_oracle_calls_kernel_only_for_ceilings(
     antichain_points(rs)  # built before the kernel is counted
     for w in _cone_sample(name):
         E = complement_of_inversions(rs, w)
-        regions = regions_in_dominant(rs, cone_poset(rs, w))
+        regions = regions_in_dominant(rs, E)
         with monkeypatch.context() as m:
             m.setattr(shi, "feasible_rows", counting)
             calls.clear()
@@ -365,10 +367,8 @@ def test_refused_certificate_falls_back_to_kernel(name, monkeypatch, fresh_point
         return witness
 
     antichain_points(rs)  # built before the kernel is counted
-    cones = [
-        (complement_of_inversions(rs, w), regions_in_dominant(rs, cone_poset(rs, w)))
-        for w in _cone_sample(name)
-    ]
+    cones = [complement_of_inversions(rs, w) for w in _cone_sample(name)]
+    cones = [(E, regions_in_dominant(rs, E)) for E in cones]
     with monkeypatch.context() as m:
         m.setattr(shi, "feasible_rows", counting)
         m.setattr(shi, "check_farkas", checking)
@@ -445,7 +445,7 @@ def test_certificates_are_made_of_their_questions_rows(monkeypatch, fresh_point_
                     assert pinned == [(rs.positive_roots[b], 1, EQ)]
                 for w in _cone_sample(name):
                     E = complement_of_inversions(rs, w)
-                    for region in regions_in_dominant(rs, cone_poset(rs, w)):
+                    for region in regions_in_dominant(rs, E):
                         offered.clear()
                         ceiling_oracle(rs, E, region)
                         assert offered == []
@@ -472,6 +472,25 @@ def test_certificates_are_made_of_their_questions_rows(monkeypatch, fresh_point_
 
 
 # -- cone subposets ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", RANK_LE_3 + RANK_4)
+def test_antichain_table_filtered_to_a_deletion_is_its_poset_walk(name):
+    # every cone's subposet, and the two deletions the construction digest
+    # pins, lists the table's rows inside its roots, in the table's order,
+    # with each ideal the root-poset ideal cut to its roots
+    rs = get_rs(name)
+    rp = root_poset(rs)
+    table = antichain_table(rs)
+    assert [(A, a) for A, a, _ in table] == [(A, shi._mask(A)) for A in rp.antichains()]
+    deletions = [complement_of_inversions(rs, w) for w in weyl_group(rs)]
+    deletions += {"B3": [(0, 2, 3, 5, 6, 8)], "F4": [range(0, 24, 2)]}.get(name, [])
+    for E in deletions:
+        sub = rp.restrict(E)
+        rows = shi._antichains_within(rs, shi._mask(E))
+        assert [(A, J) for A, _, J in rows] == [
+            (A, shi._mask(J)) for A, J in zip(sub.antichains(), sub.order_ideals())
+        ]
 
 
 @pytest.mark.parametrize("name", RANK_LE_3 + RANK_4)
@@ -503,7 +522,7 @@ def test_b2_st_cone_regions(rs_b2):
 def test_identity_cone_is_dominant(rs_b2):
     e = element_from_word(rs_b2, ())
     a = regions_in_cone(rs_b2, e)
-    b = regions_in_dominant(rs_b2, deletion_poset(rs_b2, range(4)))
+    b = regions_in_dominant(rs_b2, range(4))
     assert [(r.ideal, r.ceiling, r.witness) for r in a] == [
         (r.ideal, r.ceiling, r.witness) for r in b
     ]
@@ -534,7 +553,7 @@ def test_transport_rejects_root_sent_negative(rs_b2):
     # not one of the regions the cone s1 C is built from
     s = element_from_word(rs_b2, (0,))
     a1 = root_index(rs_b2)[(1, 0)]
-    dominant = regions_in_dominant(rs_b2, deletion_poset(rs_b2, range(4)))
+    dominant = regions_in_dominant(rs_b2, range(4))
     region = next(r for r in dominant if a1 in r.ideal)
     with pytest.raises(RuntimeError, match="invariant violated"):
         transport_regions(rs_b2, s, [region])
@@ -545,7 +564,7 @@ def test_transport_rejects_root_sent_negative(rs_b2):
 
 def test_b2_identity_flats(rs_b2):
     e = element_from_word(rs_b2, ())
-    poset = flats_in_cone(rs_b2, cone_poset(rs_b2, e), e)
+    poset = flats_in_cone(rs_b2, complement_of_inversions(rs_b2, e), e)
     assert len(poset) == 6
     by_codim = {}
     for f in poset.flats:
@@ -559,22 +578,9 @@ def test_b2_identity_flats(rs_b2):
 
 def test_b2_st_flats(rs_b2):
     st = element_from_word(rs_b2, (0, 1))
-    poset = flats_in_cone(rs_b2, cone_poset(rs_b2, st), st)
+    poset = flats_in_cone(rs_b2, complement_of_inversions(rs_b2, st), st)
     gens = {frozenset(roots_of(rs_b2, f.generators)) for f in poset.flats}
     assert gens == {frozenset(), frozenset({(0, 1)}), frozenset({(1, 1)})}
-
-
-def test_flats_in_dominant_matches_identity_cone(rs_b2):
-    # the deletion to all roots is the identity cone's subposet, and the
-    # flats built from either are the same
-    e = element_from_word(rs_b2, ())
-    deletion = deletion_poset(rs_b2, range(4))
-    assert deletion == cone_poset(rs_b2, e)
-    a = flats_in_cone(rs_b2, deletion, e)
-    b = flats_in_cone(rs_b2, cone_poset(rs_b2, e), e)
-    assert [(f.generators, f.geometry, f.mobius) for f in a.flats] == [
-        (f.generators, f.geometry, f.mobius) for f in b.flats
-    ]
 
 
 def test_a1_flat_oracle():
@@ -589,7 +595,7 @@ def test_a1_flat_oracle():
 def test_flats_oracle_matches_construction(name):
     rs = get_rs(name)
     for w in weyl_group(rs):
-        a = flats_in_cone(rs, cone_poset(rs, w), w)
+        a = flats_in_cone(rs, complement_of_inversions(rs, w), w)
         b = flats_oracle(rs, w)
         key = lambda p: {
             f.geometry.rref: (f.generators, f.mobius) for f in p.flats
@@ -605,7 +611,7 @@ def test_flats_oracle_rank_bound():
 
 def test_intersection_poset_structure(rs_b2):
     e = element_from_word(rs_b2, ())
-    poset = flats_in_cone(rs_b2, cone_poset(rs_b2, e), e)
+    poset = flats_in_cone(rs_b2, complement_of_inversions(rs_b2, e), e)
     # reverse inclusion: the ambient space is the unique minimum
     assert all(poset.leq(0, j) for j in range(len(poset)))
     for j, f in enumerate(poset.flats):
@@ -616,7 +622,7 @@ def test_intersection_poset_structure(rs_b2):
 
 def test_interval_mobius_vanishes_off_the_order(rs_b2):
     e = element_from_word(rs_b2, ())
-    poset = flats_in_cone(rs_b2, cone_poset(rs_b2, e), e)
+    poset = flats_in_cone(rs_b2, complement_of_inversions(rs_b2, e), e)
     n = len(poset)
     pairs = [(i, j) for i in range(n) for j in range(n) if not poset.leq(i, j)]
     assert pairs
@@ -668,7 +674,7 @@ def _hall_posets():
             )
     rs = get_rs("B3")
     for w in weyl_group(rs):
-        yield flats_in_cone(rs, cone_poset(rs, w), w)
+        yield flats_in_cone(rs, complement_of_inversions(rs, w), w)
 
 
 def test_interval_mobius_is_halls_alternating_chain_count():
@@ -895,12 +901,11 @@ def test_construction_outputs_pinned():
     data = []
     for rs, w in cones:
         data.append(regions(regions_in_cone(rs, w)))
-        data.append(_flats(flats_in_cone(rs, cone_poset(rs, w), w)))
+        data.append(_flats(flats_in_cone(rs, complement_of_inversions(rs, w), w)))
     for name, E in (("B3", (0, 2, 3, 5, 6, 8)), ("F4", range(0, 24, 2))):
         rs = get_rs(name)
-        sub = deletion_poset(rs, E)
-        data.append(regions(regions_in_dominant(rs, sub)))
-        data.append(_flats(flats_in_cone(rs, sub, element_from_word(rs, ()))))
+        data.append(regions(regions_in_dominant(rs, E)))
+        data.append(_flats(flats_in_cone(rs, E, element_from_word(rs, ()))))
     assert sum(map(len, data)) == 1900
     assert hashlib.sha256(repr(data).encode()).hexdigest() == CONSTRUCTION_DIGEST
 
@@ -949,7 +954,7 @@ def _off_cone_and_no_kernel(rs):
         # the kernel finds no point in a region built from an antichain
         (
             lambda rs: {"feasible_rows": lambda dim, rows: None},
-            lambda rs: regions_in_dominant(rs, deletion_poset(rs, range(4))),
+            lambda rs: regions_in_dominant(rs, range(4)),
             "empty region",
         ),
         # the last hyperplane of an antichain adds nothing to the others
@@ -959,18 +964,14 @@ def _off_cone_and_no_kernel(rs):
                     dim, list(rows)[:-1]
                 )
             },
-            lambda rs: flats_in_cone(
-                rs, cone_poset(rs, element_from_word(rs, ())), element_from_word(rs, ())
-            ),
+            lambda rs: flats_in_cone(rs, range(4), element_from_word(rs, ())),
             "hyperplanes are dependent",
         ),
         # neither the table's point, pushed out of the cone, nor the
         # kernel shows a point of a flat inside its cone
         (
             _off_cone_and_no_kernel,
-            lambda rs: flats_in_cone(
-                rs, deletion_poset(rs, range(4)), element_from_word(rs, ())
-            ),
+            lambda rs: flats_in_cone(rs, range(4), element_from_word(rs, ())),
             "does not meet its cone",
         ),
     ],
@@ -992,8 +993,8 @@ def test_flat_on_outside_hyperplane_fails_construction(rs_b2, monkeypatch):
     # asks the kernel for each, and fails when the kernel finds no point
     # off the other hyperplanes
     e = element_from_word(rs_b2, ())
-    sub = cone_poset(rs_b2, e)
-    expected = _flats(flats_in_cone(rs_b2, sub, e))
+    E = complement_of_inversions(rs_b2, e)
+    expected = _flats(flats_in_cone(rs_b2, E, e))
     idx = root_index(rs_b2)
     a, b = idx[(1, 0)], idx[(0, 1)]
     table = antichain_points(rs_b2)
@@ -1007,11 +1008,11 @@ def test_flat_on_outside_hyperplane_fails_construction(rs_b2, monkeypatch):
         return feasible_rows(dim, rows)
 
     monkeypatch.setattr(shi, "feasible_rows", counting)
-    assert _flats(flats_in_cone(rs_b2, sub, e)) == expected
+    assert _flats(flats_in_cone(rs_b2, E, e)) == expected
     assert len(calls) == 2
     monkeypatch.setattr(shi, "feasible_rows", lambda dim, rows: None)
     with pytest.raises(RuntimeError, match="does not meet its cone"):
-        flats_in_cone(rs_b2, sub, e)
+        flats_in_cone(rs_b2, E, e)
 
 
 # -- the antichain point table ---------------------------------------------------------
@@ -1448,7 +1449,7 @@ def test_moved_face_points_lie_on_flats_in_cone(name, monkeypatch, fresh_point_t
     rs = get_rs(name)
     faces = antichain_points(rs).face
     cones = _cone_sample(name)
-    built = [flats_in_cone(rs, cone_poset(rs, w), w) for w in cones]
+    built = [flats_in_cone(rs, complement_of_inversions(rs, w), w) for w in cones]
     for w, poset in zip(cones, built):
         winv = element_from_word(rs, reversed(w.word))
         walls = shi.cone_rows(rs, w)
@@ -1460,7 +1461,7 @@ def test_moved_face_points_lie_on_flats_in_cone(name, monkeypatch, fresh_point_t
             assert check_witness(rs.rank, on_flat + walls, point)
     monkeypatch.setattr(shi, "antichain_points", lambda rs: AntichainPoints({}, {}))
     assert [_flats(p) for p in built] == [
-        _flats(flats_in_cone(rs, cone_poset(rs, w), w)) for w in cones
+        _flats(flats_in_cone(rs, complement_of_inversions(rs, w), w)) for w in cones
     ]
 
 
@@ -1473,13 +1474,13 @@ def test_cone_flats_are_proved_in_dominant_cone(name, monkeypatch, fresh_point_t
     rs = get_rs(name)
     cones = _cone_sample(name)
     subs = [cone_poset(rs, w) for w in cones]
-    expected = [_flats(flats_in_cone(rs, sub, w)) for sub, w in zip(subs, cones)]
+    expected = [_flats(flats_in_cone(rs, sub.elements, w)) for sub, w in zip(subs, cones)]
 
     def refused(*args):
         raise AssertionError("a flat proof moved a point")
 
     monkeypatch.setattr(shi, "act_point", refused)
-    assert [_flats(flats_in_cone(rs, sub, w)) for sub, w in zip(subs, cones)] == expected
+    assert [_flats(flats_in_cone(rs, sub.elements, w)) for sub, w in zip(subs, cones)] == expected
     systems = []
 
     def recording(dim, rows):
@@ -1490,7 +1491,7 @@ def test_cone_flats_are_proved_in_dominant_cone(name, monkeypatch, fresh_point_t
     monkeypatch.setattr(shi, "feasible_rows", recording)
     for sub, w, flats in zip(subs, cones, expected):
         systems.clear()
-        assert _flats(flats_in_cone(rs, sub, w)) == flats
+        assert _flats(flats_in_cone(rs, sub.elements, w)) == flats
         assert systems == [_deletion_rows(rs, sub.elements, A, A) for A in sub.antichains()]
 
 
@@ -1510,7 +1511,7 @@ def test_mutant_point_table_falls_back_to_kernel(name, monkeypatch, fresh_point_
         return feasible_rows(dim, rows)
 
     cones = _cone_sample(name)
-    regions = [regions_in_dominant(rs, cone_poset(rs, w)) for w in cones]
+    regions = [regions_in_dominant(rs, complement_of_inversions(rs, w)) for w in cones]
 
     def answers():
         """Ceilings and flats of every cone, with the kernel calls of each."""
@@ -1521,7 +1522,7 @@ def test_mutant_point_table_falls_back_to_kernel(name, monkeypatch, fresh_point_
             ceilings = [ceiling_oracle(rs, E, r) for r in found]
             out.append((ceilings, len(calls)))
             calls.clear()
-            out.append((_flats(flats_in_cone(rs, cone_poset(rs, w), w)), len(calls)))
+            out.append((_flats(flats_in_cone(rs, complement_of_inversions(rs, w), w)), len(calls)))
         return out
 
     monkeypatch.setattr(shi, "feasible_rows", counting)
@@ -1573,7 +1574,7 @@ def test_poincare_counts_flats_and_regions(name):
     rs = get_rs(name)
     for w in weyl_group(rs):
         poly = poincare(rs, w)
-        poset = flats_in_cone(rs, cone_poset(rs, w), w)
+        poset = flats_in_cone(rs, complement_of_inversions(rs, w), w)
         assert poly == poset.poincare_polynomial()
         assert poly(1) == len(poset) == len(regions_in_cone(rs, w))
 
@@ -1671,30 +1672,32 @@ def test_cone_report_b2(rs_b2):
     assert len(witness) == 2
 
 
-def test_reports_restrict_and_enumerate_once(monkeypatch):
-    # a report reads one restriction of the root poset for its regions,
-    # flats and Poincare polynomial, and enumerates its antichains once
+def test_reports_build_no_poset(monkeypatch):
+    # a report reads the per-type antichain table for its regions, flats
+    # and Poincare polynomial: it builds no poset (every construction
+    # and restriction adopts its masks) and enumerates no antichains
     rs = get_rs("F4")
-    shi.root_poset(rs).antichains()
     antichain_points(rs)
     calls = []
-    restrict = FinitePoset.restrict
+    adopt = FinitePoset._adopt
     enumerate_antichains = FinitePoset._enumerate_antichains
 
-    def counting_restrict(self, S):
-        calls.append("restrict")
-        return restrict(self, S)
+    def counting_adopt(self, elements, up):
+        calls.append("adopt")
+        return adopt(self, elements, up)
 
     def counting_enumerate(self):
         calls.append("enumerate")
         return enumerate_antichains(self)
 
-    monkeypatch.setattr(FinitePoset, "restrict", counting_restrict)
+    monkeypatch.setattr(FinitePoset, "_adopt", counting_adopt)
     monkeypatch.setattr(FinitePoset, "_enumerate_antichains", counting_enumerate)
     for report in (
         lambda: cone_report(rs, weyl_group(rs)[500]),
         lambda: shi.deletion_report(rs, range(0, 24, 2)),
     ):
-        calls.clear()
         report()
-        assert calls == ["restrict", "enumerate"]
+    assert calls == []
+    # the check sees them: a restriction adopts once, its walk once
+    shi.cone_poset(rs, weyl_group(rs)[500]).antichains()
+    assert calls == ["adopt", "enumerate"]

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from conftest import RANK_4, bumped_point_table, get_rs
-from shicone import verify
+from shicone import shi, verify
 from shicone.exactgeom import GT, check_witness, intersect_hyperplanes
 from shicone.posets import FinitePoset
 from shicone.rootsys import inversion_set, root_poset, signed_roots, weyl_group
@@ -82,9 +82,9 @@ def test_fuss_level_one_consistency():
 
 @pytest.mark.parametrize("name", RANK_4)
 def test_region_and_flat_checks_restrict_and_enumerate_once_per_cone(name, monkeypatch):
-    # the regions and the flats of a cone are built from the subposet the
-    # context holds, so each cone's poset is restricted once and its
-    # antichains are enumerated once
+    # the context's subposet is the checks' own enumeration, restricted
+    # and walked once per cone; the regions and the flats are built from
+    # the per-type antichain table and add neither
     rs = get_rs(name)
     root_poset(rs).antichains()
     antichain_points(rs)
@@ -107,6 +107,26 @@ def test_region_and_flat_checks_restrict_and_enumerate_once_per_cone(name, monke
     check_region_ceiling_bijection(ctx)
     check_flat_bijection(ctx)
     assert calls == ["restrict", "enumerate"] * len(ctx.W)
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (check_region_ceiling_bijection, "region/antichain count mismatch"),
+        (check_flat_bijection, "flat/antichain count mismatch"),
+    ],
+)
+def test_table_missing_an_antichain_fails_the_counts(check, message, monkeypatch):
+    # the checks count each cone's antichains by the context's own walk
+    # of its subposet, never by the construction's table, so a table that
+    # loses one antichain loses a region and a flat and fails both counts
+    rs = get_rs("B3")
+    antichain_points(rs)
+    table = shi.antichain_table(rs)
+    k = len(table) // 2
+    monkeypatch.setattr(shi, "antichain_table", lambda rs: table[:k] + table[k + 1 :])
+    with pytest.raises(verify._Failure, match=message):
+        check(TypeContext(rs))
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
