@@ -26,7 +26,7 @@ import json
 import re
 import sys
 from functools import lru_cache
-from itertools import chain
+from typing import Optional
 
 from . import orderring, shi
 from .posets import FinitePoset
@@ -90,18 +90,28 @@ def _flatten(prefix: str, value, rows: list) -> None:
 
 _encode_str = json.encoder.encode_basestring_ascii
 
+#: The exact types the C encoder writes as ``json.dumps`` does.
+_SCALARS = {int, str, float, bool, type(None)}
+
+
+def _encode(value, sep: str) -> str:
+    """``value`` written by the stdlib's C encoder, which runs when
+    there is no indent, with items separated by ``sep``."""
+    return json.JSONEncoder(separators=(sep, ": "), check_circular=False).encode(value)
+
 
 def _dumps(value, pad: str = "") -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte,
     with every line after the first indented by ``pad``.
 
     With an indent the stdlib runs its pure-Python encoder, so this
-    writer walks dicts with ``str`` keys and lists itself, and writes a
-    list of plain ``int`` (never ``bool``) or of plain ``str`` with one
-    ``join``.  A table, a list whose rows are lists or tuples of plain
-    ``int`` and ``str``, goes through :func:`_table`.  Other values
-    (``bool``, ``None``, floats, tuples outside a table, dicts with
-    other keys) go to ``json.dumps``, re-indented.
+    writer walks dicts with ``str`` keys itself.  A list goes one of
+    three ways: a list of scalars (exact ``int``, ``str``, ``float``,
+    ``bool``, ``None``) is one :func:`_encode` call with this level's
+    separator; a list of lists or tuples goes to :func:`_table`; any
+    other list, and a table :func:`_table` refuses, is walked item by
+    item.  Other values (``bool``, ``None``, floats, tuples outside a
+    table, dicts with other keys) go to ``json.dumps``, re-indented.
     """
     kind = type(value)
     if kind is str:
@@ -119,34 +129,41 @@ def _dumps(value, pad: str = "") -> str:
         return f"{{\n{inner}{body}\n{pad}}}"
     if kind is list:
         kinds = set(map(type, value))
-        if kinds == {int}:
-            body = sep.join(map(str, value))
-        elif kinds == {str}:
-            body = sep.join(map(_encode_str, value))
-        elif kinds <= {list, tuple} and set(map(type, chain(*value))) <= {int, str}:
-            return _table(value, pad)
+        if kinds <= _SCALARS:
+            body = _encode(value, sep)[1:-1]
+        elif kinds <= {list, tuple} and (text := _table(value, pad)) is not None:
+            return text
         else:
             body = sep.join([_dumps(v, inner) for v in value])
         return f"[\n{inner}{body}\n{pad}]"
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
 
 
-def _table(rows: list, pad: str) -> str:
-    """:func:`_dumps` of a non-empty list of rows of plain ``int`` and
-    ``str``, written by the stdlib's C encoder (it runs when there is
-    no indent) and re-indented.
+def _table(rows: list, pad: str) -> Optional[str]:
+    """:func:`_dumps` of a non-empty list of lists and tuples whose cells
+    are all scalars, written by one :func:`_encode` call and
+    re-indented, or None when some cell may not be a scalar.
+
+    The encoded text shows the table's shape: the table and each row
+    write one ``[``, every nested list or tuple (subclasses too) writes
+    another and every dict writes a ``{``.  So with exactly
+    ``len(rows) + 1`` brackets and no brace, every cell is a scalar,
+    which the encoder writes as ``json.dumps`` does; a string cell that
+    holds ``[`` or ``{`` only sends the table back to the row walk.
 
     The encoder separates items by ``sep2``, the separator of items
     inside a row, so only the seams between rows and the two ends need
-    rewriting.  ``sep2`` holds a raw newline, which no encoded ``int``
-    or ``str`` does, so ``"]" + sep2 + "["`` is always a seam.  An
-    empty row comes out of the rewrite as ``[``, a blank line indented
-    by ``inner2`` and ``]``, which no other row can, and is put back.
+    rewriting.  ``sep2`` holds a raw newline, which no encoded scalar
+    does, so ``"]" + sep2 + "["`` is always a seam.  An empty row comes
+    out of the rewrite as ``[``, a blank line indented by ``inner2`` and
+    ``]``, which no other row can, and is put back.
     """
     inner = pad + "  "
     inner2 = inner + "  "
     sep2 = ",\n" + inner2
-    text = json.JSONEncoder(separators=(sep2, ": "), check_circular=False).encode(rows)
+    text = _encode(rows, sep2)
+    if text.count("[") != len(rows) + 1 or "{" in text:
+        return None
     body = text[2:-2].replace("]" + sep2 + "[", f"\n{inner}],\n{inner}[\n{inner2}")
     text = f"[\n{inner}[\n{inner2}{body}\n{inner}]\n{pad}]"
     if not all(rows):
@@ -202,8 +219,8 @@ def cmd_roots(args) -> int:
     poset = root_poset(rs)
     payload = {
         "rank": rs.rank,
-        "positive_roots": [list(r) for r in rs.positive_roots],
-        "root_poset_covers": [list(pair) for pair in poset.cover_pairs()],
+        "positive_roots": list(rs.positive_roots),
+        "root_poset_covers": poset.cover_pairs(),
         "coxeter_number": rs.coxeter_number,
         "degrees": list(rs.degrees),
         "catalan": num.catalan,

@@ -63,6 +63,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .exactgeom import (
     EQ,
     GT,
+    MAX_DIM,
     AffineFlat,
     as_fractions,
     check_farkas,
@@ -358,7 +359,13 @@ def antichain_table(rs: RootSystem) -> tuple:
     """``(A, a, J)`` per antichain A of the root poset in its walk's order,
     a and J the bitmasks of A and its ideal.  Roots sorted by height make
     index order a linear extension, so ``natural_labeling`` is the identity
-    on every restriction: filtered, the walk's order (size, then lex) holds."""
+    on every restriction: filtered, the walk's order (size, then lex) holds.
+
+    Above the kernel's bound every user of the table would fail in the
+    kernel, so it raises the kernel's ``ValueError`` before the walk,
+    whose length is the type's Catalan number."""
+    if rs.rank > MAX_DIM:
+        raise ValueError(f"dimension {rs.rank} exceeds the supported bound {MAX_DIM}")
     rp = root_poset(rs)
     return tuple((A, _mask(A), _mask(J)) for A, J in zip(rp.antichains(), rp.order_ideals()))
 

@@ -9,6 +9,7 @@ import pytest
 
 from shicone import cli
 from shicone.cli import main
+from shicone.posets import FinitePoset
 
 DATA = Path(__file__).parent / "data"
 
@@ -254,6 +255,19 @@ def test_cone_non_ascii_rank_rejected(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot parse Cartan type 'B\u0662'")
+
+
+def test_cone_above_the_kernel_bound_fails_before_the_antichain_walk(capsys, monkeypatch):
+    # A14's root poset has 9,694,845 antichains, too many to walk, so the
+    # kernel's bound must refuse the request before the walk
+    def no_walk(self):
+        raise AssertionError("antichain walk above the kernel bound")
+
+    monkeypatch.setattr(FinitePoset, "antichains", no_walk)
+    code, out, err = run_cli(capsys, "cone", "--type", "A14", "--e", "0,1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: dimension 14 exceeds the supported bound 4\n"
 
 
 def test_cone_word_and_deletion_rejected(capsys):
@@ -668,6 +682,19 @@ def captured_payloads(monkeypatch, capsys, *argv) -> list:
     return seen
 
 
+#: A poset whose elements are JSON scalars of every kind.
+SCALAR_POSET = {
+    "elements": [True, None, 2.5, "a", -3],
+    "covers": [[0, 2], [1, 2], [2, 3]],
+}
+
+
+def scalar_poset_argv(tmp_path) -> list:
+    path = tmp_path / "scalars.json"
+    path.write_text(json.dumps(SCALAR_POSET))
+    return ["orderring", "--poset-file", str(path)]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -675,44 +702,69 @@ def captured_payloads(monkeypatch, capsys, *argv) -> list:
         ["cone", "--type", "B3", "--word", "121"],
         ["verify", "--type", "A2", "--theorem", "1"],
         ["orderring", "--type", "B3"],
+        ["cone", "--type", "C3", "--e", "0,2,5"],
+        ["verify", "--type", "A2", "--m", "2"],
+        SCALAR_POSET,
     ],
 )
-def test_writer_matches_json_dumps_on_real_records(monkeypatch, capsys, argv):
+def test_writer_matches_json_dumps_on_real_records(tmp_path, monkeypatch, capsys, argv):
+    if argv is SCALAR_POSET:
+        argv = scalar_poset_argv(tmp_path)
     (payload,) = captured_payloads(monkeypatch, capsys, *argv)
     assert cli.render("c", "t", payload, "json") == stdlib_json(payload)
 
 
-def test_orderring_record_never_reaches_json_dumps(monkeypatch, capsys):
-    (payload,) = captured_payloads(monkeypatch, capsys, "orderring", "--type", "F4")
-    calls = []
-    dumps = json.dumps
+def test_orderring_record_never_reaches_json_dumps(tmp_path, monkeypatch, capsys):
+    # the root poset's cells are ints, the file's every kind of JSON scalar
+    for label, argv in [
+        ("F4", ["orderring", "--type", "F4"]),
+        ("-", scalar_poset_argv(tmp_path)),
+    ]:
+        (payload,) = captured_payloads(monkeypatch, capsys, *argv)
+        calls = []
+        dumps = json.dumps
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return dumps(*args, **kwargs)
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return dumps(*args, **kwargs)
 
-    monkeypatch.setattr(cli.json, "dumps", counting)
-    text = cli.render("orderring", "F4", payload, "json")
-    monkeypatch.setattr(cli.json, "dumps", dumps)
-    assert calls == []
-    assert text == stdlib_json(payload, "orderring", "F4")
+        monkeypatch.setattr(cli.json, "dumps", counting)
+        text = cli.render("orderring", label, payload, "json")
+        monkeypatch.setattr(cli.json, "dumps", dumps)
+        assert calls == []
+        assert text == stdlib_json(payload, "orderring", label)
 
 
 class Colour(enum.IntEnum):
     RED = 1
 
 
-#: Strings that look like the seams and the escapes of the table writer.
-TABLE_STRINGS = ["]", ", ", "],\n    [", "[\n    \n  ]", '"]"', "\\", "\n", "\x00\x1f"]
+#: Strings that look like the seams and the escapes of the table writer,
+#: or hold the brackets and braces its shape check counts.
+TABLE_STRINGS = [
+    "]",
+    ", ",
+    "],\n    [",
+    "[\n    \n  ]",
+    "],\n      ",
+    '"]"',
+    "\\",
+    "\n",
+    "\x00\x1f",
+    "[",
+    "{",
+    "}",
+]
 
 
 def random_row(rng):
-    """A row of plain ``int`` and ``str``, as a list or a tuple."""
+    """A row of JSON scalars, as a list or a tuple."""
     cells = [
         lambda: rng.randint(-5, 5),
         lambda: rng.choice([-1, 1]) * (2**64 + rng.randint(0, 10**30)),
         lambda: random_string(rng) + "], " + random_string(rng),
         lambda: rng.choice(TABLE_STRINGS),
+        lambda: rng.choice(FLOATS + [True, False, None, Colour.RED]),
     ]
     kinds = rng.sample(cells, rng.randint(1, len(cells)))
     row = [rng.choice(kinds)() for _ in range(rng.choice([0, 1, 2, 5]))]
@@ -720,9 +772,9 @@ def random_row(rng):
 
 
 def odd_row(rng):
-    """A row with one cell the table writer must not take."""
+    """A row with one cell that is not a scalar."""
     row = list(random_row(rng))
-    odd = rng.choice([True, False, 0.5, None, Colour.RED, [1, "a"], [], (2,)])
+    odd = rng.choice([[1, "a"], [], (2,), [[]], {}, {"k": 1}, {"a": [1]}])
     row.insert(rng.randint(0, len(row)), odd)
     return tuple(row) if rng.random() < 0.5 else row
 
@@ -742,14 +794,26 @@ def nest(rng, value, depth: int):
     return value
 
 
+def not_all_scalars(rows) -> bool:
+    """Whether some cell is a list, tuple or dict, or a string holding
+    a bracket or brace, which is when ``_table`` must refuse the rows."""
+    return any(
+        isinstance(cell, (list, tuple, dict))
+        or isinstance(cell, str) and ("[" in cell or "{" in cell)
+        for row in rows
+        for cell in row
+    )
+
+
 def test_writer_matches_json_dumps_on_tables(monkeypatch):
     calls = []
     table = cli._table
 
     def counting(rows, pad):
-        assert {type(cell) for row in rows for cell in row} <= {int, str}
+        text = table(rows, pad)
+        assert (text is None) == not_all_scalars(rows)
         calls.append(len(rows))
-        return table(rows, pad)
+        return text
 
     monkeypatch.setattr(cli, "_table", counting)
     rng = random.Random(31)
@@ -763,6 +827,15 @@ def test_writer_matches_json_dumps_on_tables(monkeypatch):
         [(1, "b"), []],
         [[0, 1], (1, 1), [-7, 2**70]],
         [["]", ", "], ("\n", '"'), ["\\", "\x01", "\U0001f600"]],
+        # a one-item nested list adds a bracket but no separator
+        [[1, [2]], [3]],
+        [(1,), [[]]],
+        [[{"a": 1}], [2]],
+        [[{}], ()],
+        [["["], ["{"], ["],\n      "]],
+        [["a]", 1], ("{b", "}")],
+        [[0.5, -0.0, 1e300], (float("inf"), float("-inf")), [True, False, None]],
+        [[Colour.RED, 1], (Colour.RED,), [None]],
     ]
     tables = fixed + [
         [random_row(rng) for _ in range(rng.randint(1, 6))] for _ in range(300)
