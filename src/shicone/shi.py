@@ -49,7 +49,7 @@ ideals: :func:`regions_in_dominant` and :func:`flats_in_cone` take E
 and read no poset, and :func:`antichain_points` answers every face and
 facet unmoved (the cone-cut check of :mod:`shicone.verify` moves its
 points into wC).  The kernel, :func:`~shicone.exactgeom.feasible_rows`,
-gives the region witnesses, the rank <= 3 oracles and any table point
+gives the region witnesses, the two oracles and any table point
 that is missing or refused, so a wrong table costs calls, not answers.
 """
 
@@ -83,9 +83,10 @@ from .rootsys import (
     signed_roots,
 )
 
-#: Rank cap on the cell and closure oracles and on the whole-arrangement
-#: and extended-level computations, which search cells and flats directly
-#: instead of reading the root poset.
+#: Rank cap on the whole-arrangement and extended-level computations,
+#: which search cells and flats without reading the root poset, and the
+#: highest rank at which :mod:`shicone.verify` runs the sign and closure
+#: oracles (they run at any rank the kernel accepts).
 MAX_ORACLE_RANK = 3
 #: Cap on the extended-arrangement level.
 MAX_FUSS_LEVEL = 3
@@ -526,15 +527,16 @@ def _cells(rs: RootSystem, roots: Sequence[int], m: int) -> list:
     from its choices: the walls, then each prefix root's state rows in
     prefix order.
 
-    So every kernel call after the first (on the bare cone) extends a
-    nonempty cell of a shorter prefix, and at m = 1 it only ever finds a
-    cell.  Returns the list of ``(choices, witness)``, the witness being
-    the point that admitted the cell, inside all of its rows.
+    So every kernel call after the first (on the bare cone, asked before
+    the state tables so that a rank above the kernel's bound fails at once)
+    extends a nonempty cell of a shorter prefix, and at m = 1 it only ever
+    finds a cell.  Returns the list of ``(choices, witness)``, the witness
+    being the point that admitted the cell, inside all of its rows.
     """
     n = rs.rank
-    states, proofs = _state_rows(rs, m), _state_proofs(rs, m)
     walls = _positivity_rows(n)
     cells = [((), (0,) * (m + 1), feasible_rows(n, list(walls)))]
+    states, proofs = _state_rows(rs, m), _state_proofs(rs, m)
     for i in roots:
         grown = []
         for choices, held, point in cells:
@@ -558,7 +560,7 @@ def _cells(rs: RootSystem, roots: Sequence[int], m: int) -> list:
 
 
 def dominant_sign_oracle(rs: RootSystem, E: Iterable[int]) -> dict:
-    """Dominant regions of a deletion by cell enumeration, rank <= 3 only.
+    """Dominant regions of a deletion by cell enumeration.
 
     Walks the level-1 hyperplanes of E inside the dominant cone with
     :func:`_cells` at m = 1, keeping each side only while the prefix is
@@ -568,8 +570,6 @@ def dominant_sign_oracle(rs: RootSystem, E: Iterable[int]) -> dict:
     is never asked about an empty one.  Independent of the antichain
     route: it compares row vectors and never reads the root poset.
     """
-    if rs.rank > MAX_ORACLE_RANK:
-        raise ValueError(f"sign oracle is limited to rank <= {MAX_ORACLE_RANK}")
     E = sorted(set(E))
     return {
         frozenset(g for g, j in zip(E, choices) if j == 0): witness
@@ -624,7 +624,7 @@ def flats_in_cone(rs: RootSystem, E: Iterable[int], w: WeylElement) -> Intersect
 
 
 def flats_oracle(rs: RootSystem, w: WeylElement) -> IntersectionPoset:
-    """Flats of the Shi arrangement meeting wC by closure, rank <= 3.
+    """Flats of the Shi arrangement meeting wC by closure.
 
     Closes the level-1 hyperplanes of the roots outside
     ``inversion_set(rs, w)`` under intersection, keeping the flats that
@@ -632,8 +632,6 @@ def flats_oracle(rs: RootSystem, w: WeylElement) -> IntersectionPoset:
     hyperplanes containing it.  No antichain structure is assumed
     anywhere.
     """
-    if rs.rank > MAX_ORACLE_RANK:
-        raise ValueError(f"flat oracle is limited to rank <= {MAX_ORACLE_RANK}")
     inv = inversion_set(rs, w)
     planes = {
         g: (coords, 1)

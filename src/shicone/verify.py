@@ -8,12 +8,14 @@ the bijections) so that agreement is evidence rather than tautology.
 
 The region and flat oracles (a feasibility-pruned cell enumeration over
 the level-1 hyperplanes, and the closure of those hyperplanes under
-intersection) never read the root poset and are bounded to rank <= 3;
-every other check, the Eulerian interval check included, runs at every
-rank.  Hilbert series are compared with the Mobius Poincare polynomial
-of each cone's flats; on the dominant cone the Varchenko-Gel'fand ring
-and the order ring are shown to have the same points and generators,
-and their one series is computed by ranks.
+intersection) never read the root poset and run at any rank the kernel
+accepts; the region and flat checks compare them with the constructions
+up to rank ``MAX_ORACLE_RANK``, since at rank 4 they would about double
+those checks' cost.  Every other check, the Eulerian interval check
+included, runs at every rank.  Hilbert series are compared with the
+Mobius Poincare polynomial of each cone's flats; on the dominant cone
+the Varchenko-Gel'fand ring and the order ring are shown to have the
+same points and generators, and their one series is computed by ranks.
 """
 
 from __future__ import annotations

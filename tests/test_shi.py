@@ -127,9 +127,18 @@ def test_sign_oracle_extends_only_feasible_prefixes(monkeypatch, fresh_point_tab
             assert any(check_witness(rs.rank, rows[:-1], p) for p in answers[:k])
 
 
-def test_sign_oracle_rank_bound():
-    with pytest.raises(ValueError):
-        dominant_sign_oracle(get_rs("B4"), range(16))
+def test_sign_oracle_rank_bound(monkeypatch):
+    # the oracle keeps no cap of its own: above rank 4 the kernel refuses
+    # its first system, the bare cone, before the state proofs are built
+    def unbuilt(rs, m):
+        raise AssertionError("state proofs built above the kernel's bound")
+
+    monkeypatch.setattr(shi, "_state_proofs", unbuilt)
+    for name in ("A5", "A16"):
+        rs = get_rs(name)
+        bound = f"dimension {rs.rank} exceeds the supported bound {exactgeom.MAX_DIM}"
+        with pytest.raises(ValueError, match=bound):
+            dominant_sign_oracle(rs, range(len(rs.positive_roots)))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -604,9 +613,12 @@ def test_flats_oracle_matches_construction(name):
 
 
 def test_flats_oracle_rank_bound():
-    rs = get_rs("B4")
-    with pytest.raises(ValueError):
-        flats_oracle(rs, element_from_word(rs, ()))
+    # the oracle keeps no cap of its own: above rank 4 the kernel refuses
+    for name in ("A5", "A16"):
+        rs = get_rs(name)
+        bound = f"dimension {rs.rank} exceeds the supported bound {exactgeom.MAX_DIM}"
+        with pytest.raises(ValueError, match=bound):
+            flats_oracle(rs, element_from_word(rs, ()))
 
 
 def test_intersection_poset_structure(rs_b2):

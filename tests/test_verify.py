@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 
@@ -107,6 +108,48 @@ def test_region_and_flat_checks_restrict_and_enumerate_once_per_cone(name, monke
     check_region_ceiling_bijection(ctx)
     check_flat_bijection(ctx)
     assert calls == ["restrict", "enumerate"] * len(ctx.W)
+
+
+def _counting_oracles(monkeypatch) -> Counter:
+    """Counts the calls of the sign and closure oracles made through the
+    names that :mod:`shicone.verify` reads."""
+    calls = Counter()
+    for name in ("dominant_sign_oracle", "flats_oracle"):
+
+        def counting(*args, name=name, oracle=getattr(verify, name)):
+            calls[name] += 1
+            return oracle(*args)
+
+        monkeypatch.setattr(verify, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", RANK_4)
+def test_rank_4_checks_call_no_oracle(name, monkeypatch):
+    # verify's bound is the one place that decides where the oracles run,
+    # and the region and flat checks keep their rank-4 cost without them
+    ctx = TypeContext(get_rs(name))
+    ctx.W = tuple(random.Random(name).sample(ctx.W, 2))
+    calls = _counting_oracles(monkeypatch)
+    check_region_ceiling_bijection(ctx)
+    check_flat_bijection(ctx)
+    assert calls == Counter()
+
+
+@pytest.mark.parametrize("name", RANK_4)
+def test_oracles_agree_with_constructions_at_rank_4(name, monkeypatch):
+    # with verify's bound raised to 4, both oracles run once per cone, on
+    # every A4 cone and a seeded sample of each other type, and agree
+    # with the regions and the flats built from the antichain table
+    monkeypatch.setattr(verify, "MAX_ORACLE_RANK", 4)
+    calls = _counting_oracles(monkeypatch)
+    ctx = TypeContext(get_rs(name))
+    if name != "A4":
+        ctx.W = tuple(random.Random(name).sample(ctx.W, 12))
+    cones = f"{len(ctx.W)} cones,"
+    assert check_region_ceiling_bijection(ctx).startswith(cones)
+    assert check_flat_bijection(ctx).startswith(cones)
+    assert calls == {"dominant_sign_oracle": len(ctx.W), "flats_oracle": len(ctx.W)}
 
 
 @pytest.mark.parametrize(
