@@ -24,7 +24,7 @@ cut out the ring as a quotient of the polynomial ring.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .exactgeom import GT, AffineFlat, check_witness, meet
 from .poly import IntPolynomial
@@ -71,14 +71,14 @@ def filtered_hilbert(masks: Iterable[int], n: int) -> IntPolynomial:
         level = [p & m for p in added for m in masks]
 
 
-def vg_heaviside(rs: RootSystem, E: Iterable[int], region: ShiRegion, b: int) -> int:
+def vg_heaviside(rs: RootSystem, E: Collection[int], region: ShiRegion, b: int) -> int:
     """Side indicator of a region against the level-1 hyperplane of b.
 
     Reads the exact witness: 1 when the region lies strictly below
     level 1.  By the region/ideal dictionary this must agree with
     membership of b in the region's ideal.
     """
-    if b not in set(E):
+    if b not in E:
         raise ValueError("root index outside the deletion set")
     row = (signed_roots(rs)[len(rs.positive_roots) + b], -1, GT)
     return int(check_witness(rs.rank, [row], region.witness))

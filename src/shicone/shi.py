@@ -19,8 +19,9 @@ value lies in (s, s + 1) for s < m and in (m, oo) for s = m.  State
 s > m is the exact level s - m.  At m = 1 the three states are below,
 above and on 1.  A question is a tuple ``held`` of bitmasks of root
 indices, ``held[s]`` the roots it puts in state s, and its rows are the
-walls of C plus :func:`_state_rows` of each held root.  Three proofs
-settle it, tried in this order, though not every caller asks all three:
+walls of C plus :func:`_state_rows` of each held root in index order,
+all written by :func:`_question_rows`.  Three proofs settle it, tried
+in this order, though not every caller asks all three:
 
 - a point the caller holds answers it once :func:`_holds` accepts the
   point's :func:`_signature`, the same masks read off the point (None
@@ -39,25 +40,26 @@ first.  Only :func:`ceiling_oracle`'s probes and the children of
 :func:`_cells` read :func:`_state_proofs`.  :func:`_closure_poset` asks
 the kernel directly and trusts its meets-the-region tests.
 
-Every construction question is a face of a deletion in C, asked at
-m = 1 by :func:`_face` from bitmasks of root indices (E, ideal,
-pinned): a region pins no root, a facet probe one, a flat its
-antichain; wC is w applied to the deletion to the roots that w keeps
-positive.  The cells of :func:`_cells` ask at level m.  A deletion
-poset is induced, so :func:`antichain_table` lists its antichains and
-ideals: :func:`regions_in_dominant` and :func:`flats_in_cone` take E
-and read no poset, and :func:`antichain_points` answers every face and
-facet unmoved (the cone-cut check of :mod:`shicone.verify` moves its
-points into wC).  The kernel, :func:`~shicone.exactgeom.feasible_rows`,
-gives the region witnesses, the two oracles and any table point
-that is missing or refused, so a wrong table costs calls, not answers.
+Every construction question is a face of a deletion in C, asked at m = 1
+by :func:`_face` from bitmasks of root indices (E, ideal, pinned): a
+region pins no root, a facet probe one, a flat its antichain; wC is w
+applied to the deletion to the roots that w keeps positive.  The cells
+of :func:`_cells` ask at level m.  Each writes its rows from the
+``held`` it judges points by.  A deletion poset is induced, so
+:func:`antichain_table` lists its antichains and ideals:
+:func:`regions_in_dominant` and :func:`flats_in_cone` take E and read no
+poset, and :func:`antichain_points` answers every face and facet unmoved
+(the cone-cut check of :mod:`shicone.verify` moves its points into wC).
+The kernel gives the region witnesses, the two oracles and any table
+point that is missing or refused, so a wrong table costs calls, not
+answers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import mul
+from functools import lru_cache, reduce
+from operator import mul, or_
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exactgeom import (
@@ -225,21 +227,27 @@ def _state_rows(rs: RootSystem, m: int) -> tuple:
     return tuple(out)
 
 
-def _face_rows(rs: RootSystem, E: int, ideal: int, pinned: int) -> list:
-    """The walls of C, then for each root g of the bitmask ``E``, in index
-    order, the row of its state at m = 1: on 1 when g is in ``pinned``,
-    below 1 in the rest of ``ideal``, else above 1."""
-    states = _state_rows(rs, 1)
+def _question_rows(rs: RootSystem, m: int, held: tuple) -> list:
+    """The rows of the question ``held`` at level m: the walls of C, then
+    for each held root, in index order, its :func:`_state_rows` entry for
+    the state s whose mask ``held[s]`` holds it."""
+    states = _state_rows(rs, m)
     rows = list(_positivity_rows(rs.rank))
-    for g in _bits(E):
-        s = _ON if pinned >> g & 1 else _BELOW if ideal >> g & 1 else _ABOVE
-        rows += states[g][s]
+    rest = reduce(or_, held)
+    while rest:
+        low = rest & -rest
+        s = 0
+        while not held[s] & low:
+            s += 1
+        rows += states[low.bit_length() - 1][s]
+        rest ^= low
     return rows
 
 
 def region_rows(rs: RootSystem, E: Iterable[int], ideal: Iterable[int]) -> list:
     """Kernel rows cutting out a dominant region of the deletion to E."""
-    return _face_rows(rs, _mask(E), _mask(ideal), 0)
+    E, ideal = _mask(E), _mask(ideal)
+    return _question_rows(rs, 1, (E & ideal, E & ~ideal, 0))
 
 
 def cone_rows(rs: RootSystem, w: WeylElement) -> list:
@@ -314,15 +322,15 @@ def _pair_refutes(n: int, walls: list, rows: Sequence[tuple], extra: list) -> bo
 
 @lru_cache(maxsize=None)
 def _state_proofs(rs: RootSystem, m: int) -> tuple:
-    """``proofs[g][s][t]``, the bitmask of the roots c such that root g
-    in state s and root c in state t have a two-row certificate of
-    :func:`_pair_refutes`, which :func:`check_farkas` accepts once per
-    (type, m).  No question holding both pairs has a point.  The
-    certificates come from coordinate vectors, never from the poset: g
-    with a lower bound l (interval l or level l) and c - g >= 0 with an
-    upper bound u <= l (interval u - 1 < m), or the same with g and c
-    swapped.  So ``proofs[b][_ON][_BELOW]`` at m = 1 holds b and the
-    roots above it."""
+    """``proofs[g][s][t]``, the bitmask of the roots c such that root g in
+    state s and root c in interval t <= m (the only states its readers
+    hold c in) have a two-row certificate of :func:`_pair_refutes`, which
+    :func:`check_farkas` accepts once per (type, m).  No question holding
+    both pairs has a point.  The certificates come from coordinate
+    vectors, never from the poset: g with a lower bound l (interval l or
+    level l) and c - g >= 0 with an upper bound u <= l (interval
+    u - 1 < m), or the same with g and c swapped.  So
+    ``proofs[b][_ON][_BELOW]`` at m = 1 holds b and the roots above it."""
     n, rows = rs.rank, _state_rows(rs, m)
     walls = _positivity_rows(n)
     return tuple(
@@ -333,7 +341,7 @@ def _state_proofs(rs: RootSystem, m: int) -> tuple:
                     for c, other in enumerate(rows)
                     if _pair_refutes(n, walls, other[t], extra)
                 )
-                for t in range(2 * m + 1)
+                for t in range(m + 1)
             )
             for extra in per_root
         )
@@ -346,13 +354,13 @@ def _face(rs: RootSystem, E: int, ideal: int, pinned: int, hint=None) -> Optiona
     empty; E, ``ideal`` and ``pinned`` are bitmasks of root indices.  The
     question at m = 1 puts the pinned roots of E on 1, the rest of the
     ideal below and the rest of E above; the hint is returned once it
-    holds the question, and otherwise the kernel answers the face's
-    rows."""
+    holds the question, and otherwise the kernel answers its rows,
+    :func:`_question_rows` of the same ``held``."""
     rest = E & ~pinned
     held = (rest & ideal, rest & ~ideal, E & pinned)
     if hint is not None and _holds(_signature(rs, 1, hint), held):
         return hint
-    return feasible_rows(rs.rank, _face_rows(rs, E, ideal, pinned))
+    return feasible_rows(rs.rank, _question_rows(rs, 1, held))
 
 
 @lru_cache(maxsize=None)
@@ -514,67 +522,55 @@ def ceiling_oracle(rs: RootSystem, E: Iterable[int], region: ShiRegion) -> froze
 
 def _cells(rs: RootSystem, roots: Sequence[int], m: int) -> list:
     """Cells of the dominant cone cut by the level 1..m hyperplanes of
-    ``roots``, built one root at a time in order.
+    ``roots``, built one root at a time in the given order; both callers
+    pass ``roots`` ascending, so that prefix order is index order.
 
-    A cell puts each root of its prefix in an interval state: root i in
-    state j lies in (j, j+1) for j < m and in (m, oo) for j = m.  Each
-    cell carries its choices, its question ``held`` (m + 1 masks) and a
-    point that holds it, so the point holds a child, the cell's question
-    plus root i in state j, exactly when its :func:`_signature` puts i in
-    state j: that child takes the point.  Any other child is empty once
-    :func:`_state_proofs` refutes (i, j) against a pair the cell holds,
-    and is otherwise the kernel's to answer, on the child's rows written
-    from its choices: the walls, then each prefix root's state rows in
-    prefix order.
+    A cell is its question ``held`` (m + 1 masks), which puts each root
+    of its prefix in an interval state, and a point that holds it.  The
+    point holds a child, the cell's question plus root i in state j,
+    exactly when its :func:`_signature` puts i in state j: that child
+    takes the point.  Any other child is empty once :func:`_state_proofs`
+    refutes (i, j) against a pair the cell holds, and is otherwise the
+    kernel's to answer, on :func:`_question_rows` of the child's ``held``.
 
     So every kernel call after the first (on the bare cone, asked before
     the state tables so that a rank above the kernel's bound fails at once)
     extends a nonempty cell of a shorter prefix, and at m = 1 it only ever
-    finds a cell.  Returns the list of ``(choices, witness)``, the witness
+    finds a cell.  Returns the list of ``(held, witness)``, the witness
     being the point that admitted the cell, inside all of its rows.
     """
-    n = rs.rank
-    walls = _positivity_rows(n)
-    cells = [((), (0,) * (m + 1), feasible_rows(n, list(walls)))]
-    states, proofs = _state_rows(rs, m), _state_proofs(rs, m)
+    cells = [((0,) * (m + 1), feasible_rows(rs.rank, list(_positivity_rows(rs.rank))))]
+    proofs = _state_proofs(rs, m)
     for i in roots:
         grown = []
-        for choices, held, point in cells:
+        for held, point in cells:
             signature = _signature(rs, m, point)
             for j in range(m + 1):
                 if signature[j] >> i & 1:
-                    witness = point
-                elif any(p & h for p, h in zip(proofs[i][j], held)):
-                    continue
-                else:
-                    rows = list(walls)
-                    for g, s in zip(roots, choices + (j,)):
-                        rows += states[g][s]
-                    witness = feasible_rows(n, rows)
-                    if witness is None:
-                        continue
-                child = held[:j] + (held[j] | 1 << i,) + held[j + 1 :]
-                grown.append((choices + (j,), child, witness))
+                    grown.append((held[:j] + (held[j] | 1 << i,) + held[j + 1 :], point))
+                elif not any(p & h for p, h in zip(proofs[i][j], held)):
+                    child = held[:j] + (held[j] | 1 << i,) + held[j + 1 :]
+                    witness = feasible_rows(rs.rank, _question_rows(rs, m, child))
+                    if witness is not None:
+                        grown.append((child, witness))
         cells = grown
-    return [(choices, witness) for choices, _, witness in cells]
+    return cells
 
 
 def dominant_sign_oracle(rs: RootSystem, E: Iterable[int]) -> dict:
     """Dominant regions of a deletion by cell enumeration.
 
-    Walks the level-1 hyperplanes of E inside the dominant cone with
+        Walks the level-1 hyperplanes of E inside the dominant cone with
     :func:`_cells` at m = 1, keeping each side only while the prefix is
-    shown nonempty, and returns {below-set: witness} for the cells, each
-    witness inside its cell's rows.  Every side it drops is refuted by
-    :func:`_state_proofs` against a state the cell holds, so the kernel
-    is never asked about an empty one.  Independent of the antichain
-    route: it compares row vectors and never reads the root poset.
+    shown nonempty, and returns {below-set: witness} for the cells, the
+    below-set read off each cell's ``held[0]`` and each witness inside its
+    cell's rows.  Every side it drops is refuted by :func:`_state_proofs`
+    against a state the cell holds, so the kernel is never asked about an
+    empty one.  Independent of the antichain route: it compares row
+    vectors and never reads the root poset.
     """
-    E = sorted(set(E))
-    return {
-        frozenset(g for g, j in zip(E, choices) if j == 0): witness
-        for choices, witness in _cells(rs, E, 1)
-    }
+    cells = _cells(rs, sorted(set(E)), 1)
+    return {frozenset(_bits(held[0])): witness for held, witness in cells}
 
 
 # -- flats -------------------------------------------------------------------

@@ -110,8 +110,10 @@ class TypeContext:
         return self._cached("sub", w, lambda: cone_poset(self.rs, w))
 
     def regions(self, w) -> list:
-        E = complement_of_inversions(self.rs, w)
-        return self._cached("regions", w, lambda: regions_in_dominant(self.rs, E))
+        rs = self.rs
+        return self._cached(
+            "regions", w, lambda: regions_in_dominant(rs, complement_of_inversions(rs, w))
+        )
 
     def cone_regions(self, w) -> list:
         return self._cached(
@@ -121,8 +123,10 @@ class TypeContext:
         )
 
     def flats(self, w):
-        E = complement_of_inversions(self.rs, w)
-        return self._cached("flats", w, lambda: flats_in_cone(self.rs, E, w))
+        rs = self.rs
+        return self._cached(
+            "flats", w, lambda: flats_in_cone(rs, complement_of_inversions(rs, w), w)
+        )
 
     def inverse(self, w) -> WeylElement:
         """w^{-1} from the reversed word, independent of the permutation

@@ -168,7 +168,7 @@ def test_refused_cell_proofs_fall_back_to_kernel(m, monkeypatch, fresh_point_tab
         return witness
 
     monkeypatch.setattr(shi, "feasible_rows", recording)
-    choices = [c for c, _ in shi._cells(rs, roots, m)]
+    choices = [_choices(roots, held) for held, _ in shi._cells(rs, roots, m)]
     asked, empty = Counter(systems), answers.count(None)
     assert inherited and refuted
     assert not asked & (inherited + refuted)
@@ -179,7 +179,7 @@ def test_refused_cell_proofs_fall_back_to_kernel(m, monkeypatch, fresh_point_tab
         mp.setattr(shi, "_signature", lambda rs, m, point: (0,) * (2 * m + 1))
         systems.clear()
         answers.clear()
-        assert [c for c, _ in shi._cells(rs, roots, m)] == choices
+        assert [_choices(roots, held) for held, _ in shi._cells(rs, roots, m)] == choices
         assert Counter(systems) == asked + inherited
         assert answers.count(None) == empty
     shi._state_proofs.cache_clear()
@@ -193,7 +193,7 @@ def test_refused_cell_proofs_fall_back_to_kernel(m, monkeypatch, fresh_point_tab
         mp.setattr(shi, "check_farkas", refusing)
         systems.clear()
         answers.clear()
-        assert [c for c, _ in shi._cells(rs, roots, m)] == choices
+        assert [_choices(roots, held) for held, _ in shi._cells(rs, roots, m)] == choices
         assert Counter(systems) == asked + refuted
         assert answers.count(None) == empty + sum(refuted.values())
     assert len(offered) == STATE_CERTIFICATES["B3", m] == _proved(proofs)
@@ -800,6 +800,19 @@ def _cell_rows(rs, roots, m, choices):
     return rows
 
 
+def _choices(roots, held):
+    """The interval ``choices[k]`` of each root ``roots[k]`` in the cell
+    question ``held``, as :func:`_cell_rows` reads them: asserts that each
+    root lies in exactly one mask and that no other root is held."""
+    choices = []
+    for g in roots:
+        states = [j for j, h in enumerate(held) if h >> g & 1]
+        assert len(states) == 1, (g, held)
+        choices += states
+    assert not any(h & ~shi._mask(roots) for h in held), (roots, held)
+    return tuple(choices)
+
+
 def _held(roots, choices, m):
     """The question of a cell: ``held[j]``, the bitmask of the roots
     ``roots[k]`` with ``choices[k] == j``, for each interval j <= m."""
@@ -833,14 +846,14 @@ def _written_state(rs, g, m, s):
 
 
 #: certificates check_farkas accepts in building _state_proofs(rs, m):
-#: one per proved pair, 2 m (m + 1) per pair of roots b <= c
+#: one per proved pair, 3 m (m + 1) / 2 per pair of roots b <= c
 STATE_CERTIFICATES = {
-    ("B3", 1): 144,
-    ("B3", 2): 432,
-    ("B3", 3): 864,
-    ("G2", 2): 240,
-    ("G2", 3): 480,
-    ("F4", 1): 980,
+    ("B3", 1): 108,
+    ("B3", 2): 324,
+    ("B3", 3): 648,
+    ("G2", 2): 180,
+    ("G2", 3): 360,
+    ("F4", 1): 735,
 }
 
 
@@ -848,16 +861,18 @@ def _children(rs, roots, m):
     """Every child question of the cell enumeration over ``roots``, as
     ``(k, choices, point, j, rows)``: a cell of the prefix ``roots[:k]``
     with its point, and root ``roots[k]`` in interval j, the child's rows
-    written out by :func:`_cell_rows`."""
+    written out by :func:`_cell_rows` from the cell's :func:`_choices`."""
     for k in range(len(roots)):
-        for choices, point in shi._cells(rs, roots[:k], m):
+        for held, point in shi._cells(rs, roots[:k], m):
+            choices = _choices(roots[:k], held)
             for j in range(m + 1):
                 yield k, choices, point, j, _cell_rows(rs, roots[: k + 1], m, choices + (j,))
 
 
 def _oracle_outputs():
-    """The flats and cells of the oracles, and each cell's witness with
-    the rows of its cell rebuilt from its choices or below-set."""
+    """The flats and cells of the oracles, each cell by its
+    :func:`_choices`, and each cell's witness with the rows of its cell
+    rebuilt from its choices or below-set."""
     data, witnessed = [], []
     for name in ("G2", "B3"):
         rs = get_rs(name)
@@ -867,7 +882,9 @@ def _oracle_outputs():
             planes = _level_planes(rs, range(1, m + 1))
             inside = shi._positivity_rows(rs.rank)
             data.append(_flats(shi._closure_poset(rs, planes, inside_rows=inside)))
-            cells = shi._cells(rs, roots, m)
+            cells = [
+                (_choices(roots, held), witness) for held, witness in shi._cells(rs, roots, m)
+            ]
             data.append([choices for choices, _ in cells])
             witnessed += [
                 (rs, _cell_rows(rs, roots, m, choices), witness)
@@ -1157,12 +1174,31 @@ def _exact_on(rs, point, g, m):
     return [(tuple(k * x for x in nums), value) for k in range(1, m + 1)]
 
 
+def _face_written(rs, E, ideal, pinned):
+    """The rows of the face question ``(E, ideal, pinned)``, written out:
+    the walls, then for each root of E in index order its row at m = 1,
+    on 1 when pinned, below 1 in the rest of the ideal, else above 1."""
+    rows = _cell_rows(rs, [], 1, [])
+    for g, coords in enumerate(rs.positive_roots):
+        if not E >> g & 1:
+            continue
+        if pinned >> g & 1:
+            rows.append((coords, 1, EQ))
+        elif ideal >> g & 1:
+            rows.append((tuple(-c for c in coords), -1, GT))
+        else:
+            rows.append((coords, 1, GT))
+    return rows
+
+
 @pytest.mark.parametrize("name", RANK_LE_3 + RANK_4)
 def test_state_rows_are_the_written_states(name):
     # the rows of each (root, state) pair at m = 1, 2, 3 are those written
-    # out here, and a face question's rows are the walls, then for each
-    # root of E in index order its row at m = 1: on 1 when pinned, below
-    # 1 in the rest of the ideal, else above 1
+    # out here; a face question's rows are the walls, then for each root
+    # of E in index order its row at m = 1: on 1 when pinned, below 1 in
+    # the rest of the ideal, else above 1; and at m = 2, 3 the rows of a
+    # question holding random roots in random intervals are the walls,
+    # then each held root's interval rows in index order
     rs = get_rs(name)
     N = len(rs.positive_roots)
     for m in (1, 2, 3):
@@ -1173,17 +1209,22 @@ def test_state_rows_are_the_written_states(name):
     rng = random.Random(name)
     for _ in range(40):
         E, ideal, pinned = (rng.getrandbits(N) for _ in range(3))
-        rows = _cell_rows(rs, [], 1, [])
-        for g, coords in enumerate(rs.positive_roots):
-            if not E >> g & 1:
-                continue
-            if pinned >> g & 1:
-                rows.append((coords, 1, EQ))
-            elif ideal >> g & 1:
-                rows.append((tuple(-c for c in coords), -1, GT))
-            else:
-                rows.append((coords, 1, GT))
-        assert shi._face_rows(rs, E, ideal, pinned) == rows
+        rest = E & ~pinned
+        held = (rest & ideal, rest & ~ideal, E & pinned)
+        assert shi._question_rows(rs, 1, held) == _face_written(rs, E, ideal, pinned)
+    for m in (2, 3):
+        for _ in range(40):
+            state = [rng.choice([None, *range(m + 1)]) for _ in range(N)]
+            held = [0] * (m + 1)
+            rows = _cell_rows(rs, [], m, [])
+            for g, coords in enumerate(rs.positive_roots):
+                s = state[g]
+                if s is None:
+                    continue
+                held[s] |= 1 << g
+                rows += [(coords, s, GT)] if s > 0 else []
+                rows += [(tuple(-c for c in coords), -s - 1, GT)] if s < m else []
+            assert shi._question_rows(rs, m, tuple(held)) == rows
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -1230,7 +1271,10 @@ def test_level_vectors_answer_cell_questions_as_check_witness(name):
     memo = {}
     for m in (1, 2, 3):
         near = {}
-        by_prefix = [shi._cells(rs, roots[:k], m) for k in range(len(roots) + 1)]
+        by_prefix = [
+            [(_choices(roots[:k], held), point) for held, point in shi._cells(rs, roots[:k], m)]
+            for k in range(len(roots) + 1)
+        ]
         for k, cells in enumerate(by_prefix[:-1]):
             prefix = roots[: k + 1]
             grown = dict(by_prefix[k + 1])
@@ -1278,8 +1322,8 @@ def test_sign_vectors_answer_face_questions_as_check_witness(name, monkeypatch):
     table = antichain_points(rs)
     points = [*table.face.values(), *table.facet.values()]
     points += [q for p in points for q in _off_cone(p)]
-    rows_of = {question: shi._face_rows(rs, *question) for question in questions}
-    monkeypatch.setattr(shi, "_face_rows", lambda *question: None)
+    rows_of = {question: _face_written(rs, *question) for question in questions}
+    monkeypatch.setattr(shi, "_question_rows", lambda *question: None)
     monkeypatch.setattr(shi, "feasible_rows", lambda dim, rows: None)
     answers = set()
     memo = {}
@@ -1353,12 +1397,13 @@ def _check_state_proofs(rs, m, monkeypatch):
     root c in state t, written out, have a row pair (a, s'), (c', t') with
     a + c' <= 0 and s' + t' >= 0 whose certificate (the walls times
     -(a + c'), then 1, 1) check_farkas accepts, searched over all row
-    pairs and every pair of states, exact states included.  These are the
+    pairs, every state s of g, exact states included, and every interval
+    t <= m of c, the states the table's readers hold c in.  These are the
     comparable pairs: g <= c coordinatewise and a lower bound of g's state
     (interval l or level l) at least the upper bound of c's (interval
     u - 1 < m), or the same with g and c swapped.  check_farkas accepted
-    one certificate per proved pair, 2 m (m + 1) per pair of roots b <= c,
-    and no state refutes itself.  Returns the proofs."""
+    one certificate per proved pair, 3 m (m + 1) / 2 per pair of roots
+    b <= c, and no interval refutes itself.  Returns the proofs."""
     n, roots = rs.rank, rs.positive_roots
     N = len(roots)
     walls = _cell_rows(rs, [], 1, [])
@@ -1386,7 +1431,7 @@ def _check_state_proofs(rs, m, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(shi, "check_farkas", recording)
         proofs = shi._state_proofs(rs, m)
-    states = range(2 * m + 1)
+    states, intervals = range(2 * m + 1), range(m + 1)
     rows = {(g, s): _written_state(rs, g, m, s) for g in range(N) for s in states}
     low = [s if s <= m else s - m for s in states]
     up = [s + 1 if s < m else float("inf") for s in states]
@@ -1394,7 +1439,7 @@ def _check_state_proofs(rs, m, monkeypatch):
         tuple(
             tuple(
                 sum(1 << c for c in range(N) if refutes(rows[g, s], rows[c, t]))
-                for t in states
+                for t in intervals
             )
             for s in states
         )
@@ -1409,7 +1454,7 @@ def _check_state_proofs(rs, m, monkeypatch):
                     if _below(roots[g], roots[c]) and low[s] >= up[t]
                     or _below(roots[c], roots[g]) and low[t] >= up[s]
                 )
-                for t in states
+                for t in intervals
             )
             for s in states
         )
@@ -1417,8 +1462,8 @@ def _check_state_proofs(rs, m, monkeypatch):
     )
     assert proofs == searched == ordered
     assert verdicts == [True] * _proved(proofs)
-    assert _proved(proofs) == 2 * m * (m + 1) * ordered_pairs
-    assert not any(proofs[g][s][s] >> g & 1 for g in range(N) for s in states)
+    assert _proved(proofs) == 3 * m * (m + 1) // 2 * ordered_pairs
+    assert not any(proofs[g][s][s] >> g & 1 for g in range(N) for s in intervals)
     return proofs
 
 
