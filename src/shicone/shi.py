@@ -34,19 +34,22 @@ in this order, though not every caller asks all three:
   rows, and its "empty" is trusted (cell prunes at m >= 2, table and
   ceiling fallbacks).
 
-:func:`_face` asks no certificate: region witnesses and the point table
-go to the kernel, and flats and facet probes try their table point
-first.  Only :func:`ceiling_oracle`'s probes and the children of
-:func:`_cells` read :func:`_state_proofs`.  :func:`_closure_poset` asks
-the kernel directly and trusts its meets-the-region tests.
+:func:`_face` asks no certificate: the point table goes to the kernel,
+region witnesses go to it on their ceiling and floor rows alone and are
+then judged on the region's whole question by :func:`_holds`, and flats
+and facet probes try their table point first.  Only
+:func:`ceiling_oracle`'s probes and the children of :func:`_cells` read
+:func:`_state_proofs`.  :func:`_closure_poset` asks the kernel directly
+and trusts its meets-the-region tests.
 
 Every construction question is a face of a deletion in C, asked at m = 1
 by :func:`_face` from bitmasks of root indices (E, ideal, pinned): a
-region pins no root, a facet probe one, a flat its antichain; wC is w
-applied to the deletion to the roots that w keeps positive.  The cells
-of :func:`_cells` ask at level m.  Each writes its rows from the
-``held`` it judges points by.  A deletion poset is induced, so
-:func:`antichain_table` lists its antichains and ideals:
+region pins no root (and asks the deletion to its ceiling and floor,
+whose rows imply the rest of E's), a facet probe one, a flat its
+antichain; wC is w applied to the deletion to the roots that w keeps
+positive.  The cells of :func:`_cells` ask at level m.  Each writes its
+rows from the ``held`` it judges points by.  A deletion poset is
+induced, so :func:`antichain_table` lists its antichains and ideals:
 :func:`regions_in_dominant` and :func:`flats_in_cone` take E and read no
 poset, and :func:`antichain_points` answers every face and facet unmoved
 (the cone-cut check of :mod:`shicone.verify` moves its points into wC).
@@ -59,7 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import mul, or_
+from operator import ge, mul, or_
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exactgeom import (
@@ -446,19 +449,47 @@ def _positive_image(rs: RootSystem, w: WeylElement, i: int) -> int:
     return w.perm[i]
 
 
+@lru_cache(maxsize=None)
+def _above(rs: RootSystem) -> tuple:
+    """``above[g]``, the bitmask of the roots c != g with c - g >= 0
+    coordinatewise: c . x >= g . x at every point of C."""
+    roots = rs.positive_roots
+    return tuple(
+        _mask(c for c, coords in enumerate(roots) if c != i and all(map(ge, coords, g)))
+        for i, g in enumerate(roots)
+    )
+
+
 def regions_in_dominant(rs: RootSystem, E: Iterable[int]) -> list:
     """All dominant-cone regions of the deletion to the root indices E:
     one per antichain A of the deletion poset (:func:`antichain_table`),
-    with ceiling A, ideal A's root-poset ideal cut to E and a witness from
-    exact feasibility that certifies the region is nonempty."""
+    with ceiling A, ideal J, A's root-poset ideal cut to E, and a witness
+    from exact feasibility that certifies the region is nonempty.
+
+    The kernel gets the region's irredundant rows only, through
+    :func:`_face` on the deletion to A and the floor: the walls of C,
+    a . x < 1 for a in A and f . x > 1 for f in the floor, the roots of
+    E - J above no other root of E - J (:func:`_above`).  Every root of J
+    lies below a root of A and every root of E - J above a floor root,
+    so each dropped row follows from a kept one.  The witness is then
+    judged on the region's whole question by :func:`_holds`, the test
+    check_witness makes on :func:`region_rows`: a wrong floor raises
+    AssertionError, never a wrong region."""
     E = _mask(E)
+    above = _above(rs)
     out = []
-    for A, _, ideal in _antichains_within(rs, E):
-        witness = _face(rs, E, ideal, 0)
+    for A, a, ideal in _antichains_within(rs, E):
+        rest = E & ~ideal
+        floor = rest & ~reduce(or_, (above[g] for g in _bits(rest)), 0)
+        witness = _face(rs, a | floor, ideal, 0)
         if witness is None:
             raise RuntimeError(
                 "region construction produced an empty region; "
                 "arrangement invariant violated"
+            )
+        if not _holds(_signature(rs, 1, witness), (ideal, rest, 0)):
+            raise AssertionError(
+                "region witness fails the region's rows; floor table violated"
             )
         out.append(ShiRegion(frozenset(_bits(ideal)), A, witness))
     return out

@@ -44,6 +44,7 @@ from shicone.shi import (
     full_arrangement_poincare,
     fuss_dominant,
     poincare,
+    region_rows,
     regions_in_cone,
     regions_in_dominant,
     transport_regions,
@@ -912,31 +913,46 @@ def test_oracle_outputs_pinned():
         assert check_witness(rs.rank, rows, witness)
 
 
-# sha256 of repr() of the construction outputs below: any change to a
-# region's ideal, ceiling or witness, or to a flat's rref, generators,
-# codim or Mobius value changes it.
-CONSTRUCTION_DIGEST = "46c8836c9246491ee08b76748fb82c75f6b9e03d493f0f3de842b2431ba5c469"
+# sha256 of repr() of the construction outputs below without the region
+# witnesses: any change to a region's ideal or ceiling, or to a flat's
+# rref, generators, codim or Mobius value changes it.
+CONSTRUCTION_DIGEST = "01cb795a7042fdbcdfb9b84308da962a45a643f162a7edf40878fe5b88d1b6fd"
+# sha256 of repr() of the witnesses of those regions, in the same order.
+CONSTRUCTION_WITNESS_DIGEST = "b8673c170fdf7da4fc5abc2299b558b44273f1e58f6bc832e25331703fedbe36"
 
 
 def test_construction_outputs_pinned():
-    def regions(found):
-        return [(sorted(r.ideal), sorted(r.ceiling), r.witness) for r in found]
-
     rng = random.Random(17)
     cones = [(get_rs("B3"), w) for w in weyl_group(get_rs("B3"))]
     for name in RANK_4:
         rs = get_rs(name)
         cones += [(rs, w) for w in rng.sample(weyl_group(rs), 8)]
-    data = []
+    data, witnesses, witnessed = [], [], []
+
+    def pin(rs, E, dominant, found):
+        """Pins the regions ``found``, and checks the witnesses of the same
+        regions in C, ``dominant``, on their full :func:`region_rows`."""
+        data.append([(sorted(r.ideal), sorted(r.ceiling)) for r in found])
+        witnesses.extend(r.witness for r in found)
+        witnessed.extend((rs, region_rows(rs, E, r.ideal), r.witness) for r in dominant)
+
     for rs, w in cones:
-        data.append(regions(regions_in_cone(rs, w)))
-        data.append(_flats(flats_in_cone(rs, complement_of_inversions(rs, w), w)))
+        E = complement_of_inversions(rs, w)
+        dominant = regions_in_dominant(rs, E)
+        found = regions_in_cone(rs, w)
+        assert found == transport_regions(rs, w, dominant)
+        pin(rs, E, dominant, found)
+        data.append(_flats(flats_in_cone(rs, E, w)))
     for name, E in (("B3", (0, 2, 3, 5, 6, 8)), ("F4", range(0, 24, 2))):
         rs = get_rs(name)
-        data.append(regions(regions_in_dominant(rs, E)))
+        found = regions_in_dominant(rs, E)
+        pin(rs, E, found, found)
         data.append(_flats(flats_in_cone(rs, E, element_from_word(rs, ()))))
     assert sum(map(len, data)) == 1900
     assert hashlib.sha256(repr(data).encode()).hexdigest() == CONSTRUCTION_DIGEST
+    assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == CONSTRUCTION_WITNESS_DIGEST
+    for rs, rows, witness in witnessed:
+        assert check_witness(rs.rank, rows, witness)
 
 
 def test_closure_asks_kernel_once_per_flat(monkeypatch, fresh_point_table):
@@ -1013,6 +1029,56 @@ def test_invariant_violation_fails_construction(
         monkeypatch.setattr(shi, name, fake)
     with pytest.raises(RuntimeError, match=message):
         build(rs_b2)
+
+
+@pytest.mark.parametrize("name", ["B2", "F4"])
+def test_wrong_floor_table_fails_region_construction(name, monkeypatch):
+    # with every root claiming to lie above every root, the floor of every
+    # region with a root above its ideal comes out empty; the kernel's point
+    # then misses some row of E - J, and the check on the region's whole
+    # question must refuse it rather than return the region
+    rs = get_rs(name)
+    everything = (1 << len(rs.positive_roots)) - 1
+    monkeypatch.setattr(shi, "_above", lambda rs: (everything,) * len(rs.positive_roots))
+    with pytest.raises(AssertionError, match="floor table"):
+        regions_in_dominant(rs, range(len(rs.positive_roots)))
+
+
+@pytest.mark.parametrize("name", RANK_4 + ["B3"])
+def test_region_systems_are_walls_ceiling_and_floor(name, monkeypatch):
+    # regions_in_dominant asks the kernel once per region, on the walls of
+    # C, a . x < 1 for each root a of the ceiling and f . x > 1 for each
+    # root f of the floor, the minimal roots of E - J, in root index order:
+    # every cone of A4, B4, C4 and D4, the F4 sample, and the B3 and F4
+    # deletions of the construction pin; the floor is read here from the
+    # root poset's order, not from the table regions_in_dominant reads
+    rs = get_rs(name)
+    rp = root_poset(rs)
+    roots = range(len(rs.positive_roots))
+    below = [frozenset(g for g in roots if g != f and rp.leq(g, f)) for f in roots]
+    if name == "B3":
+        deletions = [(0, 2, 3, 5, 6, 8)]
+    elif name == "F4":
+        deletions = [complement_of_inversions(rs, w) for w in _cone_sample(name)]
+        deletions.append(range(0, 24, 2))
+    else:
+        deletions = [complement_of_inversions(rs, w) for w in weyl_group(rs)]
+    systems = []
+    kernel = shi.feasible_rows
+
+    def recording(dim, rows):
+        systems.append(rows)
+        return kernel(dim, rows)
+
+    monkeypatch.setattr(shi, "feasible_rows", recording)
+    for E in deletions:
+        systems.clear()
+        expected = []
+        for region in regions_in_dominant(rs, E):
+            rest = frozenset(E) - region.ideal
+            floor = {f for f in rest if not below[f] & rest}
+            expected.append(_deletion_rows(rs, region.ceiling | floor, region.ceiling, ()))
+        assert systems == expected
 
 
 def test_flat_on_outside_hyperplane_fails_construction(rs_b2, monkeypatch):
