@@ -48,7 +48,10 @@ region pins no root (and asks the deletion to its ceiling and floor,
 whose rows imply the rest of E's), a facet probe one, a flat its
 antichain; wC is w applied to the deletion to the roots that w keeps
 positive.  The cells of :func:`_cells` ask at level m.  Each writes its
-rows from the ``held`` it judges points by.  A deletion poset is
+rows from the ``held`` it judges points by.  The sign oracle walks the
+cells of the whole arrangement once per type (:func:`_dominant_cells`)
+and answers each deletion by projecting them, since a deletion's regions
+are unions of the whole arrangement's.  A deletion poset is
 induced, so :func:`antichain_table` lists its antichains and ideals:
 :func:`regions_in_dominant` and :func:`flats_in_cone` take E and read no
 poset, and :func:`antichain_points` answers every face and facet unmoved
@@ -588,20 +591,42 @@ def _cells(rs: RootSystem, roots: Sequence[int], m: int) -> list:
     return cells
 
 
+@lru_cache(maxsize=None)
+def _dominant_cells(rs: RootSystem) -> tuple:
+    """``(below, witness)`` for each dominant region of the whole Shi
+    arrangement, in the order of :func:`_cells` at m = 1 over every root:
+    ``below`` the bitmask of the roots below 1 there (the cell's
+    ``held[0]``) and ``witness`` a point inside the cell's rows.  Walked
+    once per type."""
+    cells = _cells(rs, range(len(rs.positive_roots)), 1)
+    return tuple((held[0], witness) for held, witness in cells)
+
+
 def dominant_sign_oracle(rs: RootSystem, E: Iterable[int]) -> dict:
     """Dominant regions of a deletion by cell enumeration.
 
-        Walks the level-1 hyperplanes of E inside the dominant cone with
-    :func:`_cells` at m = 1, keeping each side only while the prefix is
-    shown nonempty, and returns {below-set: witness} for the cells, the
-    below-set read off each cell's ``held[0]`` and each witness inside its
-    cell's rows.  Every side it drops is refuted by :func:`_state_proofs`
-    against a state the cell holds, so the kernel is never asked about an
-    empty one.  Independent of the antichain route: it compares row
-    vectors and never reads the root poset.
+    Deleting hyperplanes only merges regions, so each dominant region of
+    the deletion to E holds a dominant region c of the whole arrangement:
+    its below-set is c's cut to E, and c's witness lies inside it.  The
+    whole arrangement is walked once per type, by :func:`_dominant_cells`
+    (:func:`_cells` at m = 1, keeping each side only while the prefix is
+    shown nonempty: every side it drops is refuted by
+    :func:`_state_proofs` against a state the cell holds, so the kernel is
+    never asked about an empty one).  Each E is then a projection of that
+    walk, returning {below-set: witness} with the witness of the first
+    cell that cuts to the below-set.  That first-seen order is the order
+    of a walk over E's own roots, lexicographic over E ascending with
+    below before above: the first cell cutting to a below-set K puts
+    below 1 exactly the roots above no root of E - K, so two such cells
+    first differ at the first root of E where their below-sets do.
+    Independent of the antichain route: it compares row vectors and never
+    reads the root poset.
     """
-    cells = _cells(rs, sorted(set(E)), 1)
-    return {frozenset(_bits(held[0])): witness for held, witness in cells}
+    E = _mask(E)
+    out: dict = {}
+    for below, witness in _dominant_cells(rs):
+        out.setdefault(below & E, witness)
+    return {frozenset(_bits(below)): witness for below, witness in out.items()}
 
 
 # -- flats -------------------------------------------------------------------

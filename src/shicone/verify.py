@@ -7,15 +7,17 @@ with the constructions they test (oracles enumerate, constructions use
 the bijections) so that agreement is evidence rather than tautology.
 
 The region and flat oracles (a feasibility-pruned cell enumeration over
-the level-1 hyperplanes, and the closure of those hyperplanes under
+the level-1 hyperplanes, walked once per type and projected onto each
+cone's deletion, and the closure of those hyperplanes under
 intersection) never read the root poset and run at any rank the kernel
 accepts; the region and flat checks compare them with the constructions
-up to rank ``MAX_ORACLE_RANK``, since at rank 4 they would about double
-those checks' cost.  Every other check, the Eulerian interval check
-included, runs at every rank.  Hilbert series are compared with the
-Mobius Poincare polynomial of each cone's flats; on the dominant cone
-the Varchenko-Gel'fand ring and the order ring are shown to have the
-same points and generators, and their one series is computed by ranks.
+up to rank ``MAX_ORACLE_RANK``, since at rank 4 the closure oracle
+would about double those checks' cost.  Every other check, the Eulerian
+interval check included, runs at every rank.  Hilbert series are
+compared with the Mobius Poincare polynomial of each cone's flats; on
+the dominant cone the Varchenko-Gel'fand ring and the order ring are
+shown to have the same points and generators, and their one series is
+computed by ranks.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import RANK_4, RANK_LE_3, bumped_point_table, get_rs
+from conftest import RANK_4, RANK_LE_3, bumped_point_table, clear_shi_caches, get_rs
 from shicone import exactgeom, shi
 from shicone.exactgeom import (
     EQ,
@@ -103,10 +103,12 @@ def test_region_witness_predicates(rs_b2):
 
 
 def test_sign_oracle_extends_only_feasible_prefixes(monkeypatch, fresh_point_table):
-    # the first kernel call is the bare dominant cone; every later system,
-    # less its last interval (one row at m = 1), is satisfied by a point
-    # the enumeration held before the call: the oracle never extends an
-    # empty prefix, and at m = 1 the kernel never finds a child empty
+    # the first oracle call of a type walks the whole arrangement once:
+    # its first kernel call is the bare dominant cone, and every later
+    # system, less its last interval (one row at m = 1), is satisfied by a
+    # point the walk held before the call, so it never extends an empty
+    # prefix and at m = 1 the kernel never finds a child empty; every
+    # later cone is a projection of that walk and asks no kernel call
     rs = get_rs("B3")
     kernel = shi.feasible_rows
     systems, answers = [], []
@@ -118,14 +120,16 @@ def test_sign_oracle_extends_only_feasible_prefixes(monkeypatch, fresh_point_tab
         return witness
 
     monkeypatch.setattr(shi, "feasible_rows", recording)
-    for w in weyl_group(rs):
-        systems.clear()
-        answers.clear()
+    first, *rest = weyl_group(rs)
+    dominant_sign_oracle(rs, complement_of_inversions(rs, first))
+    assert None not in answers
+    assert systems[0] == list(shi._positivity_rows(rs.rank))
+    for k, rows in enumerate(systems[1:], 1):
+        assert any(check_witness(rs.rank, rows[:-1], p) for p in answers[:k])
+    walked = len(systems)
+    for w in rest:
         dominant_sign_oracle(rs, complement_of_inversions(rs, w))
-        assert None not in answers
-        assert systems[0] == list(shi._positivity_rows(rs.rank))
-        for k, rows in enumerate(systems[1:], 1):
-            assert any(check_witness(rs.rank, rows[:-1], p) for p in answers[:k])
+    assert walked > 1 and len(systems) == walked
 
 
 def test_sign_oracle_rank_bound(monkeypatch):
@@ -140,6 +144,44 @@ def test_sign_oracle_rank_bound(monkeypatch):
         bound = f"dimension {rs.rank} exceeds the supported bound {exactgeom.MAX_DIM}"
         with pytest.raises(ValueError, match=bound):
             dominant_sign_oracle(rs, range(len(rs.positive_roots)))
+
+
+@pytest.mark.parametrize("name", RANK_LE_3 + RANK_4)
+def test_sign_oracle_projects_the_per_deletion_walk(name):
+    # the projection of the whole arrangement's cells gives each cone's
+    # deletion the cells of its own walk, key for key and in its order,
+    # and each witness lies inside its region's rows: on every cone of a
+    # rank <= 3 type and of A4, and on the seeded sample of the other
+    # rank-4 types that verify's rank-4 oracle test runs
+    rs = get_rs(name)
+    cones = weyl_group(rs)
+    if rs.rank == 4 and name != "A4":
+        cones = random.Random(name).sample(cones, 12)
+    for w in cones:
+        E = complement_of_inversions(rs, w)
+        oracle = dominant_sign_oracle(rs, E)
+        walk = [frozenset(shi._bits(held[0])) for held, _ in shi._cells(rs, sorted(E), 1)]
+        assert list(oracle) == walk
+        for below, witness in oracle.items():
+            assert check_witness(rs.rank, region_rows(rs, E, below), witness)
+
+
+def test_sign_oracle_reads_no_poset_or_antichain_table(monkeypatch, fresh_point_table):
+    # with the root poset, the antichain table and the point table all
+    # refusing, the whole-arrangement walk is built and every B3 cone is
+    # answered as the antichain route answers it
+    rs = get_rs("B3")
+    deletions = [complement_of_inversions(rs, w) for w in weyl_group(rs)]
+    expected = [{r.ideal for r in regions_in_dominant(rs, E)} for E in deletions]
+    clear_shi_caches()
+    for name in ("root_poset", "antichain_table", "antichain_points"):
+
+        def refusing(*args, name=name):
+            raise AssertionError(f"sign oracle read {name}")
+
+        monkeypatch.setattr(shi, name, refusing)
+    for E, ideals in zip(deletions, expected):
+        assert set(dominant_sign_oracle(rs, E)) == ideals
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -204,7 +246,8 @@ def test_refused_cell_proofs_fall_back_to_kernel(m, monkeypatch, fresh_point_tab
 def test_cells_at_level_one_never_ask_kernel_about_an_empty_child(name, monkeypatch):
     # at m = 1 every empty child has a two-row certificate, so inside the
     # cell enumeration the kernel only ever finds cells: for the sign
-    # oracle of every cone's deletion and the level-1 dominant regions
+    # oracle's walk of the whole arrangement (its table cleared, so that
+    # the walk runs here) and the level-1 dominant regions
     rs = get_rs(name)
     cells, kernel = shi._cells, shi.feasible_rows
     inside, answers = [], []
@@ -224,6 +267,7 @@ def test_cells_at_level_one_never_ask_kernel_about_an_empty_child(name, monkeypa
 
     monkeypatch.setattr(shi, "_cells", enumerating)
     monkeypatch.setattr(shi, "feasible_rows", recording)
+    shi._dominant_cells.cache_clear()
     for w in weyl_group(rs):
         dominant_sign_oracle(rs, complement_of_inversions(rs, w))
     fuss_dominant(rs, 1)
@@ -780,7 +824,7 @@ def test_closure_intersects_each_flat_once_per_later_hyperplane(
 # or a below-set changes it.
 ORACLE_DIGEST = "6b7b8b647b51ff71a9859402e4b40441fa6f0ffaae01acd53c507a7f13613331"
 # sha256 of repr() of the witnesses of those cells, in the same order.
-ORACLE_WITNESS_DIGEST = "9b2e3a1fea4590954fee19a6e66402c3710dda419cefa44db5ba1a41db81abbb"
+ORACLE_WITNESS_DIGEST = "e9dbe036d78df4cc6376f21f655a181ef857ccd2534f3bf48ae1b673d288f0eb"
 
 
 def _flats(poset):

@@ -172,6 +172,21 @@ def test_table_missing_an_antichain_fails_the_counts(check, message, monkeypatch
         check(TypeContext(rs))
 
 
+def test_sign_oracle_table_missing_a_cell_fails_region_check(monkeypatch):
+    # the sign oracle answers every deletion from one table of the whole
+    # arrangement's cells; without one of them the identity cone, whose
+    # deletion is the whole arrangement, loses that region, and the check
+    # against the ideal family fails
+    rs = get_rs("B3")
+    table = shi._dominant_cells(rs)
+    k = len(table) // 2
+    monkeypatch.setattr(shi, "_dominant_cells", lambda rs: table[:k] + table[k + 1 :])
+    with pytest.raises(
+        verify._Failure, match="sign-assignment oracle disagrees with the ideal family"
+    ):
+        check_region_ceiling_bijection(TypeContext(rs))
+
+
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
 def test_suite_builds_each_cone_inverse_once(name, monkeypatch):
     # w^{-1} is built from the reversed word once per cone, by the
