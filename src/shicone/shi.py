@@ -37,10 +37,11 @@ in this order, though not every caller asks all three:
 :func:`_face` asks no certificate: the point table goes to the kernel,
 region witnesses go to it on their ceiling and floor rows alone and are
 then judged on the region's whole question by :func:`_holds`, and flats
-and facet probes try their table point first.  Only
-:func:`ceiling_oracle`'s probes and the children of :func:`_cells` read
-:func:`_state_proofs`.  :func:`_closure_poset` asks the kernel directly
-and trusts its meets-the-region tests.
+and facet probes try their table point first.  Only the region floors
+of :func:`regions_in_dominant`, :func:`ceiling_oracle`'s probes and the
+children of :func:`_cells` read :func:`_state_proofs`.
+:func:`_closure_poset` asks the kernel directly and trusts its
+meets-the-region tests.
 
 Every construction question is a face of a deletion in C, asked at m = 1
 by :func:`_face` from bitmasks of root indices (E, ideal, pinned): a
@@ -65,7 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import ge, mul, or_
+from operator import mul, or_
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exactgeom import (
@@ -93,8 +94,9 @@ from .rootsys import (
 
 #: Rank cap on the whole-arrangement and extended-level computations,
 #: which search cells and flats without reading the root poset, and the
-#: highest rank at which :mod:`shicone.verify` runs the sign and closure
-#: oracles (they run at any rank the kernel accepts).
+#: highest rank at which :mod:`shicone.verify`'s flat check runs the
+#: closure oracle.  The oracles run at any rank the kernel accepts, and
+#: the region check runs the sign oracle at every rank.
 MAX_ORACLE_RANK = 3
 #: Cap on the extended-arrangement level.
 MAX_FUSS_LEVEL = 3
@@ -452,17 +454,6 @@ def _positive_image(rs: RootSystem, w: WeylElement, i: int) -> int:
     return w.perm[i]
 
 
-@lru_cache(maxsize=None)
-def _above(rs: RootSystem) -> tuple:
-    """``above[g]``, the bitmask of the roots c != g with c - g >= 0
-    coordinatewise: c . x >= g . x at every point of C."""
-    roots = rs.positive_roots
-    return tuple(
-        _mask(c for c, coords in enumerate(roots) if c != i and all(map(ge, coords, g)))
-        for i, g in enumerate(roots)
-    )
-
-
 def regions_in_dominant(rs: RootSystem, E: Iterable[int]) -> list:
     """All dominant-cone regions of the deletion to the root indices E:
     one per antichain A of the deletion poset (:func:`antichain_table`),
@@ -472,18 +463,22 @@ def regions_in_dominant(rs: RootSystem, E: Iterable[int]) -> list:
     The kernel gets the region's irredundant rows only, through
     :func:`_face` on the deletion to A and the floor: the walls of C,
     a . x < 1 for a in A and f . x > 1 for f in the floor, the roots of
-    E - J above no other root of E - J (:func:`_above`).  Every root of J
+    E - J above no other root of E - J.  The roots above g are read from
+    the certified column ``_state_proofs(rs, 1)[g][_ON][_BELOW]`` that
+    :func:`ceiling_oracle` reads, g itself removed.  Every root of J
     lies below a root of A and every root of E - J above a floor root,
     so each dropped row follows from a kept one.  The witness is then
     judged on the region's whole question by :func:`_holds`, the test
     check_witness makes on :func:`region_rows`: a wrong floor raises
     AssertionError, never a wrong region."""
     E = _mask(E)
-    above = _above(rs)
+    proofs = _state_proofs(rs, 1)
     out = []
     for A, a, ideal in _antichains_within(rs, E):
         rest = E & ~ideal
-        floor = rest & ~reduce(or_, (above[g] for g in _bits(rest)), 0)
+        floor = rest & ~reduce(
+            or_, (proofs[g][_ON][_BELOW] & ~(1 << g) for g in _bits(rest)), 0
+        )
         witness = _face(rs, a | floor, ideal, 0)
         if witness is None:
             raise RuntimeError(

@@ -10,9 +10,11 @@ The region and flat oracles (a feasibility-pruned cell enumeration over
 the level-1 hyperplanes, walked once per type and projected onto each
 cone's deletion, and the closure of those hyperplanes under
 intersection) never read the root poset and run at any rank the kernel
-accepts; the region and flat checks compare them with the constructions
-up to rank ``MAX_ORACLE_RANK``, since at rank 4 the closure oracle
-would about double those checks' cost.  Every other check, the Eulerian
+accepts.  The region check compares the sign oracle with the
+constructions at every rank.  The flat check compares the closure
+oracle with them up to rank ``MAX_ORACLE_RANK`` only, since at rank 4
+it would about double the region and flat checks' cost; that branch is
+the one rank bound in this module.  Every other check, the Eulerian
 interval check included, runs at every rank.  Hilbert series are
 compared with the Mobius Poincare polynomial of each cone's flats; on
 the dominant cone the Varchenko-Gel'fand ring and the order ring are
@@ -220,12 +222,11 @@ def check_region_ceiling_bijection(ctx: TypeContext) -> str:
             back = frozenset(pull[i] for i in creg.ceiling)
             _need(back == dreg.ceiling, "cone ceiling does not pull back")
 
-        if rs.rank <= MAX_ORACLE_RANK:
-            oracle = dominant_sign_oracle(rs, E)
-            _need(
-                set(oracle) == {r.ideal for r in regions},
-                "sign-assignment oracle disagrees with the ideal family",
-            )
+        oracle = dominant_sign_oracle(rs, E)
+        _need(
+            set(oracle) == {r.ideal for r in regions},
+            "sign-assignment oracle disagrees with the ideal family",
+        )
     return f"{len(ctx.W)} cones, {n_regions} regions, {n_probes} facet probes"
 
 

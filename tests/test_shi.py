@@ -423,6 +423,7 @@ def test_refused_certificate_falls_back_to_kernel(name, monkeypatch, fresh_point
     antichain_points(rs)  # built before the kernel is counted
     cones = [complement_of_inversions(rs, w) for w in _cone_sample(name)]
     cones = [(E, regions_in_dominant(rs, E)) for E in cones]
+    shi._state_proofs.cache_clear()  # the regions' floors built it
     with monkeypatch.context() as m:
         m.setattr(shi, "feasible_rows", counting)
         m.setattr(shi, "check_farkas", checking)
@@ -1077,13 +1078,17 @@ def test_invariant_violation_fails_construction(
 
 @pytest.mark.parametrize("name", ["B2", "F4"])
 def test_wrong_floor_table_fails_region_construction(name, monkeypatch):
-    # with every root claiming to lie above every root, the floor of every
+    # with every root claiming to lie above every root (the ON/BELOW column
+    # of the certified pair table holding every root), the floor of every
     # region with a root above its ideal comes out empty; the kernel's point
     # then misses some row of E - J, and the check on the region's whole
     # question must refuse it rather than return the region
     rs = get_rs(name)
     everything = (1 << len(rs.positive_roots)) - 1
-    monkeypatch.setattr(shi, "_above", lambda rs: (everything,) * len(rs.positive_roots))
+    wrong = [list(map(list, per_root)) for per_root in shi._state_proofs(rs, 1)]
+    for per_root in wrong:
+        per_root[shi._ON][shi._BELOW] = everything
+    monkeypatch.setattr(shi, "_state_proofs", lambda rs, m: wrong)
     with pytest.raises(AssertionError, match="floor table"):
         regions_in_dominant(rs, range(len(rs.positive_roots)))
 

@@ -125,22 +125,24 @@ def _counting_oracles(monkeypatch) -> Counter:
 
 
 @pytest.mark.parametrize("name", RANK_4)
-def test_rank_4_checks_call_no_oracle(name, monkeypatch):
-    # verify's bound is the one place that decides where the oracles run,
-    # and the region and flat checks keep their rank-4 cost without them
+def test_rank_4_checks_call_only_the_sign_oracle(name, monkeypatch):
+    # the region check runs the sign oracle on every cone at every rank;
+    # verify's bound, read by the flat check alone, keeps the closure
+    # oracle out of the rank-4 checks for its cost
     ctx = TypeContext(get_rs(name))
     ctx.W = tuple(random.Random(name).sample(ctx.W, 2))
     calls = _counting_oracles(monkeypatch)
     check_region_ceiling_bijection(ctx)
     check_flat_bijection(ctx)
-    assert calls == Counter()
+    assert calls == {"dominant_sign_oracle": len(ctx.W)}
 
 
 @pytest.mark.parametrize("name", RANK_4)
 def test_oracles_agree_with_constructions_at_rank_4(name, monkeypatch):
-    # with verify's bound raised to 4, both oracles run once per cone, on
-    # every A4 cone and a seeded sample of each other type, and agree
-    # with the regions and the flats built from the antichain table
+    # with verify's bound raised to 4, the closure oracle joins the sign
+    # oracle: both run once per cone, on every A4 cone and a seeded sample
+    # of each other type, and agree with the regions and the flats built
+    # from the antichain table
     monkeypatch.setattr(verify, "MAX_ORACLE_RANK", 4)
     calls = _counting_oracles(monkeypatch)
     ctx = TypeContext(get_rs(name))
@@ -172,12 +174,13 @@ def test_table_missing_an_antichain_fails_the_counts(check, message, monkeypatch
         check(TypeContext(rs))
 
 
-def test_sign_oracle_table_missing_a_cell_fails_region_check(monkeypatch):
+@pytest.mark.parametrize("name", ["B3", "A4"])
+def test_sign_oracle_table_missing_a_cell_fails_region_check(name, monkeypatch):
     # the sign oracle answers every deletion from one table of the whole
     # arrangement's cells; without one of them the identity cone, whose
     # deletion is the whole arrangement, loses that region, and the check
-    # against the ideal family fails
-    rs = get_rs("B3")
+    # against the ideal family fails, at rank 4 as at rank 3
+    rs = get_rs(name)
     table = shi._dominant_cells(rs)
     k = len(table) // 2
     monkeypatch.setattr(shi, "_dominant_cells", lambda rs: table[:k] + table[k + 1 :])
